@@ -209,15 +209,31 @@ def div(a, b):
 
 
 def matmul(a, b):
+    """Matrix product over the last two axes.
+
+    The batch axes of `b` line up with the leading axes of `a`, and any
+    further axes of `a` fold into the rows of one GEMM per batch entry. So a
+    2-D `b` (a weight) takes every leading axis of `a` as rows in a single
+    GEMM, and an expert stack (E, K, N) maps (E or 1, ..., K) to (E, ..., N).
+    When `a` has fewer axes than `b`, numpy broadcasting applies.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 1 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
+    A, Bs = a.data.shape, b.data.shape
+    lead = len(Bs) - 2
+    if (a.data.ndim < 1 or b.data.ndim < 2 or A[-1] != Bs[-2]
+            or (a.data.ndim > b.data.ndim
+                and any(m != n and 1 not in (m, n) for m, n in zip(A[:lead], Bs[:lead])))):
+        raise ShapeError(f"matmul: incompatible shapes {A} x {Bs}")
+    fold = a.data.ndim > b.data.ndim
+    a2 = a.data.reshape(A[:lead] + (-1, A[-1])) if fold else a.data
+    y = np.matmul(a2, b.data)
+    out = Tensor(y.reshape(y.shape[:-2] + A[lead:-1] + Bs[-1:]) if fold else y)
 
     def backward(g):
+        g = g.reshape(y.shape)
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        gb = np.matmul(np.swapaxes(a2, -1, -2), g)
+        return _unbroadcast(ga, a2.shape).reshape(A), _unbroadcast(gb, Bs)
 
     return _track(out, (a, b), backward)
 
@@ -269,8 +285,8 @@ def log(x):
 
 def exp(x):
     x = _as_tensor(x)
-    out = Tensor(np.exp(x.data))
-    return _track(out, (x,), lambda g: (g * out.data,))
+    y = np.exp(x.data)
+    return _track(Tensor(y), (x,), lambda g: (g * y,))
 
 
 def square(x):
@@ -281,8 +297,8 @@ def square(x):
 
 def sqrt(x):
     x = _as_tensor(x)
-    out = Tensor(np.sqrt(x.data))
-    return _track(out, (x,), lambda g: (g * 0.5 / out.data,))
+    y = np.sqrt(x.data)
+    return _track(Tensor(y), (x,), lambda g: (g * 0.5 / y,))
 
 
 def clamp(x, lo, hi):
@@ -308,10 +324,12 @@ def sum_along(x, axis=None, keepdims=False):
 
 
 def mean_along(x, axis=None, keepdims=False):
+    """Mean over `axis`: None for all axes, an int, or a tuple of ints."""
     x = _as_tensor(x)
-    if axis is not None and x.data.shape[axis] == 0:
+    axes = range(x.data.ndim) if axis is None else np.atleast_1d(axis)
+    n = int(np.prod([x.data.shape[a] for a in axes]))
+    if n == 0:
         raise ShapeError(f"mean over empty axis {axis} of shape {x.data.shape}")
-    n = x.data.size if axis is None else x.data.shape[axis]
     return mul(sum_along(x, axis, keepdims), 1.0 / n)
 
 
@@ -373,14 +391,18 @@ def take(x, idx):
     return _track(out, (x,), backward)
 
 
-def stack(tensors, axis=0):
-    expanded = []
-    for t in tensors:
-        t = _as_tensor(t)
-        shape = list(t.data.shape)
-        shape.insert(axis if axis >= 0 else len(shape) + 1 + axis, 1)
-        expanded.append(reshape(t, tuple(shape)))
-    return concat(expanded, axis=axis)
+def stack(tensors, broadcast_axes=0):
+    """Stack equal-shape tensors along a new leading axis.
+
+    `broadcast_axes` singleton axes follow the new axis, so a stack of
+    vectors broadcasts over that many batch axes. Backward hands each input
+    its own slice of the gradient.
+    """
+    tensors = tuple(_as_tensor(t) for t in tensors)
+    shape = tensors[0].data.shape
+    out = Tensor(np.stack([t.data for t in tensors]).reshape(
+        (len(tensors),) + (1,) * broadcast_axes + shape))
+    return _track(out, tensors, lambda g: tuple(g.reshape((len(tensors),) + shape)))
 
 
 # -- composite layers -------------------------------------------------------
@@ -426,12 +448,12 @@ def l2_normalize(x, axis=-1, guard=1e-12):
     """
     x = _as_tensor(x)
     norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True) + guard)
-    out = Tensor(x.data / norm)
+    y = x.data / norm
 
     def backward(g):
-        return ((g - out.data * (g * out.data).sum(axis=axis, keepdims=True)) / norm,)
+        return ((g - y * (g * y).sum(axis=axis, keepdims=True)) / norm,)
 
-    return _track(out, (x,), backward)
+    return _track(Tensor(y), (x,), backward)
 
 
 # -- gradient checking ------------------------------------------------------

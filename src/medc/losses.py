@@ -1,7 +1,8 @@
 """The four training objectives and per-expert variance-target construction.
 
 Total objective: lambda1 * sum_e L_mu + lambda2 * sum_e L_cls +
-lambda3 * sum_e L_sigma, summed over experts.
+lambda3 * sum_e L_sigma, summed over experts. Each loss takes an optional
+leading expert axis and then returns one value per expert.
 """
 
 from dataclasses import dataclass
@@ -52,6 +53,20 @@ def gamma_targets(stats, expert_kind, a=0.01, b=1.0, uniform_const=0.5):
     return a + (b - a) * (w - lo) / (hi - lo)
 
 
+def _mean_per_expert(values, owner, lead):
+    """Mean of the row values (R,) per expert; an expert with no rows gets 0.
+
+    lead is () for a single head, whose mean is a scalar, or (E,) with
+    owner[r] the expert of row r.
+    """
+    if lead:
+        member = (owner[None, :] == np.arange(lead[0])[:, None]).astype(np.float64)
+    else:
+        member = np.ones(values.shape[0])
+    weights = member / np.maximum(member.sum(axis=-1, keepdims=True), 1.0)
+    return ag.sum_along(ag.mul(values, Tensor(weights)), axis=-1)
+
+
 def mean_contrastive_loss(mus, labels, tau=1.0):
     """InfoNCE-style loss pulling same-class mean estimates together.
 
@@ -59,40 +74,44 @@ def mean_contrastive_loss(mus, labels, tau=1.0):
     and one negative (disjoint labels): the positive is the nearest one by
     dot product, the negatives are all label-disjoint rows; rows with
     partial label overlap join neither set. Returns the mean of
-    -log softmax over eligible anchors, 0 if none are eligible.
+    -log softmax over eligible anchors, 0 if none are eligible. With a
+    leading expert axis (mus (E, B, d), labels (E, B, C)) each expert's
+    batch is its own, and the result is (E,).
     """
     labels = np.asarray(labels).astype(bool)
-    B = labels.shape[0]
+    lead, B = labels.shape[:-2], labels.shape[-2]
     if B < 2:
-        return Tensor(0.0)
-    overlap = (labels.astype(np.int64) @ labels.T.astype(np.int64)) > 0
-    share = overlap.copy()
-    np.fill_diagonal(share, False)
+        return Tensor(np.zeros(lead))
+    counts = labels.astype(np.int64)
+    overlap = (counts @ np.swapaxes(counts, -1, -2)) > 0
+    share = overlap & ~np.eye(B, dtype=bool)
     disjoint = ~overlap
-    eligible = share.any(axis=1) & disjoint.any(axis=1)
+    eligible = share.any(axis=-1) & disjoint.any(axis=-1)
     if not eligible.any():
-        return Tensor(0.0)
+        return Tensor(np.zeros(lead))
 
-    sims = ag.matmul(mus, ag.transpose(mus))
+    axes = tuple(range(mus.ndim - 2)) + (mus.ndim - 1, mus.ndim - 2)
+    sims = ag.matmul(mus, ag.transpose(mus, axes))
     sv = sims.data
     # nearest positive by dot product; argmax breaks ties by lowest index
-    best = np.where(share, sv, -np.inf).argmax(axis=1)
+    best = np.where(share, sv, -np.inf).argmax(axis=-1)
 
-    rows = np.flatnonzero(eligible)
+    rows = np.nonzero(eligible)       # (expert, anchor) of each eligible row
     mask = disjoint[rows].astype(np.float64)
-    mask[np.arange(rows.size), best[rows]] = 1.0
+    mask[np.arange(mask.shape[0]), best[rows]] = 1.0
     # constant per-anchor shift keeps exp bounded without touching gradients
     shift = np.where(mask > 0, sv[rows], -np.inf).max(axis=1, keepdims=True)
     z = ag.mul(ag.sub(sims[rows], Tensor(shift)), 1.0 / tau)
     e = ag.mul(ag.exp(z), Tensor(mask))
     lse = ag.add(ag.log(ag.sum_along(e, axis=1)), Tensor(shift[:, 0] / tau))
-    pos = ag.mul(sims[rows, best[rows]], 1.0 / tau)
-    return ag.mean_along(ag.sub(lse, pos))
+    pos = ag.mul(sims[rows + (best[rows],)], 1.0 / tau)
+    return _mean_per_expert(ag.sub(lse, pos), rows[0], lead)
 
 
 def classification_loss(p, y, strict_positive_only=False):
     """Multi-label binary cross-entropy, averaged over classes and samples.
 
+    With a leading expert axis the average is per expert, giving (E,).
     strict_positive_only keeps only the positive-label term (the degenerate
     form; for fidelity experiments only).
     """
@@ -100,35 +119,44 @@ def classification_loss(p, y, strict_positive_only=False):
     pc = ag.clamp(p, 1e-7, 1.0 - 1e-7)
     pos = ag.mul(Tensor(y), ag.log(pc))
     if strict_positive_only:
-        return ag.mul(ag.mean_along(pos), -1.0)
+        return ag.mul(ag.mean_along(pos, axis=(-2, -1)), -1.0)
     neg = ag.mul(Tensor(1.0 - y), ag.log(ag.sub(1.0, pc)))
-    return ag.mul(ag.mean_along(ag.add(pos, neg)), -1.0)
+    return ag.mul(ag.mean_along(ag.add(pos, neg), axis=(-2, -1)), -1.0)
 
 
 def variance_region_loss(sigmas, labels, gamma):
     """Squared deviation of per-dimension variance from the class target.
 
     Mean over samples, their positive labels, and embedding dimensions of
-    (sigma_j^2 - gamma_c)^2.
+    (sigma_j^2 - gamma_c)^2. With a leading expert axis (sigmas (E, B, d),
+    labels (E, B, C), gamma (E, C)) the mean is per expert, giving (E,).
     """
     labels = np.asarray(labels)
     if labels.ndim == 1:
         labels = labels[None, :]
-    rows, cols = np.nonzero(labels)
-    if rows.size == 0:
-        return Tensor(0.0)
-    sq = ag.square(sigmas if sigmas.ndim == 2 else ag.reshape(sigmas, (1, -1)))
-    sel = sq[rows]                              # (P, d)
-    targets = Tensor(np.asarray(gamma)[cols][:, None])
-    return ag.mean_along(ag.square(ag.sub(sel, targets)))
+    if sigmas.ndim == 1:
+        sigmas = ag.reshape(sigmas, (1, -1))
+    lead = labels.shape[:-2]
+    *rows, cols = np.nonzero(labels)
+    if cols.size == 0:
+        return Tensor(np.zeros(lead))
+    rows = tuple(rows)
+    sel = ag.square(sigmas)[rows]                                    # (P, d)
+    targets = Tensor(np.asarray(gamma)[rows[:-1] + (cols,)][:, None])
+    dev = ag.sum_along(ag.square(ag.sub(sel, targets)), axis=-1)     # (P,)
+    return ag.mul(_mean_per_expert(dev, rows[0], lead), 1.0 / sel.shape[-1])
 
 
 def total_loss(per_expert_terms, weights):
-    """weights-weighted sum of per-expert (L_mu, L_cls, L_sigma) triples."""
-    l_mu = l_cls = l_sig = None
+    """weights-weighted sum of (L_mu, L_cls, L_sigma) triples.
+
+    Each term is a scalar for one expert or an (E,) vector with one value
+    per expert; the result sums over every expert.
+    """
+    total = None
     for (m, c, s) in per_expert_terms:
-        l_mu = m if l_mu is None else ag.add(l_mu, m)
-        l_cls = c if l_cls is None else ag.add(l_cls, c)
-        l_sig = s if l_sig is None else ag.add(l_sig, s)
-    return ag.add(ag.add(ag.mul(l_mu, weights.lambda1), ag.mul(l_cls, weights.lambda2)),
-                  ag.mul(l_sig, weights.lambda3))
+        t = ag.add(ag.add(ag.mul(m, weights.lambda1), ag.mul(c, weights.lambda2)),
+                   ag.mul(s, weights.lambda3))
+        t = ag.sum_along(t) if t.ndim else t
+        total = t if total is None else ag.add(total, t)
+    return total

@@ -6,8 +6,14 @@ pooling over frames, the variance from a temporal self-attention module
 over frame deviations, and the stochastic embedding z = mu + eps * sigma
 goes through a per-class sigmoid classifier. Inference averages the expert
 probability vectors.
+
+The active heads also run as one: `stack_heads` stacks each parameter role
+along a leading expert axis E, and the forward functions take that axis
+in front of every activation. Training and inference run all experts as
+one batched graph this way.
 """
 
+import copy
 import json
 import struct
 from dataclasses import dataclass, field
@@ -177,10 +183,53 @@ class Model:
             p.zero_grad()
 
 
+def _view(modules, combine):
+    """A copy of modules[0] whose tensors are combine(that role in every module)."""
+    view = copy.copy(modules[0])
+    for name, value in list(vars(view).items()):
+        parts = [getattr(m, name) for m in modules]
+        if isinstance(value, Tensor):
+            setattr(view, name, combine(parts))
+        elif isinstance(value, list):
+            setattr(view, name, [_view(group, combine) for group in zip(*parts)])
+        elif hasattr(value, "parameters"):
+            setattr(view, name, _view(parts, combine))
+    return view
+
+
+def _frozen(module):
+    """A copy of `module` that reads its parameter values without tracking them."""
+    return _view([module], lambda params: Tensor(params[0].data))
+
+
+def stack_heads(heads):
+    """The heads as one head whose parameter roles are stacked along axis 0.
+
+    The result has the ExpertHead attributes, so estimate_mean,
+    estimate_variance and classify run it as they run a single head, with
+    an expert axis E in front of every activation: per-frame (E, B, L, n)
+    and per-video (E, B, n). Its `kind` is the tuple of kinds and its
+    `gamma` is (E, C). Each role is one stack node whose backward hands each
+    head its own slice of the gradient.
+    """
+    def stacked(frame_axes):
+        return lambda params: ag.stack(params, frame_axes if params[0].ndim == 1 else 0)
+
+    view = copy.copy(heads[0])
+    view.kind = tuple(h.kind for h in heads)
+    view.gamma = np.stack([h.gamma for h in heads])
+    for name in ("phi_mu", "phi_var", "f_q", "f_k", "f_v", "classifier"):
+        # vectors broadcast over (B, L) per frame, over (B,) in the classifier
+        frame_axes = 1 if name == "classifier" else 2
+        setattr(view, name, _view([getattr(h, name) for h in heads], stacked(frame_axes)))
+    return view
+
+
 # -- forward ops --------------------------------------------------------------
+# Every op takes an optional leading expert axis when given stacked heads.
 
 def trunk_forward(X, trunk):
-    """Per-frame trunk application; X is (B, L, D) or (L, D)."""
+    """Per-frame trunk application; X is (B, L, D), (L, D) or (E, B, L, D)."""
     X = X if isinstance(X, Tensor) else Tensor(X)
     return trunk(X)
 
@@ -242,40 +291,73 @@ def forward_expert(X, trunk, head, rng=None, train_mode=False, temporal_attentio
 
 
 def forward_inference(X, model, experts=None):
-    """Eval-mode probabilities averaged over the given experts (all by default)."""
+    """Eval-mode probabilities averaged over the given experts (all by default).
+
+    The trunk runs once on X (B, L, D) and the heads once as a stack. Both
+    read frozen copies of the parameter values, so no tape is built and
+    each activation is freed as soon as it is consumed. Eval mode sets
+    z = mu, so the variance branch is not run.
+    """
     kinds = model.cfg.experts if experts is None else tuple(experts)
     if not kinds:
         raise ValueError("need at least one expert for inference")
-    acc = None
-    for kind in kinds:
-        _, p = forward_expert(X, model.trunk, model.heads[kind], rng=None,
-                              train_mode=False,
-                              temporal_attention=model.cfg.temporal_attention)
-        acc = p if acc is None else ag.add(acc, p)
-    return ag.mul(acc, 1.0 / len(kinds))
+    heads = stack_heads([_frozen(model.heads[kind]) for kind in kinds])
+    H0 = trunk_forward(X, _frozen(model.trunk))
+    mu = estimate_mean(ag.reshape(H0, (1,) + H0.shape), heads)
+    return ag.mean_along(classify(mu, heads), axis=0)
 
 
 # -- checkpoints ---------------------------------------------------------------
 # single file: magic, u64 manifest length, JSON manifest, then little-endian
-# f64 payloads in manifest order.
+# f64 payloads: the parameters in manifest order, then the arrays of `extra`.
+
+_PAYLOAD = "f8_payload"
+
+
+def _lift_arrays(obj, arrays):
+    """Copy of the dict tree `obj` with each ndarray moved to `arrays`."""
+    if isinstance(obj, np.ndarray):
+        arrays.append(obj)
+        return {_PAYLOAD: len(arrays) - 1}
+    if isinstance(obj, dict):
+        return {k: _lift_arrays(v, arrays) for k, v in obj.items()}
+    return obj
+
+
+def _restore_arrays(obj, arrays):
+    if isinstance(obj, dict):
+        if set(obj) == {_PAYLOAD}:
+            return arrays[obj[_PAYLOAD]]
+        return {k: _restore_arrays(v, arrays) for k, v in obj.items()}
+    return obj
+
+
+def _read_f8(f, shape):
+    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    return np.frombuffer(f.read(8 * count), dtype="<f8").astype(np.float64).reshape(shape)
+
 
 def save_checkpoint(path, model, extra=None):
+    """Write model and `extra`; float64 arrays in `extra`'s dicts go as binary."""
     params = model.parameters()
+    arrays = []
+    extra = _lift_arrays(extra if extra is not None else {}, arrays)
     manifest = {
-        "version": 1,
+        "version": 2,
         "config": model.cfg.to_dict(),
         "seed": model.seed,
         "gamma": {kind: model.heads[kind].gamma.tolist() for kind in model.cfg.experts},
         "params": [{"name": p.name, "shape": list(p.data.shape)} for p in params],
-        "extra": extra if extra is not None else {},
+        "arrays": [list(a.shape) for a in arrays],
+        "extra": extra,
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        for p in params:
-            f.write(p.data.astype("<f8").tobytes())
+        for a in [p.data for p in params] + arrays:
+            f.write(a.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -299,8 +381,7 @@ def load_checkpoint(path):
             if p.data.shape != shape:
                 raise ValueError(f"parameter {meta['name']}: checkpoint shape {shape} "
                                  f"!= model shape {p.data.shape}")
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = f.read(8 * count)
-            p.data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            p.data = _read_f8(f, shape)
             p.grad = np.zeros_like(p.data)
-    return model, manifest["extra"]
+        arrays = [_read_f8(f, tuple(shape)) for shape in manifest.get("arrays", [])]
+    return model, _restore_arrays(manifest["extra"], arrays)

@@ -1,9 +1,10 @@
 """Adam-based training of the multi-expert model.
 
 One optimization step per batch: every active expert draws its own batch
-from its sampler, the three loss terms are computed per expert, the
-weighted sum is backpropagated once, and a single Adam step updates the
-shared trunk and all heads together.
+from its sampler, all experts run as one batched graph along a leading
+expert axis, the three loss terms come out per expert, their weighted sum
+is backpropagated once, and a single Adam step updates the shared trunk
+and all heads together.
 
 RNG streams are derived per (seed, consumer, expert, epoch), so a run can
 be resumed from a checkpoint at any epoch boundary and produce the exact
@@ -15,13 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autograd as ag
 from . import sampling
+from .autograd import Tensor
 from .data import compute_label_stats
 from .losses import (LossWeights, classification_loss, gamma_targets,
                      mean_contrastive_loss, total_loss, variance_region_loss)
 from .model import (EXPERT_KINDS, INVERSE, LONG_TAILED, UNIFORM, Model,
-                    ModelConfig, forward_expert, load_checkpoint,
-                    save_checkpoint)
+                    ModelConfig, classify, estimate_mean, estimate_variance,
+                    load_checkpoint, save_checkpoint, stack_heads, trunk_forward)
 from .seeding import derive_rng
 
 
@@ -58,46 +61,46 @@ class TrainConfig:
 
 
 class Adam:
+    """Adam over a parameter list, with the moments in one flat vector each."""
+
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.bounds = np.cumsum([0] + [p.data.size for p in self.params])
+        self.m = np.zeros(self.bounds[-1])
+        self.v = np.zeros(self.bounds[-1])
 
     def step(self, lr):
+        g = np.concatenate([p.grad.ravel() for p in self.params])
+        if not np.isfinite(g).all():
+            bad = next(p for p in self.params if not np.isfinite(p.grad).all())
+            raise FloatingPointError(f"non-finite gradient in parameter {bad.name!r}")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient in parameter {p.name!r}")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / b1t
-            v_hat = self.v[i] / b2t
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        m_hat = self.m / b1t
+        v_hat = self.v / b2t
+        update = lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p, lo, hi in zip(self.params, self.bounds[:-1], self.bounds[1:]):
+            p.data = p.data - update[lo:hi].reshape(p.data.shape)
 
     def state_dict(self):
-        return {"t": self.t,
-                "m": [m.tolist() for m in self.m],
-                "v": [v.tolist() for v in self.v]}
+        return {"t": self.t, "m": self.m, "v": self.v}
 
     def load_state_dict(self, state):
+        for name in ("m", "v"):
+            moment = state[name]
+            if not isinstance(moment, np.ndarray) or moment.shape != self.m.shape:
+                raise ValueError(f"Adam state {name!r} is not an array of the "
+                                 f"{self.m.size} moments these parameters need")
         self.t = state["t"]
-        self.m = [np.asarray(m, dtype=np.float64).reshape(p.data.shape)
-                  for m, p in zip(state["m"], self.params)]
-        self.v = [np.asarray(v, dtype=np.float64).reshape(p.data.shape)
-                  for v, p in zip(state["v"], self.params)]
-
-
-def adam_step(params, state, lr):
-    """Single Adam update over already-populated parameter gradients."""
-    state.step(lr)
-    return state
+        self.m = state["m"].astype(np.float64)
+        self.v = state["v"].astype(np.float64)
 
 
 def build_samplers(records, stats, kinds):
@@ -115,34 +118,44 @@ def build_samplers(records, stats, kinds):
     return built
 
 
+def composed_objective(model, kinds, X, Y, eps, weights, tau=1.0, strict_cls=False):
+    """The training objective of the experts `kinds` as one batched graph.
+
+    Expert e sees its own batch X[e] (E, B, L, D) with labels Y[e] (E, B, C)
+    and noise eps[e] (E, B, d). Returns the scalar loss and the (E,) vectors
+    (L_mu, L_cls, L_sigma).
+    """
+    heads = stack_heads([model.heads[kind] for kind in kinds])
+    H0 = trunk_forward(X, model.trunk)
+    mu = estimate_mean(H0, heads)
+    sigma = estimate_variance(H0, mu, heads, model.cfg.temporal_attention)
+    z = ag.add(mu, ag.mul(Tensor(eps), sigma))
+    p = classify(z, heads)
+    terms = (mean_contrastive_loss(mu, Y, tau), classification_loss(p, Y, strict_cls),
+             variance_region_loss(sigma, Y, heads.gamma))
+    return total_loss([terms], weights), terms
+
+
 def train_epoch(model, feats, labels, samplers, cfg, epoch, adam):
     """One pass of ceil(N/batch) steps; returns mean loss terms per expert."""
+    kinds = cfg.active_experts
     n = feats.shape[0]
     steps = -(-n // cfg.batch_size)
-    sampler_rngs = {k: derive_rng(cfg.seed, "sampler", k, epoch) for k in cfg.active_experts}
-    eps_rngs = {k: derive_rng(cfg.seed, "eps", k, epoch) for k in cfg.active_experts}
+    sampler_rngs = [derive_rng(cfg.seed, "sampler", k, epoch) for k in kinds]
+    eps_rngs = [derive_rng(cfg.seed, "eps", k, epoch) for k in kinds]
 
-    sums = {k: np.zeros(3) for k in cfg.active_experts}
+    sums = np.zeros((len(kinds), 3))
     for _ in range(steps):
-        per_expert = []
-        for kind in cfg.active_experts:
-            head = model.heads[kind]
-            idx = sampling.sample_batch(samplers[kind], cfg.batch_size, sampler_rngs[kind])
-            X = feats[idx]
-            y = labels[idx]
-            emb, p = forward_expert(X, model.trunk, head, rng=eps_rngs[kind],
-                                    train_mode=True,
-                                    temporal_attention=cfg.temporal_attention)
-            l_mu = mean_contrastive_loss(emb.mu, y, cfg.tau)
-            l_cls = classification_loss(p, y, cfg.strict_cls)
-            l_sig = variance_region_loss(emb.sigma, y, head.gamma)
-            per_expert.append((l_mu, l_cls, l_sig))
-            sums[kind] += [l_mu.item(), l_cls.item(), l_sig.item()]
-        loss = total_loss(per_expert, cfg.weights)
+        idx = np.stack([sampling.sample_batch(samplers[k], cfg.batch_size, rng)
+                        for k, rng in zip(kinds, sampler_rngs)])
+        eps = np.stack([rng.standard_normal((cfg.batch_size, model.cfg.d)) for rng in eps_rngs])
+        loss, terms = composed_objective(model, kinds, feats[idx], labels[idx], eps,
+                                         cfg.weights, cfg.tau, cfg.strict_cls)
+        sums += np.stack([t.data for t in terms], axis=1)
         model.zero_grad()
         loss.backward()
         adam.step(cfg.learning_rate)
-    return {k: (sums[k] / steps).tolist() for k in cfg.active_experts}
+    return {k: (sums[i] / steps).tolist() for i, k in enumerate(kinds)}
 
 
 TERM_NAMES = ("mean_contrastive", "classification", "variance_region")

@@ -2,12 +2,10 @@
 
 import numpy as np
 
-from . import autograd as ag
-from .autograd import Tensor
-from .losses import (LossWeights, classification_loss, mean_contrastive_loss,
-                     total_loss, variance_region_loss)
-from .model import Model, ModelConfig, classify, estimate_mean, estimate_variance, trunk_forward
+from .losses import LossWeights
+from .model import Model, ModelConfig
 from .seeding import derive_rng
+from .training import composed_objective
 
 
 def composed_objective_gradcheck(seed, C=4, d=8, L=4, batch=4, D=4, d_trunk=3,
@@ -15,15 +13,16 @@ def composed_objective_gradcheck(seed, C=4, d=8, L=4, batch=4, D=4, d_trunk=3,
     """Max relative gradient error of the full three-expert objective.
 
     Builds a random mini-batch with a mix of shared and disjoint labels,
-    fixes one epsilon draw per expert so the objective is deterministic,
-    and central-differences every parameter entry. Parameters get a small
-    random perturbation after init so the check runs at a generic point:
+    given to every expert, fixes one epsilon draw per expert so the
+    objective is deterministic, and central-differences every parameter
+    entry of the batched objective that training runs. Parameters get a
+    small random perturbation after init so the check runs at a generic point:
     fresh zero biases put dead-frame rows exactly on the feature-norm
     guard, where curvature defeats finite differences even though the
     analytic gradient is fine.
     """
     rng = derive_rng(seed, "gradcheck")
-    X = Tensor(rng.uniform(-1.0, 1.0, size=(batch, L, D)))
+    X = rng.uniform(-1.0, 1.0, size=(batch, L, D))
     labels = np.zeros((batch, C), dtype=np.uint8)
     for i in range(batch):
         labels[i, i % 2] = 1
@@ -36,23 +35,14 @@ def composed_objective_gradcheck(seed, C=4, d=8, L=4, batch=4, D=4, d_trunk=3,
         p.data = p.data + rng.uniform(-0.05, 0.05, size=p.data.shape)
     for head in model.heads.values():
         head.gamma = rng.uniform(0.01, 1.0, size=C)
-    epsilons = {kind: Tensor(rng.standard_normal((batch, d)))
-                for kind in cfg.experts}
+    eps = np.stack([rng.standard_normal((batch, d)) for _ in cfg.experts])
+    E = len(cfg.experts)
+    X = np.broadcast_to(X, (E,) + X.shape)
+    labels = np.broadcast_to(labels, (E,) + labels.shape)
     weights = LossWeights(0.8, 1.0, 0.4)
 
     def objective():
-        per_expert = []
-        H0 = trunk_forward(X, model.trunk)
-        for kind in cfg.experts:
-            head = model.heads[kind]
-            mu = estimate_mean(H0, head)
-            sigma = estimate_variance(H0, mu, head, temporal_attention)
-            z = ag.add(mu, ag.mul(epsilons[kind], sigma))
-            p = classify(z, head)
-            per_expert.append((mean_contrastive_loss(mu, labels),
-                               classification_loss(p, labels),
-                               variance_region_loss(sigma, labels, head.gamma)))
-        return total_loss(per_expert, weights)
+        return composed_objective(model, cfg.experts, X, labels, eps, weights)[0]
 
     return _checked_max_error(objective, model.parameters(), h)
 

@@ -1,3 +1,5 @@
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -22,6 +24,19 @@ def test_matmul_projector():
 def test_matmul_hand_case():
     out = ag.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
     assert out.data.ravel() == pytest.approx([11.0])
+
+
+def test_matmul_folds_leading_axes_like_numpy():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 5, 2, 4))
+    w = rng.standard_normal((4, 6))
+    np.testing.assert_allclose(ag.matmul(Tensor(a), Tensor(w)).data, a @ w, atol=1e-14)
+    stackw = rng.standard_normal((3, 4, 6))
+    expected = np.stack([a[e] @ stackw[e] for e in range(3)])
+    np.testing.assert_allclose(ag.matmul(Tensor(a), Tensor(stackw)).data, expected,
+                               atol=1e-14)
+    with pytest.raises(ShapeError, match=r"\(3, 5, 2, 4\).*\(2, 4, 6\)"):
+        ag.matmul(Tensor(a), Tensor(stackw[:2]))
 
 
 def test_matmul_shape_mismatch_names_both_shapes():
@@ -125,6 +140,13 @@ def _rand(rng, *shape):
     ("mul", lambda p, q: ag.mul(p, q)),
     ("div", lambda p, q: ag.div(p, ag.add(ag.square(q), 0.5))),
     ("matmul", lambda p, q: ag.matmul(p, ag.transpose(q))),
+    ("matmul_3d_left", lambda p, q: ag.matmul(ag.reshape(p, (2, 2, 4)), q)),
+    ("matmul_4d_left", lambda p, q: ag.matmul(ag.reshape(p, (2, 1, 2, 4)), q)),
+    ("matmul_expert_axis", lambda p, q: ag.matmul(ag.reshape(p, (2, 2, 1, 4)),
+                                                  ag.reshape(q, (2, 4, 2)))),
+    ("matmul_shared_left", lambda p, q: ag.matmul(ag.reshape(p, (1, 4, 4)),
+                                                  ag.reshape(q, (2, 4, 2)))),
+    ("stack", lambda p, q: ag.mul(ag.stack([p[0], q[1]], 1), p[:2, None, :])),
     ("sigmoid", lambda p, q: ag.sigmoid(ag.mul(p, q))),
     ("softplus", lambda p, q: ag.softplus(ag.mul(p, 3.0))),
     ("exp", lambda p, q: ag.exp(p)),
@@ -202,3 +224,19 @@ def test_backward_requires_scalar():
 def test_dot_hand_case():
     out = ag.dot(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
     assert out.item() == pytest.approx(11.0)
+
+
+def test_finished_graph_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        p = Parameter(np.array([[0.3, -1.2], [2.0, 0.5]]), "p")
+        mid = ag.exp(p)
+        probe = weakref.ref(mid.data)
+        out = ag.sum_along(ag.l2_normalize(ag.sqrt(ag.add(mid, 1.0)), axis=1))
+        out.backward()
+        del mid, out
+        assert probe() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

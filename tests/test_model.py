@@ -6,7 +6,7 @@ from medc.autograd import Tensor
 from medc.model import (EXPERT_KINDS, Model, ModelConfig, classify,
                         estimate_mean, estimate_variance, forward_expert,
                         forward_inference, load_checkpoint, reparameterize,
-                        save_checkpoint, trunk_forward)
+                        save_checkpoint, stack_heads, trunk_forward)
 from medc.seeding import derive_rng
 from medc.verify import composed_objective_gradcheck
 
@@ -176,6 +176,19 @@ def test_inference_invariant_to_expert_order():
     np.testing.assert_allclose(a.data, b.data, atol=1e-15)
 
 
+def test_inference_builds_no_tape_and_matches_tracked_forward():
+    model = Model(tiny_cfg(), seed=14)
+    X = derive_rng(14, "x").uniform(-1, 1, size=(4, 3, 3))
+    out = forward_inference(X, model)
+    assert out._parents == () and out._backward is None
+    H0 = trunk_forward(X, model.trunk)
+    heads = stack_heads([model.heads[k] for k in EXPERT_KINDS])
+    tracked = ag.mean_along(classify(estimate_mean(ag.reshape(H0, (1,) + H0.shape), heads),
+                                     heads), axis=0)
+    assert tracked._parents
+    assert np.array_equal(out.data, tracked.data)
+
+
 def test_inference_rejects_empty_expert_list():
     model = Model(tiny_cfg(), seed=0)
     with pytest.raises(ValueError):
@@ -194,6 +207,17 @@ def test_checkpoint_roundtrip(tmp_path):
     X = derive_rng(12, "x").uniform(-1, 1, size=(3, 2, 3))
     np.testing.assert_array_equal(forward_inference(X, model).data,
                                   forward_inference(X, loaded).data)
+
+
+def test_checkpoint_stores_extra_arrays_as_binary(tmp_path):
+    model = Model(tiny_cfg(), seed=12)
+    moments = derive_rng(12, "m").standard_normal(50)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, model, extra={"epoch": 3, "adam": {"t": 4, "m": moments}})
+    assert b"f8_payload" in path.read_bytes()
+    _, extra = load_checkpoint(path)
+    assert extra["epoch"] == 3 and extra["adam"]["t"] == 4
+    assert np.array_equal(extra["adam"]["m"], moments)
 
 
 def test_checkpoint_rejects_shape_mismatch(tmp_path):

@@ -4,9 +4,13 @@ import pytest
 from medc import autograd as ag
 from medc.autograd import Parameter
 from medc.data import SyntheticConfig, generate_synthetic
-from medc.losses import LossWeights
-from medc.model import forward_inference, load_checkpoint
-from medc.training import TERM_NAMES, Adam, TrainConfig, train
+from medc.losses import (LossWeights, classification_loss, mean_contrastive_loss,
+                         total_loss, variance_region_loss)
+from medc.model import (EXPERT_KINDS, Model, ModelConfig, forward_expert,
+                        forward_inference, load_checkpoint)
+from medc.seeding import derive_rng
+from medc.training import (TERM_NAMES, Adam, TrainConfig, composed_objective,
+                           train)
 
 
 def small_dataset(seed=0, counts=(12, 8, 4)):
@@ -82,6 +86,35 @@ def test_adam_state_roundtrip():
     adam.step(0.01)
     adam2.step(0.01)
     assert np.array_equal(p.data, q.data)
+
+
+def test_adam_fused_update_matches_per_tensor_loop():
+    rng = np.random.default_rng(5)
+    shapes = [(3, 4), (4,), (1,), (2, 2)]
+    params = [Parameter(rng.standard_normal(s), f"p{i}") for i, s in enumerate(shapes)]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    adam = Adam(params)
+    for t in range(1, 6):
+        grads = [rng.standard_normal(s) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g
+        adam.step(0.01)
+        b1t, b2t = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for i, g in enumerate(grads):
+            m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+            v[i] = 0.999 * v[i] + (1.0 - 0.999) * g * g
+            ref[i] = ref[i] - 0.01 * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + 1e-8)
+    for p, r in zip(params, ref):
+        assert np.array_equal(p.data, r)
+
+
+def test_adam_load_state_rejects_wrong_moment_length():
+    adam = Adam([Parameter(np.zeros(3), "p")])
+    state = {"t": 1, "m": np.zeros(2), "v": np.zeros(3)}
+    with pytest.raises(ValueError, match="'m'"):
+        adam.load_state_dict(state)
 
 
 def test_train_config_rejects_zero_learning_rate():
@@ -177,3 +210,51 @@ def test_gamma_assigned_per_expert():
     assert np.array_equal(model.heads["uniform"].gamma, [0.5] * 3)
     assert lt[0] == pytest.approx(1.0) and lt[-1] == pytest.approx(0.01)
     assert inv == pytest.approx(lt[::-1])
+
+
+# -- batched objective ---------------------------------------------------------
+
+@pytest.mark.parametrize("E", [1, 2, 3])
+@pytest.mark.parametrize("attention", [True, False])
+def test_batched_objective_matches_per_head_reference(E, attention):
+    kinds = EXPERT_KINDS[:E]
+    B, L, D, C, d = 5, 3, 4, 3, 6
+    model = Model(ModelConfig(D=D, C=C, d_trunk=5, hidden=4, d=d, experts=kinds,
+                              temporal_attention=attention), seed=E)
+    rng = derive_rng(E, "batched")
+    for kind in kinds:
+        model.heads[kind].gamma = rng.uniform(0.01, 1.0, size=C)
+    X = rng.uniform(-1.0, 1.0, size=(E, B, L, D))
+    Y = np.zeros((E, B, C), dtype=np.uint8)
+    Y[np.arange(E)[:, None], np.arange(B), rng.integers(0, C, size=(E, B))] = 1
+    Y[0] = 0
+    Y[0, :, 1] = 1  # one label for the whole batch: no eligible contrastive anchor
+    weights = LossWeights(0.8, 1.0, 0.4)
+    params = model.parameters()
+
+    def gradients(loss):
+        model.zero_grad()
+        loss.backward()
+        return [p.grad.copy() for p in params]
+
+    eps = np.stack([derive_rng(E, "eps", kind).standard_normal((B, d)) for kind in kinds])
+    loss, terms = composed_objective(model, kinds, X, Y, eps, weights)
+    batched = gradients(loss)
+
+    per_head = []
+    for e, kind in enumerate(kinds):
+        head = model.heads[kind]
+        emb, p = forward_expert(X[e], model.trunk, head, rng=derive_rng(E, "eps", kind),
+                                train_mode=True, temporal_attention=attention)
+        per_head.append((mean_contrastive_loss(emb.mu, Y[e]), classification_loss(p, Y[e]),
+                         variance_region_loss(emb.sigma, Y[e], head.gamma)))
+    ref_loss = total_loss(per_head, weights)
+    reference = gradients(ref_loss)
+
+    assert terms[0].data[0] == 0.0
+    for i, term in enumerate(terms):
+        np.testing.assert_allclose(term.data, [t[i].item() for t in per_head],
+                                   rtol=1e-12, atol=1e-12)
+    assert loss.item() == pytest.approx(ref_loss.item(), rel=1e-12, abs=1e-12)
+    for p, g, r in zip(params, batched, reference):
+        np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12, err_msg=p.name)
