@@ -61,7 +61,11 @@ class Tensor:
         return Tensor(self.data.copy())
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        """Zero the gradient in place, so a gradient that is a view stays one."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0.0)
 
     def backward(self):
         if self.data.size != 1:
@@ -215,6 +219,7 @@ def matmul(a, b):
     further axes of `a` fold into the rows of one GEMM per batch entry. So a
     2-D `b` (a weight) takes every leading axis of `a` as rows in a single
     GEMM, and an expert stack (E, K, N) maps (E or 1, ..., K) to (E, ..., N).
+    A 1-D `a` is one row whose axis is dropped from the result, as in numpy.
     When `a` has fewer axes than `b`, numpy broadcasting applies.
     """
     a, b = _as_tensor(a), _as_tensor(b)
@@ -224,8 +229,13 @@ def matmul(a, b):
             or (a.data.ndim > b.data.ndim
                 and any(m != n and 1 not in (m, n) for m, n in zip(A[:lead], Bs[:lead])))):
         raise ShapeError(f"matmul: incompatible shapes {A} x {Bs}")
-    fold = a.data.ndim > b.data.ndim
-    a2 = a.data.reshape(A[:lead] + (-1, A[-1])) if fold else a.data
+    fold = a.data.ndim > b.data.ndim or a.data.ndim == 1
+    if not fold:
+        a2 = a.data
+    elif a.data.ndim == 1:
+        a2 = a.data.reshape(1, -1)
+    else:
+        a2 = a.data.reshape(A[:lead] + (-1, A[-1]))
     y = np.matmul(a2, b.data)
     out = Tensor(y.reshape(y.shape[:-2] + A[lead:-1] + Bs[-1:]) if fold else y)
 
@@ -389,20 +399,6 @@ def take(x, idx):
         return (gx,)
 
     return _track(out, (x,), backward)
-
-
-def stack(tensors, broadcast_axes=0):
-    """Stack equal-shape tensors along a new leading axis.
-
-    `broadcast_axes` singleton axes follow the new axis, so a stack of
-    vectors broadcasts over that many batch axes. Backward hands each input
-    its own slice of the gradient.
-    """
-    tensors = tuple(_as_tensor(t) for t in tensors)
-    shape = tensors[0].data.shape
-    out = Tensor(np.stack([t.data for t in tensors]).reshape(
-        (len(tensors),) + (1,) * broadcast_axes + shape))
-    return _track(out, tensors, lambda g: tuple(g.reshape((len(tensors),) + shape)))
 
 
 # -- composite layers -------------------------------------------------------

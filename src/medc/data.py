@@ -188,15 +188,20 @@ def write_feature_file(path, records):
             f.write(r.features.astype("<f4").tobytes())
 
 
-class _Reader:
-    def __init__(self, blob):
+class ByteReader:
+    """Bounds-checked reads from a blob; each failure raises `error` with the byte offset."""
+
+    def __init__(self, blob, error):
         self.blob = blob
         self.offset = 0
+        self.error = error
 
     def read(self, n, what):
+        if n < 0:
+            raise self.error(f"negative length {n} for {what} at byte offset {self.offset}")
         if self.offset + n > len(self.blob):
-            raise FeatureFileError(f"truncated file: needed {n} bytes for {what} "
-                                   f"at byte offset {self.offset}")
+            raise self.error(f"truncated file: needed {n} bytes for {what} "
+                             f"at byte offset {self.offset}")
         out = self.blob[self.offset:self.offset + n]
         self.offset += n
         return out
@@ -204,11 +209,16 @@ class _Reader:
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
+    def finish(self):
+        """Reject any bytes after the last read."""
+        if self.offset != len(self.blob):
+            raise self.error(f"trailing garbage at byte offset {self.offset}")
+
 
 def read_feature_file(path):
     with open(path, "rb") as f:
         blob = f.read()
-    r = _Reader(blob)
+    r = ByteReader(blob, FeatureFileError)
     magic = r.read(4, "magic")
     if magic != MAGIC:
         raise FeatureFileError(f"bad magic {magic!r} at byte offset 0, expected {MAGIC!r}")
@@ -228,6 +238,5 @@ def read_feature_file(path):
         labels[idx.astype(np.int64)] = 1
         feats = np.frombuffer(r.read(4 * L * D, f"record {i} features"), dtype="<f4")
         records.append(FeatureRecord(rid, feats.astype(np.float64).reshape(L, D), labels))
-    if r.offset != len(blob):
-        raise FeatureFileError(f"trailing garbage at byte offset {r.offset}")
+    r.finish()
     return records

@@ -80,7 +80,16 @@ def _group_mean(per_class, groups, tag):
 
 
 def metrics_from_scores(scores, labels, groups, config_digest="", seed=0):
+    """MetricsReport of scores (N, C) against 0/1 labels (N, C).
+
+    Classes without a positive label are skipped. Raises ValueError when
+    every class is skipped or a score is not finite.
+    """
     n, C = scores.shape
+    if not np.isfinite(scores).all():
+        bad = np.argwhere(~np.isfinite(scores))[0]
+        raise ValueError(f"non-finite score {scores[tuple(bad)]!r} at sample {bad[0]}, "
+                         f"class {bad[1]}")
     per_class = {}
     skipped = []
     for c in range(C):
@@ -88,6 +97,9 @@ def metrics_from_scores(scores, labels, groups, config_digest="", seed=0):
             skipped.append(c)
         else:
             per_class[c] = average_precision(scores[:, c], labels[:, c])
+    if not per_class:
+        raise ValueError(f"no class has a positive label among the {n} samples, "
+                         "so no class can be evaluated")
 
     # rank classes per sample: score descending, ties by class index ascending
     order = np.argsort(-scores, axis=1, kind="stable")

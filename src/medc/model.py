@@ -7,10 +7,11 @@ over frame deviations, and the stochastic embedding z = mu + eps * sigma
 goes through a per-class sigmoid classifier. Inference averages the expert
 probability vectors.
 
-The active heads also run as one: `stack_heads` stacks each parameter role
-along a leading expert axis E, and the forward functions take that axis
-in front of every activation. Training and inference run all experts as
-one batched graph this way.
+The active heads are stored as one: `Model.stacked_heads` holds each
+parameter role as a single Parameter with a leading expert axis E, and each
+head's Parameters are views of their expert's slice. The forward functions
+take that axis in front of every activation, so training and inference run
+all experts as one batched graph on the stored stack.
 """
 
 import copy
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter, Tensor
+from .data import ByteReader
 from .seeding import derive_rng
 
 LONG_TAILED = "long_tailed"
@@ -171,15 +173,21 @@ class Model:
         rng = derive_rng(seed, "init")
         self.trunk = Trunk(rng, cfg.D, cfg.d_trunk)
         self.heads = {kind: ExpertHead(rng, cfg, kind) for kind in cfg.experts}
+        self.stacked_heads = _stack_storage([self.heads[kind] for kind in cfg.experts])
 
     def parameters(self):
+        """Every parameter under its own name, trunk then heads: the checkpoint order."""
         ps = self.trunk.parameters()
         for kind in self.cfg.experts:
             ps.extend(self.heads[kind].parameters())
         return ps
 
+    def stored_parameters(self):
+        """The tensors that own the parameter memory: the trunk's, then the stacked roles."""
+        return self.trunk.parameters() + self.stacked_heads.parameters()
+
     def zero_grad(self):
-        for p in self.parameters():
+        for p in self.stored_parameters():
             p.zero_grad()
 
 
@@ -197,31 +205,36 @@ def _view(modules, combine):
     return view
 
 
-def _frozen(module):
-    """A copy of `module` that reads its parameter values without tracking them."""
-    return _view([module], lambda params: Tensor(params[0].data))
-
-
-def stack_heads(heads):
+def _stack_storage(heads):
     """The heads as one head whose parameter roles are stacked along axis 0.
 
-    The result has the ExpertHead attributes, so estimate_mean,
-    estimate_variance and classify run it as they run a single head, with
-    an expert axis E in front of every activation: per-frame (E, B, L, n)
-    and per-video (E, B, n). Its `kind` is the tuple of kinds and its
-    `gamma` is (E, C). Each role is one stack node whose backward hands each
-    head its own slice of the gradient.
+    Each role becomes one Parameter of shape (E, ...) that owns the values
+    and gradients, and every head's Parameter becomes a view of its
+    expert's slice of both, so either side sees the other's writes. Vectors
+    get singleton axes after E to broadcast over the batch axes: (B, L) per
+    frame, (B,) in the classifier. The result has the ExpertHead
+    attributes, so estimate_mean, estimate_variance and classify run it as
+    they run a single head, with E in front of every activation. Its `kind`
+    is the tuple of kinds; the gamma targets stay on the heads.
     """
-    def stacked(frame_axes):
-        return lambda params: ag.stack(params, frame_axes if params[0].ndim == 1 else 0)
+    def store(frame_axes):
+        def combine(params):
+            data = np.stack([p.data for p in params])
+            if data.ndim == 2:
+                data = data.reshape(data.shape[:1] + (1,) * frame_axes + data.shape[1:])
+            role = Parameter(data, "expert.*." + params[0].name.split(".", 2)[2])
+            for p, value, grad in zip(params, role.data, role.grad):
+                p.data = value.reshape(p.data.shape)
+                p.grad = grad.reshape(p.data.shape)
+            return role
+        return combine
 
     view = copy.copy(heads[0])
     view.kind = tuple(h.kind for h in heads)
-    view.gamma = np.stack([h.gamma for h in heads])
+    view.gamma = None
     for name in ("phi_mu", "phi_var", "f_q", "f_k", "f_v", "classifier"):
-        # vectors broadcast over (B, L) per frame, over (B,) in the classifier
         frame_axes = 1 if name == "classifier" else 2
-        setattr(view, name, _view([getattr(h, name) for h in heads], stacked(frame_axes)))
+        setattr(view, name, _view([getattr(h, name) for h in heads], store(frame_axes)))
     return view
 
 
@@ -293,16 +306,21 @@ def forward_expert(X, trunk, head, rng=None, train_mode=False, temporal_attentio
 def forward_inference(X, model, experts=None):
     """Eval-mode probabilities averaged over the given experts (all by default).
 
-    The trunk runs once on X (B, L, D) and the heads once as a stack. Both
-    read frozen copies of the parameter values, so no tape is built and
-    each activation is freed as soon as it is consumed. Eval mode sets
-    z = mu, so the variance branch is not run.
+    The trunk runs once on X (B, L, D) and the stacked heads once. Both
+    read frozen copies of the stored parameter values, the heads only the
+    rows of the given experts, so no tape is built and each activation is
+    freed as soon as it is consumed. Eval mode sets z = mu, so the variance
+    branch is not run.
     """
     kinds = model.cfg.experts if experts is None else tuple(experts)
     if not kinds:
         raise ValueError("need at least one expert for inference")
-    heads = stack_heads([_frozen(model.heads[kind]) for kind in kinds])
-    H0 = trunk_forward(X, _frozen(model.trunk))
+    unknown = [kind for kind in kinds if kind not in model.heads]
+    if unknown:
+        raise ValueError(f"experts {unknown} are not in this model: {model.cfg.experts}")
+    rows = slice(None) if experts is None else [model.cfg.experts.index(k) for k in kinds]
+    heads = _view([model.stacked_heads], lambda params: Tensor(params[0].data[rows]))
+    H0 = trunk_forward(X, _view([model.trunk], lambda params: Tensor(params[0].data)))
     mu = estimate_mean(ag.reshape(H0, (1,) + H0.shape), heads)
     return ag.mean_along(classify(mu, heads), axis=0)
 
@@ -332,9 +350,9 @@ def _restore_arrays(obj, arrays):
     return obj
 
 
-def _read_f8(f, shape):
+def _read_f8(reader, shape, what):
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    return np.frombuffer(f.read(8 * count), dtype="<f8").astype(np.float64).reshape(shape)
+    return np.frombuffer(reader.read(8 * count, what), dtype="<f8").reshape(shape)
 
 
 def save_checkpoint(path, model, extra=None):
@@ -343,7 +361,7 @@ def save_checkpoint(path, model, extra=None):
     arrays = []
     extra = _lift_arrays(extra if extra is not None else {}, arrays)
     manifest = {
-        "version": 2,
+        "version": 3,
         "config": model.cfg.to_dict(),
         "seed": model.seed,
         "gamma": {kind: model.heads[kind].gamma.tolist() for kind in model.cfg.experts},
@@ -361,27 +379,35 @@ def save_checkpoint(path, model, extra=None):
 
 
 def load_checkpoint(path):
-    """Rebuild a Model from a checkpoint file; returns (model, extra)."""
+    """Rebuild a Model from a checkpoint file; returns (model, extra).
+
+    The parameter values are written into the new model's stored stack.
+    A truncated file, or bytes after the last payload, raise ValueError
+    with the byte offset.
+    """
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        (mlen,) = struct.unpack("<Q", f.read(8))
-        manifest = json.loads(f.read(mlen).decode("utf-8"))
-        cfg = ModelConfig.from_dict(manifest["config"])
-        model = Model(cfg, seed=manifest["seed"])
-        for kind, g in manifest["gamma"].items():
-            model.heads[kind].gamma = np.asarray(g, dtype=np.float64)
-        params = model.parameters()
-        if len(params) != len(manifest["params"]):
-            raise ValueError(f"checkpoint lists {len(manifest['params'])} parameters, "
-                             f"model has {len(params)}")
-        for p, meta in zip(params, manifest["params"]):
-            shape = tuple(meta["shape"])
-            if p.data.shape != shape:
-                raise ValueError(f"parameter {meta['name']}: checkpoint shape {shape} "
-                                 f"!= model shape {p.data.shape}")
-            p.data = _read_f8(f, shape)
-            p.grad = np.zeros_like(p.data)
-        arrays = [_read_f8(f, tuple(shape)) for shape in manifest.get("arrays", [])]
+        blob = f.read()
+    reader = ByteReader(blob, ValueError)
+    magic = reader.read(8, "magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
+    (mlen,) = reader.unpack("<Q", "manifest length")
+    manifest = json.loads(reader.read(mlen, "manifest").decode("utf-8"))
+    cfg = ModelConfig.from_dict(manifest["config"])
+    model = Model(cfg, seed=manifest["seed"])
+    for kind, g in manifest["gamma"].items():
+        model.heads[kind].gamma = np.asarray(g, dtype=np.float64)
+    params = model.parameters()
+    if len(params) != len(manifest["params"]):
+        raise ValueError(f"checkpoint lists {len(manifest['params'])} parameters, "
+                         f"model has {len(params)}")
+    for p, meta in zip(params, manifest["params"]):
+        shape = tuple(meta["shape"])
+        if p.data.shape != shape:
+            raise ValueError(f"parameter {meta['name']}: checkpoint shape {shape} "
+                             f"!= model shape {p.data.shape}")
+        p.data[...] = _read_f8(reader, shape, f"parameter {meta['name']}")
+    arrays = [_read_f8(reader, tuple(shape), f"array {i}").astype(np.float64)
+              for i, shape in enumerate(manifest.get("arrays", []))]
+    reader.finish()
     return model, _restore_arrays(manifest["extra"], arrays)

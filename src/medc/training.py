@@ -24,7 +24,7 @@ from .losses import (LossWeights, classification_loss, gamma_targets,
                      mean_contrastive_loss, total_loss, variance_region_loss)
 from .model import (EXPERT_KINDS, INVERSE, LONG_TAILED, UNIFORM, Model,
                     ModelConfig, classify, estimate_mean, estimate_variance,
-                    load_checkpoint, save_checkpoint, stack_heads, trunk_forward)
+                    load_checkpoint, save_checkpoint, trunk_forward)
 from .seeding import derive_rng
 
 
@@ -61,7 +61,11 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam over a parameter list, with the moments in one flat vector each."""
+    """Adam over a parameter list, with the moments in one flat vector each.
+
+    Updates are written into each parameter's array in place, so parameters
+    that are views of a larger store stay views.
+    """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -87,10 +91,10 @@ class Adam:
         v_hat = self.v / b2t
         update = lr * m_hat / (np.sqrt(v_hat) + self.eps)
         for p, lo, hi in zip(self.params, self.bounds[:-1], self.bounds[1:]):
-            p.data = p.data - update[lo:hi].reshape(p.data.shape)
+            p.data -= update[lo:hi].reshape(p.data.shape)
 
     def state_dict(self):
-        return {"t": self.t, "m": self.m, "v": self.v}
+        return {"t": self.t, "m": self.m, "v": self.v, "params": [p.name for p in self.params]}
 
     def load_state_dict(self, state):
         for name in ("m", "v"):
@@ -98,6 +102,11 @@ class Adam:
             if not isinstance(moment, np.ndarray) or moment.shape != self.m.shape:
                 raise ValueError(f"Adam state {name!r} is not an array of the "
                                  f"{self.m.size} moments these parameters need")
+        names = [p.name for p in self.params]
+        if state.get("params") != names:
+            raise ValueError(f"Adam state holds moments for parameters {state.get('params')}, "
+                             f"not {names}: checkpoints of version 2 or older hold them "
+                             "per head, in another order, and cannot be resumed")
         self.t = state["t"]
         self.m = state["m"].astype(np.float64)
         self.v = state["v"].astype(np.float64)
@@ -121,18 +130,23 @@ def build_samplers(records, stats, kinds):
 def composed_objective(model, kinds, X, Y, eps, weights, tau=1.0, strict_cls=False):
     """The training objective of the experts `kinds` as one batched graph.
 
-    Expert e sees its own batch X[e] (E, B, L, D) with labels Y[e] (E, B, C)
-    and noise eps[e] (E, B, d). Returns the scalar loss and the (E,) vectors
-    (L_mu, L_cls, L_sigma).
+    `kinds` must be the model's experts in order, since the graph reads the
+    model's stored stack of heads. Expert e sees its own batch X[e]
+    (E, B, L, D) with labels Y[e] (E, B, C) and noise eps[e] (E, B, d).
+    Returns the scalar loss and the (E,) vectors (L_mu, L_cls, L_sigma).
     """
-    heads = stack_heads([model.heads[kind] for kind in kinds])
+    if tuple(kinds) != model.cfg.experts:
+        raise ValueError(f"composed_objective runs the model's experts {model.cfg.experts}, "
+                         f"got {tuple(kinds)}")
+    heads = model.stacked_heads
     H0 = trunk_forward(X, model.trunk)
     mu = estimate_mean(H0, heads)
     sigma = estimate_variance(H0, mu, heads, model.cfg.temporal_attention)
     z = ag.add(mu, ag.mul(Tensor(eps), sigma))
     p = classify(z, heads)
+    gamma = np.stack([model.heads[kind].gamma for kind in kinds])
     terms = (mean_contrastive_loss(mu, Y, tau), classification_loss(p, Y, strict_cls),
-             variance_region_loss(sigma, Y, heads.gamma))
+             variance_region_loss(sigma, Y, gamma))
     return total_loss([terms], weights), terms
 
 
@@ -173,15 +187,19 @@ def train(cfg, records, out_dir=None, resume_from=None):
     labels = np.stack([r.labels for r in records])
     samplers = build_samplers(records, stats, cfg.active_experts)
 
+    mcfg = ModelConfig(D=feats.shape[2], C=labels.shape[1], d_trunk=cfg.d_trunk,
+                       hidden=cfg.hidden, d=cfg.d, phi_depth=cfg.phi_depth,
+                       experts=cfg.active_experts, temporal_attention=cfg.temporal_attention)
     if resume_from is not None:
         model, extra = load_checkpoint(resume_from)
+        saved, run = model.cfg.to_dict(), mcfg.to_dict()
+        for key in run:
+            if saved[key] != run[key]:
+                raise ValueError(f"cannot resume from {resume_from}: its model has "
+                                 f"{key}={saved[key]!r}, this run needs {key}={run[key]!r}")
         start_epoch = extra["epoch"]
         history = [tuple(row) for row in extra.get("history", [])]
     else:
-        mcfg = ModelConfig(D=feats.shape[2], C=labels.shape[1], d_trunk=cfg.d_trunk,
-                           hidden=cfg.hidden, d=cfg.d, phi_depth=cfg.phi_depth,
-                           experts=cfg.active_experts,
-                           temporal_attention=cfg.temporal_attention)
         model = Model(mcfg, seed=cfg.seed)
         for kind in cfg.active_experts:
             model.heads[kind].gamma = gamma_targets(
@@ -189,7 +207,7 @@ def train(cfg, records, out_dir=None, resume_from=None):
         start_epoch = 0
         history = []
 
-    adam = Adam(model.parameters())
+    adam = Adam(model.stored_parameters())
     if resume_from is not None and "adam" in extra:
         adam.load_state_dict(extra["adam"])
 

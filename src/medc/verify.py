@@ -32,7 +32,7 @@ def composed_objective_gradcheck(seed, C=4, d=8, L=4, batch=4, D=4, d_trunk=3,
                       temporal_attention=temporal_attention)
     model = Model(cfg, seed=seed)
     for p in model.parameters():
-        p.data = p.data + rng.uniform(-0.05, 0.05, size=p.data.shape)
+        p.data += rng.uniform(-0.05, 0.05, size=p.data.shape)
     for head in model.heads.values():
         head.gamma = rng.uniform(0.01, 1.0, size=C)
     eps = np.stack([rng.standard_normal((batch, d)) for _ in cfg.experts])

@@ -110,6 +110,21 @@ def test_metrics_skip_classes_without_positives():
         np.mean([report.per_class_AP[0], report.per_class_AP[2]]))
 
 
+def test_metrics_reject_a_test_set_without_positives():
+    labels = np.zeros((3, 2), dtype=int)
+    with pytest.raises(ValueError, match="no class has a positive label"):
+        metrics_from_scores(np.full((3, 2), 0.5), labels, [HEAD, TAIL])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_metrics_reject_non_finite_scores(bad):
+    labels = np.array([[1, 0], [0, 1], [1, 1]])
+    scores = np.full((3, 2), 0.5)
+    scores[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite score .* sample 2, class 1"):
+        metrics_from_scores(scores, labels, [HEAD, TAIL])
+
+
 def test_group_means_recombine_to_overall():
     rng = np.random.default_rng(4)
     n, C = 60, 9

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from medc.autograd import Tensor
 from medc.model import (EXPERT_KINDS, Model, ModelConfig, classify,
                         estimate_mean, estimate_variance, forward_expert,
                         forward_inference, load_checkpoint, reparameterize,
-                        save_checkpoint, stack_heads, trunk_forward)
+                        save_checkpoint, trunk_forward)
 from medc.seeding import derive_rng
 from medc.verify import composed_objective_gradcheck
 
@@ -149,7 +152,7 @@ def test_inference_average_of_identical_experts_is_idempotent():
     src = model.heads["long_tailed"]
     for kind in ("uniform", "inverse"):
         for p_dst, p_src in zip(model.heads[kind].parameters(), src.parameters()):
-            p_dst.data = p_src.data.copy()
+            p_dst.data[...] = p_src.data
     X = derive_rng(9, "x").uniform(-1, 1, size=(3, 2, 3))
     avg = forward_inference(X, model)
     single = forward_inference(X, model, experts=("long_tailed",))
@@ -182,7 +185,7 @@ def test_inference_builds_no_tape_and_matches_tracked_forward():
     out = forward_inference(X, model)
     assert out._parents == () and out._backward is None
     H0 = trunk_forward(X, model.trunk)
-    heads = stack_heads([model.heads[k] for k in EXPERT_KINDS])
+    heads = model.stacked_heads
     tracked = ag.mean_along(classify(estimate_mean(ag.reshape(H0, (1,) + H0.shape), heads),
                                      heads), axis=0)
     assert tracked._parents
@@ -242,6 +245,26 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
     with pytest.raises(ValueError, match="magic"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_reader_is_bounds_checked(tmp_path):
+    model = Model(tiny_cfg(), seed=13)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, model, extra={"adam": {"m": np.zeros(5)}})
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-3])
+    with pytest.raises(ValueError, match=f"array 0 at byte offset {len(blob) - 40}"):
+        load_checkpoint(path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(ValueError, match=f"trailing garbage at byte offset {len(blob)}"):
+        load_checkpoint(path)
+    (mlen,) = struct.unpack("<Q", blob[8:16])
+    manifest = json.loads(blob[16:16 + mlen])
+    manifest["arrays"][0] = [-5]
+    new_m = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(new_m)) + new_m + blob[16 + mlen:])
+    with pytest.raises(ValueError, match="negative length -40 for array 0 at byte offset"):
         load_checkpoint(path)
 
 

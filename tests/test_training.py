@@ -1,13 +1,17 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from medc import autograd as ag
+from medc import verify
 from medc.autograd import Parameter
 from medc.data import SyntheticConfig, generate_synthetic
 from medc.losses import (LossWeights, classification_loss, mean_contrastive_loss,
                          total_loss, variance_region_loss)
 from medc.model import (EXPERT_KINDS, Model, ModelConfig, forward_expert,
-                        forward_inference, load_checkpoint)
+                        forward_inference, load_checkpoint, save_checkpoint)
 from medc.seeding import derive_rng
 from medc.training import (TERM_NAMES, Adam, TrainConfig, composed_objective,
                            train)
@@ -174,6 +178,90 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert h_res == h_full
     for p1, p2 in zip(m_full.parameters(), m_res.parameters()):
         assert np.array_equal(p1.data, p2.data)
+
+
+@pytest.mark.parametrize("field,value,name", [
+    ("active_experts", ("long_tailed", "uniform"), "experts"),
+    ("temporal_attention", False, "temporal_attention"),
+    ("d", 5, "d"),
+    ("hidden", 7, "hidden"),
+    ("phi_depth", 3, "phi_depth"),
+])
+def test_resume_refuses_a_different_model(tmp_path, field, value, name):
+    records = small_dataset()
+    train(small_train_cfg(epochs=1), records, out_dir=str(tmp_path))
+    with pytest.raises(ValueError, match=f"{name}="):
+        train(small_train_cfg(epochs=2, **{field: value}), records,
+              resume_from=str(tmp_path / "checkpoint_final.bin"))
+
+
+def test_resume_refuses_data_of_another_shape(tmp_path):
+    train(small_train_cfg(epochs=1), small_dataset(), out_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="C=4"):
+        train(small_train_cfg(epochs=2), small_dataset(counts=(12, 8, 4, 4)),
+              resume_from=str(tmp_path / "checkpoint_final.bin"))
+
+
+def test_version_2_checkpoint_loads_but_is_not_resumed(tmp_path):
+    records = small_dataset()
+    model, _ = train(small_train_cfg(epochs=1), records, out_dir=str(tmp_path))
+    path = tmp_path / "checkpoint_final.bin"
+    blob = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", blob[8:16])
+    manifest = json.loads(blob[16:16 + mlen])
+    manifest["version"] = 2
+    del manifest["extra"]["adam"]["params"]  # version 2 kept no parameter order
+    new_m = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(new_m)) + new_m + blob[16 + mlen:])
+    loaded, _ = load_checkpoint(path)
+    for p, q in zip(model.parameters(), loaded.parameters()):
+        assert np.array_equal(p.data, q.data)
+    with pytest.raises(ValueError, match="version 2"):
+        train(small_train_cfg(epochs=2), records, resume_from=str(path))
+
+
+def _assert_parameters_are_stored_stacked(model):
+    stored = {p.name: p for p in model.stored_parameters()}
+    for p in model.trunk.parameters():
+        assert stored[p.name] is p
+    for e, kind in enumerate(model.cfg.experts):
+        for p in model.heads[kind].parameters():
+            role = stored["expert.*." + p.name.split(".", 2)[2]]
+            for mine, store in ((p.data, role.data), (p.grad, role.grad)):
+                assert np.shares_memory(mine, store[e]), p.name
+                assert np.array_equal(mine.ravel(), store[e].ravel()), p.name
+
+
+def test_head_parameters_stay_views_of_the_stacked_storage(tmp_path, monkeypatch):
+    cfg = ModelConfig(D=5, C=3, d_trunk=6, hidden=6, d=4)
+    model = Model(cfg, seed=3)
+    _assert_parameters_are_stored_stacked(model)
+
+    save_checkpoint(tmp_path / "m.bin", model)
+    loaded, _ = load_checkpoint(tmp_path / "m.bin")
+    _assert_parameters_are_stored_stacked(loaded)
+
+    trained, _ = train(small_train_cfg(epochs=1), small_dataset())
+    _assert_parameters_are_stored_stacked(trained)
+    assert any(p.grad.any() for p in trained.parameters())
+
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(Model(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "Model", capture)
+    assert verify.composed_objective_gradcheck(seed=0) < 1e-4
+    _assert_parameters_are_stored_stacked(built[0])
+
+
+def test_composed_objective_refuses_other_experts_than_the_model():
+    model = Model(ModelConfig(D=2, C=2, d_trunk=2, hidden=2, d=2), seed=0)
+    X = np.zeros((2, 1, 1, 2))
+    with pytest.raises(ValueError, match="model's experts"):
+        composed_objective(model, ("uniform", "inverse"), X, np.zeros((2, 1, 2)),
+                           np.zeros((2, 1, 2)), LossWeights())
 
 
 def test_final_checkpoint_reproduces_model(tmp_path):
