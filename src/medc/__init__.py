@@ -10,7 +10,7 @@ distributions.
 
 __version__ = "0.1.0"
 
-from .autograd import Parameter, Tensor, gradient_check
+from .autograd import Parameter, Tensor
 from .data import (FeatureRecord, LabelStats, SyntheticConfig,
                    compute_label_stats, generate_synthetic, read_feature_file,
                    split_records, write_feature_file, zipf_counts)
@@ -20,3 +20,4 @@ from .model import Model, ModelConfig, forward_expert, forward_inference
 from .sampling import SamplerSpec, inverse_class_weights, original_weights, \
     sample_batch, uniform_class_weights
 from .training import Adam, TrainConfig, train
+from .verify import gradient_check

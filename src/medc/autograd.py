@@ -54,12 +54,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def numpy(self):
-        return self.data
-
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         """Zero the gradient in place, so a gradient that is a view stays one."""
         if self.grad is None:
@@ -248,14 +242,6 @@ def matmul(a, b):
     return _track(out, (a, b), backward)
 
 
-def dot(a, b):
-    """Inner product of two vectors, returns a scalar tensor."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape or a.data.ndim != 1:
-        raise ShapeError(f"dot: need equal-length vectors, got {a.data.shape} and {b.data.shape}")
-    return sum_along(mul(a, b), None, False)
-
-
 # -- elementwise unary ------------------------------------------------------
 
 def relu(x):
@@ -264,27 +250,26 @@ def relu(x):
     return _track(out, (x,), lambda g: (g * (x.data > 0.0),))
 
 
+def _stable_sigmoid(x):
+    """Logistic function of an array, with no overflow in exp for either sign."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
 def sigmoid(x):
     x = _as_tensor(x)
-    y = np.empty_like(x.data)
-    pos = x.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    out = Tensor(y)
-    return _track(out, (x,), lambda g: (g * y * (1.0 - y),))
+    y = _stable_sigmoid(x.data)
+    return _track(Tensor(y), (x,), lambda g: (g * y * (1.0 - y),))
 
 
 def softplus(x):
     x = _as_tensor(x)
-    out = Tensor(np.logaddexp(0.0, x.data))
-    # d/dx softplus = sigmoid(x)
-    s = np.empty_like(x.data)
-    pos = x.data >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    s[~pos] = ex / (1.0 + ex)
-    return _track(out, (x,), lambda g: (g * s,))
+    s = _stable_sigmoid(x.data)  # d/dx softplus
+    return _track(Tensor(np.logaddexp(0.0, x.data)), (x,), lambda g: (g * s,))
 
 
 def log(x):
@@ -303,12 +288,6 @@ def square(x):
     x = _as_tensor(x)
     out = Tensor(x.data * x.data)
     return _track(out, (x,), lambda g: (g * 2.0 * x.data,))
-
-
-def sqrt(x):
-    x = _as_tensor(x)
-    y = np.sqrt(x.data)
-    return _track(Tensor(y), (x,), lambda g: (g * 0.5 / y,))
 
 
 def clamp(x, lo, hi):
@@ -343,11 +322,6 @@ def mean_along(x, axis=None, keepdims=False):
     return mul(sum_along(x, axis, keepdims), 1.0 / n)
 
 
-def mean_pool_axis(x, axis):
-    """Arithmetic mean along one axis; each slice receives gradient 1/extent."""
-    return mean_along(x, axis, keepdims=False)
-
-
 def softmax_along(x, axis):
     """Numerically stabilized softmax along `axis` (max subtraction)."""
     x = _as_tensor(x)
@@ -375,17 +349,6 @@ def transpose(x, axes=None):
     out = Tensor(x.data.transpose(axes))
     inv = None if axes is None else np.argsort(axes)
     return _track(out, (x,), lambda g: (g.transpose(inv),))
-
-
-def concat(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _track(out, tuple(tensors), backward)
 
 
 def take(x, idx):
@@ -450,39 +413,3 @@ def l2_normalize(x, axis=-1, guard=1e-12):
         return ((g - y * (g * y).sum(axis=axis, keepdims=True)) / norm,)
 
     return _track(Tensor(y), (x,), backward)
-
-
-# -- gradient checking ------------------------------------------------------
-
-def gradient_check(f, params, h=1e-4):
-    """Compare analytic gradients of scalar f() against central differences.
-
-    Returns the max over all parameter entries of the symmetric relative
-    error |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    """
-    for p in params:
-        p.zero_grad()
-    y = f()
-    if not np.isfinite(y.data).all():
-        raise ValueError("gradient_check: non-finite objective value")
-    y.backward()
-    analytic = [p.grad.copy() for p in params]
-
-    max_err = 0.0
-    for p, an in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        an_flat = an.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = f().item()
-            flat[i] = orig - h
-            f_minus = f().item()
-            flat[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise ValueError("gradient_check: non-finite objective under perturbation")
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            err = abs(an_flat[i] - numeric) / max(1e-8, abs(an_flat[i]) + abs(numeric))
-            if err > max_err:
-                max_err = err
-    return max_err

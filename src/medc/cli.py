@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import evaluation
-from .config import ConfigError, load_config
+from .config import ConfigError, RunConfig, load_config
 from .data import (compute_label_stats, generate_synthetic, read_feature_file,
                    split_records, write_feature_file)
 from .model import load_checkpoint
@@ -113,12 +113,10 @@ def cmd_eval(args):
                          f"data file has D={records[0].features.shape[1]}")
     if args.config:
         cfg = load_config(args.config)
-        head_t, medium_t = cfg.head_threshold, cfg.medium_threshold
         seed = _resolve_seed(args, cfg)
-    else:
-        head_t, medium_t = 500, 100
-        seed = model.seed
-    stats = compute_label_stats(records, head_t, medium_t)
+    else:  # the default thresholds of a config that gives none
+        cfg, seed = RunConfig({"seed": model.seed}), model.seed
+    stats = compute_label_stats(records, cfg.head_threshold, cfg.medium_threshold)
     report = evaluation.evaluate(model, records, stats, seed=seed)
     os.makedirs(args.out, exist_ok=True)
     paths = [os.path.join(args.out, n) for n in

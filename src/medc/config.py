@@ -1,10 +1,17 @@
-"""JSON run configuration with strict unknown-key validation."""
+"""JSON run configuration with strict key and type validation.
+
+The keys of the `data`, `train` and `eval` sections, their types and their
+defaults are those of the fields of SyntheticConfig, TrainConfig and
+LossWeights; only the keys a config gives are passed on, so every other
+field keeps its dataclass default.
+"""
 
 import json
+import typing
+from dataclasses import fields
 
 from .data import SyntheticConfig, zipf_counts
 from .losses import LossWeights
-from .model import EXPERT_KINDS
 from .training import TrainConfig
 
 CONFIG_VERSION = 1
@@ -21,16 +28,52 @@ def _check_keys(section, d, allowed):
                           f"{section!r} (allowed: {sorted(allowed)})")
 
 
-_DATA_KEYS = ("C", "D", "L", "counts", "zipf", "class_sep", "noise",
-              "temporal_jitter", "multilabel_prob")
-_ZIPF_KEYS = ("max_count", "exponent", "min_count")
-_TRAIN_KEYS = ("learning_rate", "epochs", "batch_size", "lambda1", "lambda2",
-               "lambda3", "d_trunk", "hidden", "d", "phi_depth",
-               "active_experts", "temporal_attention", "gamma_low",
-               "gamma_high", "gamma_uniform", "tau", "checkpoint_every",
-               "strict_cls")
-_EVAL_KEYS = ("head_threshold", "medium_threshold", "test_fraction")
-_TOP_KEYS = ("version", "seed", "out_dir", "data", "train", "eval")
+def _types(cls, exclude=()):
+    return {f.name: f.type for f in fields(cls) if f.name not in exclude}
+
+
+_THRESHOLDS = ("head_threshold", "medium_threshold")
+_DATA_TYPES = _types(SyntheticConfig, ("seed",))
+_ZIPF_TYPES = {"max_count": int, "exponent": float, "min_count": int}
+_WEIGHT_TYPES = _types(LossWeights)
+_TRAIN_TYPES = {**_types(TrainConfig, ("weights", "seed") + _THRESHOLDS), **_WEIGHT_TYPES}
+_EVAL_TYPES = {k: _types(TrainConfig)[k] for k in _THRESHOLDS} | {"test_fraction": float}
+_TOP_KEYS = ("version", "seed", "data", "train", "eval")
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+
+
+def _coerce(section, key, value, kind):
+    """`value` as a field annotated `kind`; a JSON value of another type is a ConfigError.
+
+    An int is accepted for a float, a bool is not accepted for an int, and a
+    list or tuple field takes a JSON array of its item type.
+    """
+    origin = typing.get_origin(kind)
+    if origin in (list, tuple):
+        item = typing.get_args(kind)[0]
+        if isinstance(value, list) and all(_is(v, item) for v in value):
+            return origin(value)
+        what = f"a list of {item.__name__} values"
+    elif _is(value, kind):
+        return float(value) if kind is float else value
+    else:
+        what = _TYPE_NAMES[kind]
+    raise ConfigError(f"config section {section!r}: key {key!r} must be {what}, got {value!r}")
+
+
+def _is(value, kind):
+    if kind is float:
+        kind = (int, float)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _section(raw, section, types, extra=()):
+    """The keys given in config section `section`, each coerced to its type."""
+    d = raw.get(section, {})
+    if not isinstance(d, dict):
+        raise ConfigError(f"config section {section!r} must be a JSON object")
+    _check_keys(section, d, tuple(types) + extra)
+    return {k: v if k in extra else _coerce(section, k, v, types[k]) for k, v in d.items()}
 
 
 class RunConfig:
@@ -38,27 +81,18 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         _check_keys("<root>", raw, _TOP_KEYS)
-        if raw.get("version", CONFIG_VERSION) != CONFIG_VERSION:
+        if _coerce("<root>", "version", raw.get("version", CONFIG_VERSION), int) != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {raw.get('version')}")
         if "seed" not in raw:
             raise ConfigError("config is missing required key 'seed'")
-        self.seed = int(raw["seed"])
-        self.out_dir = raw.get("out_dir")
-        self.raw = raw
-
-        data = dict(raw.get("data", {}))
-        _check_keys("data", data, _DATA_KEYS)
-        self._data = data
-
-        tr = dict(raw.get("train", {}))
-        _check_keys("train", tr, _TRAIN_KEYS)
-        self._train = tr
-
-        ev = dict(raw.get("eval", {}))
-        _check_keys("eval", ev, _EVAL_KEYS)
-        self.head_threshold = int(ev.get("head_threshold", 500))
-        self.medium_threshold = int(ev.get("medium_threshold", 100))
-        self.test_fraction = float(ev.get("test_fraction", 0.25))
+        self.seed = _coerce("<root>", "seed", raw["seed"], int)
+        self._data = _section(raw, "data", _DATA_TYPES, extra=("zipf",))
+        self._train = _section(raw, "train", _TRAIN_TYPES)
+        ev = _section(raw, "eval", _EVAL_TYPES)
+        defaults = TrainConfig()
+        self.head_threshold = ev.get("head_threshold", defaults.head_threshold)
+        self.medium_threshold = ev.get("medium_threshold", defaults.medium_threshold)
+        self.test_fraction = ev.get("test_fraction", 0.25)
 
     def synthetic_config(self, seed=None):
         d = dict(self._data)
@@ -66,49 +100,21 @@ class RunConfig:
             raise ConfigError("config section 'data' needs C, D and L")
         if "counts" in d and "zipf" in d:
             raise ConfigError("config section 'data': give either counts or zipf, not both")
-        if "counts" in d:
-            counts = [int(n) for n in d.pop("counts")]
-        elif "zipf" in d:
-            z = dict(d.pop("zipf"))
-            _check_keys("data.zipf", z, _ZIPF_KEYS)
-            counts = zipf_counts(int(d["C"]), int(z["max_count"]),
-                                 float(z.get("exponent", 1.0)),
-                                 int(z.get("min_count", 1)))
-        else:
+        if "zipf" in d:
+            z = _section({"data.zipf": d.pop("zipf")}, "data.zipf", _ZIPF_TYPES)
+            if "max_count" not in z:
+                raise ConfigError("config section 'data.zipf' needs max_count")
+            d["counts"] = zipf_counts(d["C"], **z)
+        elif "counts" not in d:
             raise ConfigError("config section 'data' needs counts or zipf")
-        return SyntheticConfig(C=int(d["C"]), D=int(d["D"]), L=int(d["L"]),
-                               counts=counts,
-                               class_sep=float(d.get("class_sep", 4.0)),
-                               noise=float(d.get("noise", 0.5)),
-                               temporal_jitter=float(d.get("temporal_jitter", 0.1)),
-                               multilabel_prob=float(d.get("multilabel_prob", 0.0)),
-                               seed=self.seed if seed is None else seed)
+        return SyntheticConfig(**d, seed=self.seed if seed is None else seed)
 
     def train_config(self, seed=None):
-        tr = self._train
-        weights = LossWeights(lambda1=float(tr.get("lambda1", 0.8)),
-                              lambda2=float(tr.get("lambda2", 1.0)),
-                              lambda3=float(tr.get("lambda3", 0.4)))
-        return TrainConfig(
-            learning_rate=float(tr.get("learning_rate", 1e-4)),
-            epochs=int(tr.get("epochs", 30)),
-            batch_size=int(tr.get("batch_size", 32)),
-            weights=weights,
-            d_trunk=int(tr.get("d_trunk", 64)),
-            hidden=int(tr.get("hidden", 64)),
-            d=int(tr.get("d", 64)),
-            phi_depth=int(tr.get("phi_depth", 2)),
-            seed=self.seed if seed is None else seed,
-            active_experts=tuple(tr.get("active_experts", EXPERT_KINDS)),
-            temporal_attention=bool(tr.get("temporal_attention", True)),
-            gamma_low=float(tr.get("gamma_low", 0.01)),
-            gamma_high=float(tr.get("gamma_high", 1.0)),
-            gamma_uniform=float(tr.get("gamma_uniform", 0.5)),
-            tau=float(tr.get("tau", 1.0)),
-            head_threshold=self.head_threshold,
-            medium_threshold=self.medium_threshold,
-            checkpoint_every=int(tr.get("checkpoint_every", 10)),
-            strict_cls=bool(tr.get("strict_cls", False)))
+        tr = dict(self._train)
+        weights = LossWeights(**{k: tr.pop(k) for k in _WEIGHT_TYPES if k in tr})
+        return TrainConfig(**tr, weights=weights, seed=self.seed if seed is None else seed,
+                           head_threshold=self.head_threshold,
+                           medium_threshold=self.medium_threshold)
 
 
 def load_config(path):

@@ -1,7 +1,7 @@
 """Synthetic long-tailed feature datasets, label statistics, and file I/O."""
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class SyntheticConfig:
     C: int
     D: int
     L: int
-    counts: list
+    counts: list[int]
     class_sep: float = 4.0
     noise: float = 0.5
     temporal_jitter: float = 0.1

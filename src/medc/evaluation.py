@@ -8,13 +8,18 @@ lambda sensitivity sweep.
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .data import HEAD, MEDIUM, TAIL
-from .model import EXPERT_KINDS, INVERSE, LONG_TAILED, UNIFORM, forward_inference
+from .model import forward_inference
+from .sampling import EXPERT_KINDS, INVERSE, LONG_TAILED, UNIFORM
 from .training import train
+
+METRIC_COLUMNS = ("overall_mAP", "head_mAP", "medium_mAP", "tail_mAP",
+                  "acc_at_1", "acc_at_5")
+SCORE_CHUNK = 256  # records per forward_inference call
 
 
 def average_precision(scores, positives):
@@ -49,27 +54,22 @@ class MetricsReport:
     seed: int = 0
 
     def metric_rows(self):
-        return [("overall_mAP", self.overall_mAP), ("head_mAP", self.head_mAP),
-                ("medium_mAP", self.medium_mAP), ("tail_mAP", self.tail_mAP),
-                ("acc_at_1", self.acc_at_1), ("acc_at_5", self.acc_at_5)]
+        return [(name, getattr(self, name)) for name in METRIC_COLUMNS]
 
     def to_dict(self):
-        return {"overall_mAP": self.overall_mAP, "head_mAP": self.head_mAP,
-                "medium_mAP": self.medium_mAP, "tail_mAP": self.tail_mAP,
-                "acc_at_1": self.acc_at_1, "acc_at_5": self.acc_at_5,
-                "per_class_AP": {str(k): v for k, v in self.per_class_AP.items()},
-                "skipped_classes": self.skipped_classes,
-                "config_digest": self.config_digest, "seed": self.seed}
+        d = asdict(self)
+        d["per_class_AP"] = {str(k): v for k, v in self.per_class_AP.items()}
+        return d
 
 
-def score_records(model, records, experts=None, chunk=256):
-    """Eval-mode averaged-expert scores; records are pre-sorted by id."""
+def score_records(model, records, experts=None):
+    """Eval-mode averaged-expert scores of the records sorted by id, SCORE_CHUNK at a time."""
     recs = sorted(records, key=lambda r: r.id)
     feats = np.stack([r.features for r in recs])
     labels = np.stack([r.labels for r in recs])
     parts = []
-    for start in range(0, len(recs), chunk):
-        p = forward_inference(feats[start:start + chunk], model, experts)
+    for start in range(0, len(recs), SCORE_CHUNK):
+        p = forward_inference(feats[start:start + SCORE_CHUNK], model, experts)
         parts.append(p.data)
     return np.concatenate(parts), labels
 
@@ -162,9 +162,6 @@ STANDARD_VARIANTS = (
     ("MEDC", EXPERT_KINDS, True),
     ("No-Temporal-Attention", EXPERT_KINDS, False),
 )
-
-METRIC_COLUMNS = ("overall_mAP", "head_mAP", "medium_mAP", "tail_mAP",
-                  "acc_at_1", "acc_at_5")
 
 
 def run_variant(cfg, train_records, test_records, stats, experts,

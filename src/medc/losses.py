@@ -11,8 +11,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .model import INVERSE, LONG_TAILED, UNIFORM
-from .sampling import reversed_frequencies
+from .sampling import INVERSE, LONG_TAILED, UNIFORM, reversed_frequencies
 
 
 @dataclass

@@ -17,21 +17,18 @@ all experts as one batched graph on the stored stack.
 import copy
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter, Tensor
 from .data import ByteReader
+from .sampling import EXPERT_KINDS
 from .seeding import derive_rng
 
-LONG_TAILED = "long_tailed"
-UNIFORM = "uniform"
-INVERSE = "inverse"
-EXPERT_KINDS = (LONG_TAILED, UNIFORM, INVERSE)
-
 CHECKPOINT_MAGIC = b"MEDCCKP1"
+CHECKPOINT_VERSIONS = (1, 2, 3)
 
 
 @dataclass
@@ -56,15 +53,10 @@ class ModelConfig:
             raise ValueError("phi_depth must be >= 1")
 
     def to_dict(self):
-        return {"D": self.D, "C": self.C, "d_trunk": self.d_trunk,
-                "hidden": self.hidden, "d": self.d, "phi_depth": self.phi_depth,
-                "experts": list(self.experts),
-                "temporal_attention": self.temporal_attention}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["experts"] = tuple(d["experts"])
         return cls(**d)
 
 
@@ -139,7 +131,6 @@ class Trunk:
 class ExpertHead:
     def __init__(self, rng, cfg, kind):
         name = f"expert.{kind}"
-        self.kind = kind
         self.phi_mu = MLP(rng, cfg.d_trunk, cfg.hidden, cfg.d, cfg.phi_depth, f"{name}.phi_mu")
         self.phi_var = MLP(rng, cfg.d_trunk, cfg.hidden, cfg.d, cfg.phi_depth, f"{name}.phi_var")
         self.f_q = Linear(rng, cfg.d, cfg.d, f"{name}.f_q")
@@ -163,7 +154,6 @@ class Embedding:
     mu: Tensor       # (B, d), L2-normalized rows
     sigma: Tensor    # (B, d), non-negative
     z: Tensor        # (B, d)
-    epsilon: np.ndarray
 
 
 class Model:
@@ -214,8 +204,8 @@ def _stack_storage(heads):
     get singleton axes after E to broadcast over the batch axes: (B, L) per
     frame, (B,) in the classifier. The result has the ExpertHead
     attributes, so estimate_mean, estimate_variance and classify run it as
-    they run a single head, with E in front of every activation. Its `kind`
-    is the tuple of kinds; the gamma targets stay on the heads.
+    they run a single head, with E in front of every activation. The gamma
+    targets stay on the heads.
     """
     def store(frame_axes):
         def combine(params):
@@ -230,7 +220,6 @@ def _stack_storage(heads):
         return combine
 
     view = copy.copy(heads[0])
-    view.kind = tuple(h.kind for h in heads)
     view.gamma = None
     for name in ("phi_mu", "phi_var", "f_q", "f_k", "f_v", "classifier"):
         frame_axes = 1 if name == "classifier" else 2
@@ -250,7 +239,7 @@ def trunk_forward(X, trunk):
 def estimate_mean(H0, head):
     """Mean-pool phi_mu over frames, then L2-normalize each row."""
     h = head.phi_mu(H0)
-    mu = ag.mean_pool_axis(h, axis=-2)
+    mu = ag.mean_along(h, axis=-2)
     return ag.l2_normalize(mu, axis=-1)
 
 
@@ -275,7 +264,7 @@ def estimate_variance(H0, mu, head, temporal_attention=True):
         alpha_b = ag.reshape(alpha, alpha.shape + (1,))
         raw = ag.sum_along(ag.mul(alpha_b, v), axis=-2)
     else:
-        raw = ag.mean_pool_axis(v, axis=-2)
+        raw = ag.mean_along(v, axis=-2)
     return ag.softplus(raw)
 
 
@@ -286,7 +275,7 @@ def reparameterize(mu, sigma, rng, train_mode):
     else:
         epsilon = np.zeros(mu.shape)
     z = ag.add(mu, ag.mul(Tensor(epsilon), sigma))
-    return Embedding(mu=mu, sigma=sigma, z=z, epsilon=epsilon)
+    return Embedding(mu=mu, sigma=sigma, z=z)
 
 
 def classify(z, head):
@@ -361,7 +350,7 @@ def save_checkpoint(path, model, extra=None):
     arrays = []
     extra = _lift_arrays(extra if extra is not None else {}, arrays)
     manifest = {
-        "version": 3,
+        "version": CHECKPOINT_VERSIONS[-1],
         "config": model.cfg.to_dict(),
         "seed": model.seed,
         "gamma": {kind: model.heads[kind].gamma.tolist() for kind in model.cfg.experts},
@@ -383,7 +372,9 @@ def load_checkpoint(path):
 
     The parameter values are written into the new model's stored stack.
     A truncated file, or bytes after the last payload, raise ValueError
-    with the byte offset.
+    with the byte offset. A manifest of another version, or one that lacks
+    a key or whose model config has an unknown or missing field, raises
+    ValueError naming it.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -393,7 +384,17 @@ def load_checkpoint(path):
         raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
     (mlen,) = reader.unpack("<Q", "manifest length")
     manifest = json.loads(reader.read(mlen, "manifest").decode("utf-8"))
-    cfg = ModelConfig.from_dict(manifest["config"])
+    missing = [k for k in ("version", "config", "seed", "gamma", "params", "extra")
+               if k not in manifest]
+    if missing:
+        raise ValueError(f"checkpoint manifest lacks the key {missing[0]!r}")
+    if manifest["version"] not in CHECKPOINT_VERSIONS:
+        raise ValueError(f"unsupported checkpoint version {manifest['version']!r}; "
+                         f"this reader accepts versions {CHECKPOINT_VERSIONS}")
+    try:
+        cfg = ModelConfig.from_dict(manifest["config"])
+    except TypeError as e:  # the message names the unknown or missing field
+        raise ValueError(f"checkpoint config does not fit the model: {e}") from None
     model = Model(cfg, seed=manifest["seed"])
     for kind, g in manifest["gamma"].items():
         model.heads[kind].gamma = np.asarray(g, dtype=np.float64)

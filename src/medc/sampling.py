@@ -1,17 +1,18 @@
 """Per-expert re-sampling distributions over the training set.
 
-Three inter-class regimes: the original long-tailed distribution, a
-class-uniform distribution, and an inversely long-tailed distribution
-obtained by reversing the sorted label frequencies.
+Three inter-class regimes, one per expert kind: the original long-tailed
+distribution, a class-uniform distribution, and an inversely long-tailed
+distribution obtained by reversing the sorted label frequencies.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-ORIGINAL = "original"
+LONG_TAILED = "long_tailed"
 UNIFORM = "uniform"
 INVERSE = "inverse"
+EXPERT_KINDS = (LONG_TAILED, UNIFORM, INVERSE)
 
 
 @dataclass
@@ -32,7 +33,7 @@ def original_weights(stats, n_records):
     """Each record weight 1/N: class probability equals the empirical omega."""
     if n_records < 1:
         raise ValueError("need at least one record")
-    return SamplerSpec(ORIGINAL, np.full(n_records, 1.0 / n_records))
+    return SamplerSpec(LONG_TAILED, np.full(n_records, 1.0 / n_records))
 
 
 def _per_record_from_class_weights(class_w, labels_per_record, kind):

@@ -12,7 +12,7 @@ trajectory of the uninterrupted run.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,10 +22,12 @@ from .autograd import Tensor
 from .data import compute_label_stats
 from .losses import (LossWeights, classification_loss, gamma_targets,
                      mean_contrastive_loss, total_loss, variance_region_loss)
-from .model import (EXPERT_KINDS, INVERSE, LONG_TAILED, UNIFORM, Model,
-                    ModelConfig, classify, estimate_mean, estimate_variance,
+from .model import (Model, ModelConfig, classify, estimate_mean, estimate_variance,
                     load_checkpoint, save_checkpoint, trunk_forward)
+from .sampling import EXPERT_KINDS, INVERSE, LONG_TAILED, UNIFORM
 from .seeding import derive_rng
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -39,7 +41,7 @@ class TrainConfig:
     d: int = 64
     phi_depth: int = 2
     seed: int = 0
-    active_experts: tuple = EXPERT_KINDS
+    active_experts: tuple[str, ...] = EXPERT_KINDS
     temporal_attention: bool = True
     gamma_low: float = 0.01
     gamma_high: float = 1.0
@@ -67,11 +69,8 @@ class Adam:
     that are views of a larger store stay views.
     """
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.bounds = np.cumsum([0] + [p.data.size for p in self.params])
         self.m = np.zeros(self.bounds[-1])
@@ -83,13 +82,13 @@ class Adam:
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise FloatingPointError(f"non-finite gradient in parameter {bad.name!r}")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * g * g
         m_hat = self.m / b1t
         v_hat = self.v / b2t
-        update = lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         for p, lo, hi in zip(self.params, self.bounds[:-1], self.bounds[1:]):
             p.data -= update[lo:hi].reshape(p.data.shape)
 
@@ -175,12 +174,29 @@ def train_epoch(model, feats, labels, samplers, cfg, epoch, adam):
 TERM_NAMES = ("mean_contrastive", "classification", "variance_region")
 
 
+def _run_record(cfg):
+    """The settings a resumed run must share with its checkpoint: all but the schedule."""
+    record = asdict(cfg)  # the loss weights become a dict of their fields
+    del record["epochs"], record["checkpoint_every"]
+    record["active_experts"] = list(cfg.active_experts)
+    return record
+
+
+def _refuse_other_settings(path, holder, saved, run):
+    for key, value in run.items():
+        if saved.get(key) != value:
+            raise ValueError(f"cannot resume from {path}: {holder} {key}={saved.get(key)!r}, "
+                             f"this run needs {key}={value!r}")
+
+
 def train(cfg, records, out_dir=None, resume_from=None):
     """Full training run; returns (model, loss_history).
 
     loss_history rows: (epoch, expert, term, value), three terms per active
     expert per epoch. Checkpoints land in out_dir every checkpoint_every
-    epochs plus a final one.
+    epochs plus a final one, with a record of cfg. A resume is refused,
+    naming the field, when the checkpoint's model or recorded cfg differs
+    from this run's in anything but epochs and checkpoint_every.
     """
     stats = compute_label_stats(records, cfg.head_threshold, cfg.medium_threshold)
     feats = np.stack([r.features for r in records])
@@ -192,11 +208,11 @@ def train(cfg, records, out_dir=None, resume_from=None):
                        experts=cfg.active_experts, temporal_attention=cfg.temporal_attention)
     if resume_from is not None:
         model, extra = load_checkpoint(resume_from)
-        saved, run = model.cfg.to_dict(), mcfg.to_dict()
-        for key in run:
-            if saved[key] != run[key]:
-                raise ValueError(f"cannot resume from {resume_from}: its model has "
-                                 f"{key}={saved[key]!r}, this run needs {key}={run[key]!r}")
+        _refuse_other_settings(resume_from, "its model has", model.cfg.to_dict(), mcfg.to_dict())
+        if "run" not in extra:
+            raise ValueError(f"cannot resume from {resume_from}: it has no 'run' record of "
+                             "the settings it was trained with")
+        _refuse_other_settings(resume_from, "it was trained with", extra["run"], _run_record(cfg))
         start_epoch = extra["epoch"]
         history = [tuple(row) for row in extra.get("history", [])]
     else:
@@ -215,7 +231,8 @@ def train(cfg, records, out_dir=None, resume_from=None):
         if out_dir is None:
             return
         os.makedirs(out_dir, exist_ok=True)
-        extra = {"epoch": epoch, "adam": adam.state_dict(), "history": history}
+        extra = {"epoch": epoch, "adam": adam.state_dict(), "history": history,
+                 "run": _run_record(cfg)}
         save_checkpoint(os.path.join(out_dir, f"checkpoint_{tag}.bin"), model, extra)
 
     for epoch in range(start_epoch, cfg.epochs):

@@ -1,4 +1,4 @@
-"""Gradient verification of the full composed training objective."""
+"""Gradient verification: finite differences against the autograd tape."""
 
 import numpy as np
 
@@ -7,20 +7,24 @@ from .model import Model, ModelConfig
 from .seeding import derive_rng
 from .training import composed_objective
 
+# an entry whose error at step h exceeds this is retried at h/4 and 4h
+REFINE_ABOVE = 2e-5
 
-def composed_objective_gradcheck(seed, C=4, d=8, L=4, batch=4, D=4, d_trunk=3,
-                                 hidden=3, h=2e-5, temporal_attention=True):
+
+def composed_objective_gradcheck(seed):
     """Max relative gradient error of the full three-expert objective.
 
-    Builds a random mini-batch with a mix of shared and disjoint labels,
-    given to every expert, fixes one epsilon draw per expert so the
-    objective is deterministic, and central-differences every parameter
-    entry of the batched objective that training runs. Parameters get a
-    small random perturbation after init so the check runs at a generic point:
-    fresh zero biases put dead-frame rows exactly on the feature-norm
-    guard, where curvature defeats finite differences even though the
-    analytic gradient is fine.
+    Builds a random mini-batch of 4 samples (4 frames of 4 features, 4
+    classes) with a mix of shared and disjoint labels, given to every
+    expert, fixes one epsilon draw per expert so the objective is
+    deterministic, and central-differences (h = 2e-5) every parameter entry
+    of the batched objective that training runs, with temporal attention.
+    Parameters get a small random perturbation after init so the check runs
+    at a generic point: fresh zero biases put dead-frame rows exactly on the
+    feature-norm guard, where curvature defeats finite differences even
+    though the analytic gradient is fine.
     """
+    C, d, L, batch, D = 4, 8, 4, 4, 4
     rng = derive_rng(seed, "gradcheck")
     X = rng.uniform(-1.0, 1.0, size=(batch, L, D))
     labels = np.zeros((batch, C), dtype=np.uint8)
@@ -28,8 +32,7 @@ def composed_objective_gradcheck(seed, C=4, d=8, L=4, batch=4, D=4, d_trunk=3,
         labels[i, i % 2] = 1
     labels[batch - 1, 2 % C] = 1  # one multi-label sample
 
-    cfg = ModelConfig(D=D, C=C, d_trunk=d_trunk, hidden=hidden, d=d,
-                      temporal_attention=temporal_attention)
+    cfg = ModelConfig(D=D, C=C, d_trunk=3, hidden=3, d=d)
     model = Model(cfg, seed=seed)
     for p in model.parameters():
         p.data += rng.uniform(-0.05, 0.05, size=p.data.shape)
@@ -44,7 +47,7 @@ def composed_objective_gradcheck(seed, C=4, d=8, L=4, batch=4, D=4, d_trunk=3,
     def objective():
         return composed_objective(model, cfg.experts, X, labels, eps, weights)[0]
 
-    return _checked_max_error(objective, model.parameters(), h)
+    return gradient_check(objective, model.parameters(), h=2e-5)
 
 
 def _fd_error(f, flat, i, analytic, h):
@@ -54,23 +57,27 @@ def _fd_error(f, flat, i, analytic, h):
     flat[i] = orig - h
     f_minus = f().item()
     flat[i] = orig
+    if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+        raise ValueError("gradient_check: non-finite objective under perturbation")
     numeric = (f_plus - f_minus) / (2.0 * h)
     return abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
 
 
-def _checked_max_error(f, params, h, refine_above=2e-5):
-    """Per-entry central differences with step-size refinement.
+def gradient_check(f, params, h=1e-4):
+    """Max relative error of the analytic gradients of scalar f() against central differences.
 
-    An entry whose error at h exceeds refine_above is retried at h/4
-    (steps over a ReLU kink inside the interval) and 4h (roundoff noise on
-    near-zero gradients); the entry's error is the best of the three. A
-    wrong analytic gradient fails at every step size.
+    The error of one entry is |analytic - numeric| / max(1e-8, |analytic| +
+    |numeric|). An entry whose error at h exceeds REFINE_ABOVE is retried
+    at h/4 (steps over a ReLU kink inside the interval) and 4h (roundoff
+    noise on near-zero gradients); the entry's error is the best of the
+    three. A wrong analytic gradient fails at every step size. A non-finite
+    objective, at the point or under a perturbation, raises ValueError.
     """
     for p in params:
         p.zero_grad()
     y = f()
     if not np.isfinite(y.data).all():
-        raise ValueError("non-finite objective value")
+        raise ValueError("gradient_check: non-finite objective value")
     y.backward()
 
     max_err = 0.0
@@ -79,7 +86,7 @@ def _checked_max_error(f, params, h, refine_above=2e-5):
         flat = p.data.reshape(-1)
         for i in range(flat.size):
             err = _fd_error(f, flat, i, an[i], h)
-            if err > refine_above:
+            if err > REFINE_ABOVE:
                 err = min(err, _fd_error(f, flat, i, an[i], h / 4.0),
                           _fd_error(f, flat, i, an[i], 4.0 * h))
             if err > max_err:

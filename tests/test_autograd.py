@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from medc import autograd as ag
-from medc.autograd import Parameter, ShapeError, Tensor, gradient_check
+from medc.autograd import Parameter, ShapeError, Tensor
+from medc.verify import gradient_check
 
 
 def test_matmul_identity():
@@ -73,23 +74,23 @@ def test_softmax_empty_axis_errors():
 
 
 def test_mean_pool_hand_case():
-    out = ag.mean_pool_axis(Tensor([[1.0, 3.0], [3.0, 5.0]]), 0)
+    out = ag.mean_along(Tensor([[1.0, 3.0], [3.0, 5.0]]), 0)
     assert np.array_equal(out.data, [2.0, 4.0])
 
 
 def test_mean_pool_single_row_identity():
-    out = ag.mean_pool_axis(Tensor([[1.5, -2.0]]), 0)
+    out = ag.mean_along(Tensor([[1.5, -2.0]]), 0)
     assert np.array_equal(out.data, [1.5, -2.0])
 
 
 def test_mean_pool_constant():
-    out = ag.mean_pool_axis(Tensor(np.full((4, 3), 7.0)), 0)
+    out = ag.mean_along(Tensor(np.full((4, 3), 7.0)), 0)
     assert np.array_equal(out.data, np.full(3, 7.0))
 
 
 def test_mean_pool_zero_extent_errors():
     with pytest.raises(ShapeError):
-        ag.mean_pool_axis(Tensor(np.zeros((0, 3))), 0)
+        ag.mean_along(Tensor(np.zeros((0, 3))), 0)
 
 
 def test_affine_norm_degenerate_row_outputs_shift():
@@ -151,11 +152,9 @@ def _rand(rng, *shape):
     ("softplus", lambda p, q: ag.softplus(ag.mul(p, 3.0))),
     ("exp", lambda p, q: ag.exp(p)),
     ("log", lambda p, q: ag.log(ag.add(ag.square(p), 0.5))),
-    ("sqrt", lambda p, q: ag.sqrt(ag.add(ag.square(p), 0.5))),
     ("square", lambda p, q: ag.square(p)),
     ("softmax", lambda p, q: ag.mul(ag.softmax_along(p, 1), q)),
     ("mean", lambda p, q: ag.mean_along(ag.mul(p, q), axis=0)),
-    ("concat", lambda p, q: ag.concat([p, q], axis=1)),
     ("slice", lambda p, q: p[1:3, :2]),
     ("take_fancy", lambda p, q: p[np.array([0, 2, 2]), np.array([1, 0, 3])]),
     ("feature_norm", lambda p, q: ag.feature_norm(ag.mul(p, 2.0))),
@@ -221,11 +220,6 @@ def test_backward_requires_scalar():
         Tensor(np.zeros(3)).backward()
 
 
-def test_dot_hand_case():
-    out = ag.dot(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
-    assert out.item() == pytest.approx(11.0)
-
-
 def test_finished_graph_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
@@ -233,7 +227,7 @@ def test_finished_graph_is_freed_without_the_cycle_collector():
         p = Parameter(np.array([[0.3, -1.2], [2.0, 0.5]]), "p")
         mid = ag.exp(p)
         probe = weakref.ref(mid.data)
-        out = ag.sum_along(ag.l2_normalize(ag.sqrt(ag.add(mid, 1.0)), axis=1))
+        out = ag.sum_along(ag.l2_normalize(ag.log(ag.add(mid, 1.0)), axis=1))
         out.backward()
         del mid, out
         assert probe() is None

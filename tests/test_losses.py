@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from medc import autograd as ag
-from medc.autograd import Parameter, Tensor, gradient_check
+from medc.autograd import Parameter, Tensor
 from medc.data import FeatureRecord, compute_label_stats
 from medc.losses import (LossWeights, classification_loss, gamma_targets,
                          mean_contrastive_loss, total_loss,
                          variance_region_loss)
-from medc.model import INVERSE, LONG_TAILED, UNIFORM
+from medc.sampling import INVERSE, LONG_TAILED, UNIFORM
+from medc.verify import gradient_check
 
 
 def stats_for(counts):

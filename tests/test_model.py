@@ -108,7 +108,6 @@ def test_reparameterize_eval_mode_returns_mean():
     sigma = Tensor([[2.0, 5.0]])
     emb = reparameterize(mu, sigma, rng=None, train_mode=False)
     assert np.array_equal(emb.z.data, mu.data)
-    assert np.array_equal(emb.epsilon, np.zeros((1, 2)))
 
 
 def test_reparameterize_train_mode_statistics():
@@ -238,6 +237,37 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     path.write_bytes(blob[:8] + struct.pack("<Q", len(new_m)) + new_m
                      + blob[16 + mlen:])
     with pytest.raises(ValueError, match="99"):
+        load_checkpoint(path)
+
+
+def rewrite_manifest(path, change):
+    """Apply change(manifest) to the JSON manifest of the checkpoint at path."""
+    blob = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", blob[8:16])
+    manifest = json.loads(blob[16:16 + mlen])
+    change(manifest)
+    new_m = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(new_m)) + new_m + blob[16 + mlen:])
+
+
+@pytest.mark.parametrize("change,named", [
+    (lambda m: m.pop("seed"), "'seed'"),
+    (lambda m: m.pop("config"), "'config'"),
+    (lambda m: m.pop("gamma"), "'gamma'"),
+    (lambda m: m.pop("params"), "'params'"),
+    (lambda m: m.pop("extra"), "'extra'"),
+    (lambda m: m.pop("version"), "'version'"),
+    (lambda m: m["config"].update(width=3), "'width'"),
+    (lambda m: m["config"].pop("D"), "'D'"),
+    (lambda m: m.update(version=99), "version 99"),
+    (lambda m: m.update(version=0), "version 0"),
+], ids=["no-seed", "no-config", "no-gamma", "no-params", "no-extra", "no-version",
+        "unknown-config-field", "missing-config-field", "version-99", "version-0"])
+def test_checkpoint_manifest_is_validated_by_name(tmp_path, change, named):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, Model(tiny_cfg(), seed=13), extra={"epoch": 1})
+    rewrite_manifest(path, change)
+    with pytest.raises(ValueError, match=named):
         load_checkpoint(path)
 
 

@@ -16,6 +16,8 @@ from medc.seeding import derive_rng
 from medc.training import (TERM_NAMES, Adam, TrainConfig, composed_objective,
                            train)
 
+from test_model import rewrite_manifest
+
 
 def small_dataset(seed=0, counts=(12, 8, 4)):
     cfg = SyntheticConfig(C=len(counts), D=5, L=3, counts=list(counts),
@@ -186,6 +188,11 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     ("d", 5, "d"),
     ("hidden", 7, "hidden"),
     ("phi_depth", 3, "phi_depth"),
+    ("learning_rate", 2e-3, "learning_rate"),
+    ("batch_size", 4, "batch_size"),
+    ("seed", 2, "seed"),
+    ("tau", 0.5, "tau"),
+    ("weights", LossWeights(lambda1=0.5), "weights"),
 ])
 def test_resume_refuses_a_different_model(tmp_path, field, value, name):
     records = small_dataset()
@@ -217,6 +224,18 @@ def test_version_2_checkpoint_loads_but_is_not_resumed(tmp_path):
     for p, q in zip(model.parameters(), loaded.parameters()):
         assert np.array_equal(p.data, q.data)
     with pytest.raises(ValueError, match="version 2"):
+        train(small_train_cfg(epochs=2), records, resume_from=str(path))
+
+
+def test_checkpoint_without_run_record_loads_but_is_not_resumed(tmp_path):
+    records = small_dataset()
+    model, _ = train(small_train_cfg(epochs=1), records, out_dir=str(tmp_path))
+    path = tmp_path / "checkpoint_final.bin"
+    rewrite_manifest(path, lambda m: m["extra"].pop("run"))
+    loaded, _ = load_checkpoint(path)
+    for p, q in zip(model.parameters(), loaded.parameters()):
+        assert np.array_equal(p.data, q.data)
+    with pytest.raises(ValueError, match="'run' record"):
         train(small_train_cfg(epochs=2), records, resume_from=str(path))
 
 
