@@ -99,54 +99,8 @@ class Tensor:
                 # no in-place accumulation: pg may alias g or be a readonly view
                 grads[id(parent)] = pg if acc is None else acc + pg
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_along(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_along(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes or None)
-
-    @property
-    def T(self):
-        return transpose(self, None)
 
 
 class Parameter(Tensor):
@@ -196,14 +150,6 @@ def mul(a, b):
     return _track(out, (a, b), lambda g: (
         _unbroadcast(g * b.data, a.data.shape),
         _unbroadcast(g * a.data, b.data.shape)))
-
-
-def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data / b.data)
-    return _track(out, (a, b), lambda g: (
-        _unbroadcast(g / b.data, a.data.shape),
-        _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def matmul(a, b):

@@ -8,7 +8,6 @@ MEDC_SEED environment variable, then the config file.
 """
 
 import argparse
-import csv
 import datetime
 import hashlib
 import json
@@ -19,8 +18,8 @@ from . import evaluation
 from .config import ConfigError, RunConfig, load_config
 from .data import (compute_label_stats, generate_synthetic, read_feature_file,
                    split_records, write_feature_file)
-from .model import load_checkpoint
-from .training import train
+from .model import load_checkpoint, read_checkpoint_manifest
+from .training import checkpoint_names, train
 from .verify import composed_objective_gradcheck
 
 
@@ -32,7 +31,8 @@ def _sha256_file(path):
     return h.hexdigest()
 
 
-def _write_manifest(manifest_path, config_path, seed, output_paths):
+def _finish(manifest_path, config_path, seed, output_paths, message):
+    """Write the manifest of a command's outputs, print its message, and return 0."""
     config_sha = _sha256_file(config_path) if config_path else ""
     manifest = {
         "config_sha256": config_sha,
@@ -44,6 +44,8 @@ def _write_manifest(manifest_path, config_path, seed, output_paths):
     with open(manifest_path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
+    print(message)
+    return 0
 
 
 def _resolve_seed(args, cfg):
@@ -55,12 +57,9 @@ def _resolve_seed(args, cfg):
     return cfg.seed
 
 
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _float_list(text):
-    return [float(x) for x in text.split(",") if x.strip()]
+def _values(text, kind):
+    """The comma-separated values of a flag, each converted by `kind`."""
+    return [kind(x) for x in text.split(",") if x.strip()]
 
 
 def cmd_gen_data(args):
@@ -68,9 +67,8 @@ def cmd_gen_data(args):
     seed = _resolve_seed(args, cfg)
     records, _ = generate_synthetic(cfg.synthetic_config(seed=seed))
     write_feature_file(args.out, records)
-    _write_manifest(args.out + ".manifest.json", args.config, seed, [args.out])
-    print(f"wrote {len(records)} records to {args.out}")
-    return 0
+    return _finish(args.out + ".manifest.json", args.config, seed, [args.out],
+                   f"wrote {len(records)} records to {args.out}")
 
 
 def _load_train_inputs(args, cfg, seed):
@@ -84,19 +82,16 @@ def cmd_train(args):
     cfg = load_config(args.config)
     seed = _resolve_seed(args, cfg)
     records, tcfg = _load_train_inputs(args, cfg, seed)
+    # read before train(), which may overwrite the checkpoint it resumes from
+    resumed = read_checkpoint_manifest(args.resume)[0]["extra"] if args.resume else {}
     os.makedirs(args.out, exist_ok=True)
     _, history = train(tcfg, records, out_dir=args.out, resume_from=args.resume)
     loss_csv = os.path.join(args.out, "loss_history.csv")
-    with open(loss_csv, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "expert", "term", "value"])
-        for epoch, expert, term, value in history:
-            w.writerow([epoch, expert, term, repr(value)])
-    outputs = [loss_csv] + [os.path.join(args.out, n) for n in os.listdir(args.out)
-                            if n.startswith("checkpoint_")]
-    _write_manifest(os.path.join(args.out, "manifest.json"), args.config, seed, outputs)
-    print(f"trained {tcfg.epochs} epochs; artifacts in {args.out}")
-    return 0
+    evaluation.write_csv(loss_csv, ("epoch", "expert", "term", "value"), history)
+    outputs = [loss_csv] + [os.path.join(args.out, name) for name in
+                            checkpoint_names(tcfg, resumed.get("epoch", 0)).values()]
+    return _finish(os.path.join(args.out, "manifest.json"), args.config, seed, outputs,
+                   f"trained {tcfg.epochs} epochs; artifacts in {args.out}")
 
 
 def cmd_eval(args):
@@ -122,11 +117,10 @@ def cmd_eval(args):
     paths = [os.path.join(args.out, n) for n in
              ("report.json", "metrics.csv", "per_class_ap.csv")]
     evaluation.write_report_json(report, paths[0])
-    evaluation.write_metrics_csv(report, paths[1])
-    evaluation.write_per_class_csv(report, paths[2])
-    _write_manifest(os.path.join(args.out, "manifest.json"), args.config, seed, paths)
-    print(f"overall_mAP={report.overall_mAP:.4f} tail_mAP={report.tail_mAP:.4f}")
-    return 0
+    evaluation.write_csv(paths[1], ("metric", "value"), report.metric_rows())
+    evaluation.write_csv(paths[2], ("class", "AP"), sorted(report.per_class_AP.items()))
+    return _finish(os.path.join(args.out, "manifest.json"), args.config, seed, paths,
+                   f"overall_mAP={report.overall_mAP:.4f} tail_mAP={report.tail_mAP:.4f}")
 
 
 def _select_variants(names):
@@ -143,41 +137,37 @@ def _select_variants(names):
     return tuple(chosen)
 
 
-def cmd_ablate(args):
+def _experiment(args, name, header, run):
+    """Train and evaluate a grid on the config's split of --data, one CSV row per point.
+
+    run(inputs, seed) returns the rows, where inputs are the train config,
+    the train records, the test records and the train set's label stats.
+    """
     cfg = load_config(args.config)
     seed = _resolve_seed(args, cfg)
     records, tcfg = _load_train_inputs(args, cfg, seed)
     train_recs, test_recs = split_records(records, cfg.test_fraction, seed)
     stats = compute_label_stats(train_recs, cfg.head_threshold, cfg.medium_threshold)
-    variants = _select_variants(args.experts)
-    if args.no_temporal_attention and args.experts is not None:
-        nta = evaluation.STANDARD_VARIANTS[-1]
-        if nta not in variants:
-            variants = variants + (nta,)
-    seeds = _int_list(args.seeds) if args.seeds else [seed]
-    rows = evaluation.ablate(tcfg, train_recs, test_recs, stats, variants, seeds)
+    rows = run((tcfg, train_recs, test_recs, stats), seed)
     os.makedirs(args.out, exist_ok=True)
-    out_csv = os.path.join(args.out, "ablation.csv")
-    evaluation.write_ablation_csv(rows, out_csv)
-    _write_manifest(os.path.join(args.out, "manifest.json"), args.config, seed, [out_csv])
-    print(f"wrote {len(rows)} ablation rows to {out_csv}")
-    return 0
+    out_csv = os.path.join(args.out, f"{name}.csv")
+    evaluation.write_csv(out_csv, header, [[row[k] for k in header] for row in rows])
+    return _finish(os.path.join(args.out, "manifest.json"), args.config, seed, [out_csv],
+                   f"wrote {len(rows)} {name} rows to {out_csv}")
+
+
+def cmd_ablate(args):
+    variants = _select_variants(args.experts)
+    seeds = _values(args.seeds, int) if args.seeds else None
+    return _experiment(args, "ablation", ("variant",) + evaluation.METRIC_COLUMNS,
+                       lambda inputs, seed: evaluation.ablate(
+                           *inputs, variants, [seed] if seeds is None else seeds))
 
 
 def cmd_sweep(args):
-    cfg = load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    records, tcfg = _load_train_inputs(args, cfg, seed)
-    train_recs, test_recs = split_records(records, cfg.test_fraction, seed)
-    stats = compute_label_stats(train_recs, cfg.head_threshold, cfg.medium_threshold)
-    rows = evaluation.lambda_sweep(tcfg, train_recs, test_recs, stats,
-                                   _float_list(args.lambda1), _float_list(args.lambda3))
-    os.makedirs(args.out, exist_ok=True)
-    out_csv = os.path.join(args.out, "sweep.csv")
-    evaluation.write_sweep_csv(rows, out_csv)
-    _write_manifest(os.path.join(args.out, "manifest.json"), args.config, seed, [out_csv])
-    print(f"wrote {len(rows)} sweep rows to {out_csv}")
-    return 0
+    grids = _values(args.lambda1, float), _values(args.lambda3, float)
+    return _experiment(args, "sweep", ("lambda1", "lambda3", "overall_mAP"),
+                       lambda inputs, seed: evaluation.lambda_sweep(*inputs, *grids))
 
 
 def cmd_gradcheck(args):
@@ -220,10 +210,8 @@ def build_parser():
     a = sub.add_parser("ablate", help="expert-subset and attention ablation grid")
     a.add_argument("--config", required=True)
     a.add_argument("--data", required=True)
-    a.add_argument("--experts", help="comma-separated variant names "
-                                     "(default: the full 8-variant grid)")
-    a.add_argument("--no-temporal-attention", action="store_true",
-                   help="include the attention-off variant when --experts is given")
+    a.add_argument("--experts", help="comma-separated variant names, among them "
+                                     "No-Temporal-Attention (default: all 8 variants)")
     a.add_argument("--seeds", help="comma-separated training seeds")
     a.add_argument("--out", required=True)
     a.add_argument("--seed", type=int)

@@ -10,7 +10,7 @@ import json
 import typing
 from dataclasses import fields
 
-from .data import SyntheticConfig, zipf_counts
+from .data import SyntheticConfig, fits_type, zipf_counts
 from .losses import LossWeights
 from .training import TrainConfig
 
@@ -43,28 +43,13 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
 
 
 def _coerce(section, key, value, kind):
-    """`value` as a field annotated `kind`; a JSON value of another type is a ConfigError.
-
-    An int is accepted for a float, a bool is not accepted for an int, and a
-    list or tuple field takes a JSON array of its item type.
-    """
+    """`value` as a field annotated `kind`; a JSON value that does not fit it is a ConfigError."""
     origin = typing.get_origin(kind)
-    if origin in (list, tuple):
-        item = typing.get_args(kind)[0]
-        if isinstance(value, list) and all(_is(v, item) for v in value):
-            return origin(value)
-        what = f"a list of {item.__name__} values"
-    elif _is(value, kind):
-        return float(value) if kind is float else value
-    else:
-        what = _TYPE_NAMES[kind]
+    if fits_type(value, kind):
+        return origin(value) if origin else float(value) if kind is float else value
+    what = (f"a list of {typing.get_args(kind)[0].__name__} values" if origin
+            else _TYPE_NAMES[kind])
     raise ConfigError(f"config section {section!r}: key {key!r} must be {what}, got {value!r}")
-
-
-def _is(value, kind):
-    if kind is float:
-        kind = (int, float)
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _section(raw, section, types, extra=()):

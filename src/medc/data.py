@@ -1,6 +1,7 @@
 """Synthetic long-tailed feature datasets, label statistics, and file I/O."""
 
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,10 +10,28 @@ from .seeding import derive_rng
 
 MAGIC = b"MEDC"
 FORMAT_VERSION = 1
+MAX_CLASSES = 1 << 20  # each record holds a dense row of C labels
 
 HEAD = "head"
 MEDIUM = "medium"
 TAIL = "tail"
+# default group thresholds of compute_label_stats and TrainConfig
+HEAD_THRESHOLD, MEDIUM_THRESHOLD = 500, 100
+
+
+def fits_type(value, kind):
+    """Whether a JSON value can be a dataclass field annotated `kind`.
+
+    An int fits a float, a bool fits no int, and a list or tuple fits a
+    sequence field when each item fits its item type.
+    """
+    origin = typing.get_origin(kind)
+    if origin in (list, tuple):
+        item = typing.get_args(kind)[0]
+        return isinstance(value, (list, tuple)) and all(fits_type(v, item) for v in value)
+    if kind is float:
+        kind = (int, float)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 class FeatureFileError(ValueError):
@@ -111,7 +130,8 @@ def generate_synthetic(cfg):
     return records, protos
 
 
-def compute_label_stats(records, head_threshold=500, medium_threshold=100):
+def compute_label_stats(records, head_threshold=HEAD_THRESHOLD,
+                        medium_threshold=MEDIUM_THRESHOLD):
     """Per-class counts, label frequencies, and head/medium/tail groups.
 
     A class is head if count > head_threshold, medium if
@@ -216,6 +236,7 @@ class ByteReader:
 
 
 def read_feature_file(path):
+    """The records of a feature file; malformed input raises FeatureFileError with the byte offset."""
     with open(path, "rb") as f:
         blob = f.read()
     r = ByteReader(blob, FeatureFileError)
@@ -225,10 +246,13 @@ def read_feature_file(path):
     version, n, C, L, D = r.unpack("<IQIII", "header")
     if version != FORMAT_VERSION:
         raise FeatureFileError(f"unsupported version {version} at byte offset 4")
+    if C > MAX_CLASSES:
+        raise FeatureFileError(f"class count C={C} at byte offset 16 exceeds {MAX_CLASSES}")
     records = []
     for i in range(n):
+        start = r.offset
         (id_len,) = r.unpack("<H", f"record {i} id length")
-        rid = r.read(id_len, f"record {i} id").decode("utf-8")
+        rid = r.read(id_len, f"record {i} id")
         (n_labels,) = r.unpack("<H", f"record {i} label count")
         idx = np.frombuffer(r.read(4 * n_labels, f"record {i} labels"), dtype="<u4")
         if n_labels and idx.max() >= C:
@@ -237,6 +261,10 @@ def read_feature_file(path):
         labels = np.zeros(C, dtype=np.uint8)
         labels[idx.astype(np.int64)] = 1
         feats = np.frombuffer(r.read(4 * L * D, f"record {i} features"), dtype="<f4")
-        records.append(FeatureRecord(rid, feats.astype(np.float64).reshape(L, D), labels))
+        try:
+            records.append(FeatureRecord(rid.decode("utf-8"),
+                                         feats.astype(np.float64).reshape(L, D), labels))
+        except ValueError as e:  # an id that is not UTF-8, or a record FeatureRecord refuses
+            raise FeatureFileError(f"record {i} at byte offset {start}: {e}") from None
     r.finish()
     return records

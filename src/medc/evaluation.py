@@ -62,14 +62,14 @@ class MetricsReport:
         return d
 
 
-def score_records(model, records, experts=None):
+def score_records(model, records):
     """Eval-mode averaged-expert scores of the records sorted by id, SCORE_CHUNK at a time."""
     recs = sorted(records, key=lambda r: r.id)
     feats = np.stack([r.features for r in recs])
     labels = np.stack([r.labels for r in recs])
     parts = []
     for start in range(0, len(recs), SCORE_CHUNK):
-        p = forward_inference(feats[start:start + SCORE_CHUNK], model, experts)
+        p = forward_inference(feats[start:start + SCORE_CHUNK], model)
         parts.append(p.data)
     return np.concatenate(parts), labels
 
@@ -118,11 +118,11 @@ def metrics_from_scores(scores, labels, groups, config_digest="", seed=0):
         config_digest=config_digest, seed=seed)
 
 
-def evaluate(model, records, stats, experts=None, config_digest="", seed=0):
+def evaluate(model, records, stats, config_digest="", seed=0):
     """MetricsReport for a test set under averaged-expert inference."""
     if not records:
         raise ValueError("test set is empty")
-    scores, labels = score_records(model, records, experts)
+    scores, labels = score_records(model, records)
     return metrics_from_scores(scores, labels, stats.groups, config_digest, seed)
 
 
@@ -134,20 +134,12 @@ def write_report_json(report, path):
         f.write("\n")
 
 
-def write_metrics_csv(report, path):
+def write_csv(path, header, rows):
+    """One header line, then one line per row; a Python float is written as its repr."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["metric", "value"])
-        for name, value in report.metric_rows():
-            w.writerow([name, repr(value)])
-
-
-def write_per_class_csv(report, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["class", "AP"])
-        for c in sorted(report.per_class_AP):
-            w.writerow([c, repr(report.per_class_AP[c])])
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # -- ablation and sweep harnesses ----------------------------------------------
@@ -164,12 +156,25 @@ STANDARD_VARIANTS = (
 )
 
 
-def run_variant(cfg, train_records, test_records, stats, experts,
-                temporal_attention, seed):
-    variant_cfg = replace(cfg, active_experts=tuple(experts),
-                          temporal_attention=temporal_attention, seed=seed)
-    model, _ = train(variant_cfg, train_records)
-    return evaluate(model, test_records, stats, seed=seed)
+def _grid(points, train_records, test_records, stats, seeds):
+    """Train and evaluate each (label, TrainConfig) point once per seed.
+
+    Returns one row per point: the label's items, then each metric
+    averaged over the seeds.
+    """
+    if not points:
+        raise ValueError("the experiment grid has no points")
+    if not seeds:
+        raise ValueError("the experiment grid has no seeds")
+    rows = []
+    for label, point_cfg in points:
+        reports = []
+        for seed in seeds:
+            model, _ = train(replace(point_cfg, seed=seed), train_records)
+            reports.append(evaluate(model, test_records, stats, seed=seed))
+        rows.append({**label, **{col: float(np.mean([getattr(r, col) for r in reports]))
+                                 for col in METRIC_COLUMNS}})
+    return rows
 
 
 def ablate(cfg, train_records, test_records, stats, variants=STANDARD_VARIANTS,
@@ -178,48 +183,16 @@ def ablate(cfg, train_records, test_records, stats, variants=STANDARD_VARIANTS,
 
     Returns one row per variant with each metric averaged over seeds.
     """
-    if not variants:
-        raise ValueError("variant grid is empty")
-    rows = []
-    for name, experts, attention in variants:
-        reports = [run_variant(cfg, train_records, test_records, stats,
-                               experts, attention, seed) for seed in seeds]
-        row = {"variant": name}
-        for col in METRIC_COLUMNS:
-            row[col] = float(np.mean([getattr(r, col) for r in reports]))
-        rows.append(row)
-    return rows
-
-
-def write_ablation_csv(rows, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["variant"] + list(METRIC_COLUMNS))
-        for row in rows:
-            w.writerow([row["variant"]] + [repr(row[c]) for c in METRIC_COLUMNS])
+    points = [({"variant": name}, replace(cfg, active_experts=tuple(experts),
+                                          temporal_attention=attention))
+              for name, experts, attention in variants]
+    return _grid(points, train_records, test_records, stats, seeds)
 
 
 def lambda_sweep(cfg, train_records, test_records, stats, lambda1_grid,
                  lambda3_grid):
-    """Overall mAP per (lambda1, lambda3) grid point with lambda2 fixed at 1."""
-    if not lambda1_grid or not lambda3_grid:
-        raise ValueError("lambda grids must be non-empty")
-    rows = []
-    for l1 in lambda1_grid:
-        for l3 in lambda3_grid:
-            weights = replace(cfg.weights, lambda1=l1, lambda2=1.0, lambda3=l3)
-            point_cfg = replace(cfg, weights=weights)
-            model, _ = train(point_cfg, train_records)
-            report = evaluate(model, test_records, stats)
-            rows.append({"lambda1": l1, "lambda3": l3,
-                         "overall_mAP": report.overall_mAP})
-    return rows
-
-
-def write_sweep_csv(rows, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["lambda1", "lambda3", "overall_mAP"])
-        for row in rows:
-            w.writerow([repr(float(row["lambda1"])), repr(float(row["lambda3"])),
-                        repr(row["overall_mAP"])])
+    """The metrics per (lambda1, lambda3) grid point with lambda2 fixed at 1, at cfg.seed."""
+    points = [({"lambda1": float(l1), "lambda3": float(l3)},
+               replace(cfg, weights=replace(cfg.weights, lambda1=l1, lambda2=1.0, lambda3=l3)))
+              for l1 in lambda1_grid for l3 in lambda3_grid]
+    return _grid(points, train_records, test_records, stats, (cfg.seed,))

@@ -17,13 +17,13 @@ all experts as one batched graph on the stored stack.
 import copy
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter, Tensor
-from .data import ByteReader
+from .data import ByteReader, fits_type
 from .sampling import EXPERT_KINDS
 from .seeding import derive_rng
 
@@ -39,7 +39,7 @@ class ModelConfig:
     hidden: int = 64
     d: int = 64
     phi_depth: int = 2
-    experts: tuple = EXPERT_KINDS
+    experts: tuple[str, ...] = EXPERT_KINDS
     temporal_attention: bool = True
 
     def __post_init__(self):
@@ -57,6 +57,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The config of a JSON dict; a field of the wrong JSON type raises ValueError naming it."""
+        for f in fields(cls):
+            if f.name in d and not fits_type(d[f.name], f.type):
+                raise ValueError(f"model config field {f.name!r} has the wrong JSON type: "
+                                 f"{d[f.name]!r}")
         return cls(**d)
 
 
@@ -292,23 +297,15 @@ def forward_expert(X, trunk, head, rng=None, train_mode=False, temporal_attentio
     return emb, p
 
 
-def forward_inference(X, model, experts=None):
-    """Eval-mode probabilities averaged over the given experts (all by default).
+def forward_inference(X, model):
+    """Eval-mode probabilities averaged over the model's experts.
 
     The trunk runs once on X (B, L, D) and the stacked heads once. Both
-    read frozen copies of the stored parameter values, the heads only the
-    rows of the given experts, so no tape is built and each activation is
-    freed as soon as it is consumed. Eval mode sets z = mu, so the variance
-    branch is not run.
+    read frozen copies of the stored parameter values, so no tape is built
+    and each activation is freed as soon as it is consumed. Eval mode sets
+    z = mu, so the variance branch is not run.
     """
-    kinds = model.cfg.experts if experts is None else tuple(experts)
-    if not kinds:
-        raise ValueError("need at least one expert for inference")
-    unknown = [kind for kind in kinds if kind not in model.heads]
-    if unknown:
-        raise ValueError(f"experts {unknown} are not in this model: {model.cfg.experts}")
-    rows = slice(None) if experts is None else [model.cfg.experts.index(k) for k in kinds]
-    heads = _view([model.stacked_heads], lambda params: Tensor(params[0].data[rows]))
+    heads = _view([model.stacked_heads], lambda params: Tensor(params[0].data))
     H0 = trunk_forward(X, _view([model.trunk], lambda params: Tensor(params[0].data)))
     mu = estimate_mean(ag.reshape(H0, (1,) + H0.shape), heads)
     return ag.mean_along(classify(mu, heads), axis=0)
@@ -334,7 +331,11 @@ def _lift_arrays(obj, arrays):
 def _restore_arrays(obj, arrays):
     if isinstance(obj, dict):
         if set(obj) == {_PAYLOAD}:
-            return arrays[obj[_PAYLOAD]]
+            index = obj[_PAYLOAD]
+            if type(index) is not int or not 0 <= index < len(arrays):
+                raise ValueError(f"checkpoint extra refers to payload array {index!r}, "
+                                 f"but the checkpoint holds {len(arrays)}")
+            return arrays[index]
         return {k: _restore_arrays(v, arrays) for k, v in obj.items()}
     return obj
 
@@ -367,18 +368,14 @@ def save_checkpoint(path, model, extra=None):
             f.write(a.astype("<f8").tobytes())
 
 
-def load_checkpoint(path):
-    """Rebuild a Model from a checkpoint file; returns (model, extra).
+def read_checkpoint_manifest(path):
+    """The JSON manifest of a checkpoint file and a reader at its first payload.
 
-    The parameter values are written into the new model's stored stack.
-    A truncated file, or bytes after the last payload, raise ValueError
-    with the byte offset. A manifest of another version, or one that lacks
-    a key or whose model config has an unknown or missing field, raises
-    ValueError naming it.
+    Bad magic, a truncated manifest, a lacking key or another version raise
+    ValueError; the parameters are not read.
     """
     with open(path, "rb") as f:
-        blob = f.read()
-    reader = ByteReader(blob, ValueError)
+        reader = ByteReader(f.read(), ValueError)
     magic = reader.read(8, "magic")
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
@@ -391,23 +388,47 @@ def load_checkpoint(path):
     if manifest["version"] not in CHECKPOINT_VERSIONS:
         raise ValueError(f"unsupported checkpoint version {manifest['version']!r}; "
                          f"this reader accepts versions {CHECKPOINT_VERSIONS}")
+    return manifest, reader
+
+
+def load_checkpoint(path):
+    """Rebuild a Model from a checkpoint file; returns (model, extra).
+
+    The parameter values are written into the new model's stored stack.
+    A truncated file, or bytes after the last payload, raise ValueError
+    with the byte offset. A manifest of another version, or one that lacks
+    a key, whose model config has an unknown or missing field or one of the
+    wrong JSON type, whose gamma targets are not one vector of C per
+    expert, or whose parameter list or payload references do not fit the
+    model, raises ValueError naming it.
+    """
+    manifest, reader = read_checkpoint_manifest(path)
     try:
         cfg = ModelConfig.from_dict(manifest["config"])
     except TypeError as e:  # the message names the unknown or missing field
         raise ValueError(f"checkpoint config does not fit the model: {e}") from None
+    gamma = manifest["gamma"]
+    kinds = sorted(gamma) if isinstance(gamma, dict) else None
+    if kinds != sorted(cfg.experts):
+        raise ValueError(f"checkpoint 'gamma' is given for the kinds {kinds}, "
+                         f"not for the model's experts {sorted(cfg.experts)}")
     model = Model(cfg, seed=manifest["seed"])
-    for kind, g in manifest["gamma"].items():
-        model.heads[kind].gamma = np.asarray(g, dtype=np.float64)
+    for kind, g in gamma.items():
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != (cfg.C,):
+            raise ValueError(f"checkpoint 'gamma' of {kind!r} has shape {g.shape}, "
+                             f"the model's C={cfg.C} classes need ({cfg.C},)")
+        model.heads[kind].gamma = g
     params = model.parameters()
     if len(params) != len(manifest["params"]):
         raise ValueError(f"checkpoint lists {len(manifest['params'])} parameters, "
                          f"model has {len(params)}")
     for p, meta in zip(params, manifest["params"]):
-        shape = tuple(meta["shape"])
-        if p.data.shape != shape:
-            raise ValueError(f"parameter {meta['name']}: checkpoint shape {shape} "
-                             f"!= model shape {p.data.shape}")
-        p.data[...] = _read_f8(reader, shape, f"parameter {meta['name']}")
+        shape = list(p.data.shape)
+        if not isinstance(meta, dict) or meta.get("name") != p.name or meta.get("shape") != shape:
+            raise ValueError(f"checkpoint params entry {meta!r} does not match the model's "
+                             f"parameter {p.name!r} of shape {shape}")
+        p.data[...] = _read_f8(reader, p.data.shape, f"parameter {p.name}")
     arrays = [_read_f8(reader, tuple(shape), f"array {i}").astype(np.float64)
               for i, shape in enumerate(manifest.get("arrays", []))]
     reader.finish()

@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from . import sampling
 from .autograd import Tensor
-from .data import compute_label_stats
+from .data import HEAD_THRESHOLD, MEDIUM_THRESHOLD, compute_label_stats
 from .losses import (LossWeights, classification_loss, gamma_targets,
                      mean_contrastive_loss, total_loss, variance_region_loss)
 from .model import (Model, ModelConfig, classify, estimate_mean, estimate_variance,
@@ -47,8 +47,8 @@ class TrainConfig:
     gamma_high: float = 1.0
     gamma_uniform: float = 0.5
     tau: float = 1.0
-    head_threshold: int = 500
-    medium_threshold: int = 100
+    head_threshold: int = HEAD_THRESHOLD
+    medium_threshold: int = MEDIUM_THRESHOLD
     checkpoint_every: int = 10
     strict_cls: bool = False
 
@@ -189,6 +189,18 @@ def _refuse_other_settings(path, holder, saved, run):
                              f"this run needs {key}={value!r}")
 
 
+def checkpoint_names(cfg, start_epoch):
+    """{epoch: file name} of the checkpoints a run from start_epoch writes.
+
+    One every checkpoint_every epochs before the last, then the final one.
+    """
+    due = {epoch: f"checkpoint_epoch{epoch:04d}.bin"
+           for epoch in range(start_epoch + 1, cfg.epochs)
+           if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0}
+    due[cfg.epochs] = "checkpoint_final.bin"
+    return due
+
+
 def train(cfg, records, out_dir=None, resume_from=None):
     """Full training run; returns (model, loss_history).
 
@@ -227,21 +239,22 @@ def train(cfg, records, out_dir=None, resume_from=None):
     if resume_from is not None and "adam" in extra:
         adam.load_state_dict(extra["adam"])
 
-    def checkpoint(tag, epoch):
+    due = checkpoint_names(cfg, start_epoch)
+
+    def checkpoint(epoch):
         if out_dir is None:
             return
         os.makedirs(out_dir, exist_ok=True)
         extra = {"epoch": epoch, "adam": adam.state_dict(), "history": history,
                  "run": _run_record(cfg)}
-        save_checkpoint(os.path.join(out_dir, f"checkpoint_{tag}.bin"), model, extra)
+        save_checkpoint(os.path.join(out_dir, due[epoch]), model, extra)
 
     for epoch in range(start_epoch, cfg.epochs):
         means = train_epoch(model, feats, labels, samplers, cfg, epoch, adam)
         for kind in cfg.active_experts:
             for term, value in zip(TERM_NAMES, means[kind]):
                 history.append((epoch, kind, term, value))
-        if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0 \
-                and epoch + 1 < cfg.epochs:
-            checkpoint(f"epoch{epoch + 1:04d}", epoch + 1)
-    checkpoint("final", cfg.epochs)
+        if epoch + 1 in due and epoch + 1 < cfg.epochs:
+            checkpoint(epoch + 1)
+    checkpoint(cfg.epochs)
     return model, history

@@ -145,10 +145,11 @@ def test_ablate_subset_and_csv(workspace):
     cfg1 = write_config(tmp_path / "fast.json", train={"epochs": 1})
     out = tmp_path / "abl"
     assert main(["ablate", "--config", str(cfg1), "--data", str(data),
-                 "--experts", "E1,MEDC", "--out", str(out)]) == 0
+                 "--experts", "E1,MEDC,No-Temporal-Attention", "--out", str(out)]) == 0
     lines = (out / "ablation.csv").read_text().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert lines[1].startswith("E1,") and lines[2].startswith("MEDC,")
+    assert lines[3].startswith("No-Temporal-Attention,")
 
 
 def test_ablate_rejects_unknown_variant(workspace, capsys):
@@ -188,6 +189,23 @@ def test_train_resume_from_checkpoint(workspace):
                  "--resume", str(full / "checkpoint_epoch0002.bin")]) == 0
     assert (resumed / "checkpoint_final.bin").read_bytes() == \
         (full / "checkpoint_final.bin").read_bytes()
+
+
+def test_train_manifest_lists_only_this_runs_checkpoints(workspace):
+    tmp_path, _, data = workspace
+    out = tmp_path / "run"
+    # (epochs, checkpoint_every, resume from, files this run writes)
+    runs = [(2, 1, None, ["checkpoint_epoch0001.bin", "checkpoint_final.bin"]),
+            (2, 0, None, ["checkpoint_final.bin"]),
+            (2, 1, "checkpoint_epoch0001.bin", ["checkpoint_final.bin"]),
+            (4, 1, "checkpoint_final.bin", ["checkpoint_epoch0003.bin", "checkpoint_final.bin"])]
+    for i, (epochs, every, resume, written) in enumerate(runs):
+        cfg = write_config(tmp_path / f"run{i}.json",
+                           train={"epochs": epochs, "checkpoint_every": every})
+        assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]
+                    + (["--resume", str(out / resume)] if resume else [])) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(e["path"] for e in manifest["outputs"]) == written + ["loss_history.csv"]
 
 
 def test_config_zipf_counts(tmp_path):

@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from medc.data import (HEAD, MEDIUM, TAIL, FeatureFileError, FeatureRecord,
+from medc.data import (HEAD, MAX_CLASSES, MEDIUM, TAIL, FeatureFileError, FeatureRecord,
                        SyntheticConfig, compute_label_stats, generate_synthetic,
                        read_feature_file, split_records, write_feature_file,
                        zipf_counts)
@@ -160,6 +162,41 @@ def test_file_rejects_version_mismatch(tmp_path):
     blob[4] = 99
     path.write_bytes(bytes(blob))
     with pytest.raises(FeatureFileError, match="version"):
+        read_feature_file(path)
+
+
+def _patch_id(blob):
+    blob[30] = 0xFF
+
+
+def _patch_no_labels(blob):
+    blob[32:38] = b"\x00\x00"
+
+
+def _patch_inf_feature(blob):
+    blob[38:42] = struct.pack("<f", float("inf"))
+
+
+@pytest.mark.parametrize("patch", [_patch_id, _patch_no_labels, _patch_inf_feature],
+                         ids=["id-not-utf8", "no-labels", "non-finite-feature"])
+def test_file_rejects_bad_record_with_index_and_offset(tmp_path, patch):
+    # one record at byte 28: id_len, id "ab", n_labels, one label index, 1 x 2 f32 features
+    path = tmp_path / "one.medc"
+    write_feature_file(path, [FeatureRecord("ab", np.zeros((1, 2)), [1, 0])])
+    blob = bytearray(path.read_bytes())
+    patch(blob)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FeatureFileError, match="record 0 at byte offset 28"):
+        read_feature_file(path)
+
+
+def test_file_rejects_class_count_beyond_limit(tmp_path):
+    path = tmp_path / "wide.medc"
+    write_feature_file(path, [FeatureRecord("ab", np.zeros((1, 2)), [1, 0])])
+    blob = bytearray(path.read_bytes())
+    blob[16:20] = struct.pack("<I", MAX_CLASSES + 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FeatureFileError, match="byte offset 16"):
         read_feature_file(path)
 
 

@@ -5,9 +5,7 @@ from medc.data import (HEAD, MEDIUM, TAIL, SyntheticConfig, compute_label_stats,
                        generate_synthetic, split_records)
 from medc.evaluation import (METRIC_COLUMNS, MetricsReport, ablate,
                              average_precision, evaluate, lambda_sweep,
-                             metrics_from_scores, score_records,
-                             write_ablation_csv, write_metrics_csv,
-                             write_sweep_csv)
+                             metrics_from_scores, score_records, write_csv)
 from medc.model import Model, ModelConfig
 from medc.training import TrainConfig
 
@@ -179,11 +177,12 @@ def test_metrics_csv_is_byte_deterministic(tmp_path):
     records, stats, model = tiny_setup()
     report = evaluate(model, records, stats)
     p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-    write_metrics_csv(report, p1)
-    write_metrics_csv(evaluate(model, records[::-1], stats), p2)
+    write_csv(p1, ("metric", "value"), report.metric_rows())
+    write_csv(p2, ("metric", "value"), evaluate(model, records[::-1], stats).metric_rows())
     assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().splitlines()[0]
-    assert header == "metric,value"
+    lines = p1.read_text().splitlines()
+    assert lines[0] == "metric,value"
+    assert lines[1] == f"overall_mAP,{report.overall_mAP!r}"
 
 
 def test_report_dict_roundtrips_through_json():
@@ -214,9 +213,11 @@ def test_ablation_rows_and_csv(tmp_path):
         for col in METRIC_COLUMNS:
             assert 0.0 <= row[col] <= 1.0 or np.isnan(row[col])
     path = tmp_path / "ablation.csv"
-    write_ablation_csv(rows, path)
+    header = ("variant",) + METRIC_COLUMNS
+    write_csv(path, header, [[row[k] for k in header] for row in rows])
     lines = path.read_text().splitlines()
     assert lines[0] == "variant," + ",".join(METRIC_COLUMNS)
+    assert lines[1] == "E1," + ",".join(repr(rows[0][c]) for c in METRIC_COLUMNS)
     assert len(lines) == 3
 
 
@@ -224,12 +225,15 @@ def test_lambda_sweep_grid(tmp_path):
     records, stats, _ = tiny_setup()
     train_recs, test_recs = split_records(records, 0.3, seed=1)
     rows = lambda_sweep(small_train_cfg(), train_recs, test_recs, stats,
-                        lambda1_grid=[0.5, 1.0], lambda3_grid=[0.4])
+                        lambda1_grid=[0.5, 1], lambda3_grid=[0.4])
     assert len(rows) == 2
-    assert {(r["lambda1"], r["lambda3"]) for r in rows} == {(0.5, 0.4), (1.0, 0.4)}
-    write_sweep_csv(rows, tmp_path / "sweep.csv")
-    assert (tmp_path / "sweep.csv").read_text().splitlines()[0] == \
-        "lambda1,lambda3,overall_mAP"
+    assert [(r["lambda1"], r["lambda3"]) for r in rows] == [(0.5, 0.4), (1.0, 0.4)]
+    header = ("lambda1", "lambda3", "overall_mAP")
+    write_csv(tmp_path / "sweep.csv", header, [[row[k] for k in header] for row in rows])
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "lambda1,lambda3,overall_mAP"
+    assert lines[1] == f"0.5,0.4,{rows[0]['overall_mAP']!r}"
+    assert lines[2].startswith("1.0,0.4,")  # an int grid value is stored as a float
 
 
 def test_ablation_rejects_empty_grid():

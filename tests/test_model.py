@@ -146,16 +146,26 @@ def test_forward_expert_shapes_and_determinism():
     assert np.array_equal(e1.sigma.data, e2.sigma.data)
 
 
+def copy_parameters(dst, src):
+    """Write src's trunk and, by expert kind, its heads into dst's stored values."""
+    pairs = list(zip(dst.trunk.parameters(), src.trunk.parameters()))
+    for kind in dst.cfg.experts:
+        pairs += zip(dst.heads[kind].parameters(), src.heads[kind].parameters())
+    for p_dst, p_src in pairs:
+        p_dst.data[...] = p_src.data
+
+
 def test_inference_average_of_identical_experts_is_idempotent():
     model = Model(tiny_cfg(), seed=9)
     src = model.heads["long_tailed"]
     for kind in ("uniform", "inverse"):
         for p_dst, p_src in zip(model.heads[kind].parameters(), src.parameters()):
             p_dst.data[...] = p_src.data
+    single = Model(tiny_cfg(experts=("long_tailed",)), seed=0)
+    copy_parameters(single, model)
     X = derive_rng(9, "x").uniform(-1, 1, size=(3, 2, 3))
     avg = forward_inference(X, model)
-    single = forward_inference(X, model, experts=("long_tailed",))
-    np.testing.assert_allclose(avg.data, single.data, atol=1e-12)
+    np.testing.assert_allclose(avg.data, forward_inference(X, single).data, atol=1e-12)
 
 
 def test_inference_average_arithmetic():
@@ -171,11 +181,12 @@ def test_inference_average_arithmetic():
 
 
 def test_inference_invariant_to_expert_order():
-    model = Model(tiny_cfg(), seed=11)
+    a = Model(tiny_cfg(experts=("uniform", "inverse")), seed=11)
+    b = Model(tiny_cfg(experts=("inverse", "uniform")), seed=0)
+    copy_parameters(b, a)
     X = derive_rng(11, "x").uniform(-1, 1, size=(2, 3, 3))
-    a = forward_inference(X, model, experts=("uniform", "inverse"))
-    b = forward_inference(X, model, experts=("inverse", "uniform"))
-    np.testing.assert_allclose(a.data, b.data, atol=1e-15)
+    np.testing.assert_allclose(forward_inference(X, a).data, forward_inference(X, b).data,
+                               atol=1e-15)
 
 
 def test_inference_builds_no_tape_and_matches_tracked_forward():
@@ -189,12 +200,6 @@ def test_inference_builds_no_tape_and_matches_tracked_forward():
                                      heads), axis=0)
     assert tracked._parents
     assert np.array_equal(out.data, tracked.data)
-
-
-def test_inference_rejects_empty_expert_list():
-    model = Model(tiny_cfg(), seed=0)
-    with pytest.raises(ValueError):
-        forward_inference(np.zeros((1, 2, 3)), model, experts=())
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -261,14 +266,25 @@ def rewrite_manifest(path, change):
     (lambda m: m["config"].pop("D"), "'D'"),
     (lambda m: m.update(version=99), "version 99"),
     (lambda m: m.update(version=0), "version 0"),
+    (lambda m: m["gamma"].update(sideways=m["gamma"].pop("uniform")), "'gamma'.*sideways"),
+    (lambda m: m["gamma"]["uniform"].append(0.5), "'gamma' of 'uniform'"),
+    (lambda m: m["config"].update(d="6"), "'d'"),
+    (lambda m: m["config"].update(experts=[]), "at least one expert"),
 ], ids=["no-seed", "no-config", "no-gamma", "no-params", "no-extra", "no-version",
-        "unknown-config-field", "missing-config-field", "version-99", "version-0"])
+        "unknown-config-field", "missing-config-field", "version-99", "version-0",
+        "unknown-gamma-kind", "gamma-wrong-length", "config-field-wrong-type", "no-experts"])
 def test_checkpoint_manifest_is_validated_by_name(tmp_path, change, named):
     path = tmp_path / "model.bin"
     save_checkpoint(path, Model(tiny_cfg(), seed=13), extra={"epoch": 1})
     rewrite_manifest(path, change)
     with pytest.raises(ValueError, match=named):
         load_checkpoint(path)
+
+
+def test_model_config_dict_round_trip():
+    cfg = tiny_cfg()
+    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
