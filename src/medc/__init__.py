@@ -16,7 +16,7 @@ from .data import (FeatureRecord, LabelStats, SyntheticConfig,
                    split_records, write_feature_file, zipf_counts)
 from .evaluation import MetricsReport, ablate, average_precision, evaluate, lambda_sweep
 from .losses import LossWeights, gamma_targets
-from .model import Model, ModelConfig, forward_expert, forward_inference
+from .model import Model, ModelConfig, forward_inference
 from .sampling import SamplerSpec, inverse_class_weights, original_weights, \
     sample_batch, uniform_class_weights
 from .training import Adam, TrainConfig, train

@@ -131,10 +131,6 @@ def variance_region_loss(sigmas, labels, gamma):
     labels (E, B, C), gamma (E, C)) the mean is per expert, giving (E,).
     """
     labels = np.asarray(labels)
-    if labels.ndim == 1:
-        labels = labels[None, :]
-    if sigmas.ndim == 1:
-        sigmas = ag.reshape(sigmas, (1, -1))
     lead = labels.shape[:-2]
     *rows, cols = np.nonzero(labels)
     if cols.size == 0:
@@ -146,16 +142,13 @@ def variance_region_loss(sigmas, labels, gamma):
     return ag.mul(_mean_per_expert(dev, rows[0], lead), 1.0 / sel.shape[-1])
 
 
-def total_loss(per_expert_terms, weights):
-    """weights-weighted sum of (L_mu, L_cls, L_sigma) triples.
+def total_loss(terms, weights):
+    """weights-weighted sum of one (L_mu, L_cls, L_sigma) triple over every expert.
 
     Each term is a scalar for one expert or an (E,) vector with one value
-    per expert; the result sums over every expert.
+    per expert.
     """
-    total = None
-    for (m, c, s) in per_expert_terms:
-        t = ag.add(ag.add(ag.mul(m, weights.lambda1), ag.mul(c, weights.lambda2)),
-                   ag.mul(s, weights.lambda3))
-        t = ag.sum_along(t) if t.ndim else t
-        total = t if total is None else ag.add(total, t)
-    return total
+    m, c, s = terms
+    t = ag.add(ag.add(ag.mul(m, weights.lambda1), ag.mul(c, weights.lambda2)),
+               ag.mul(s, weights.lambda3))
+    return ag.sum_along(t) if t.ndim else t

@@ -7,17 +7,21 @@ over frame deviations, and the stochastic embedding z = mu + eps * sigma
 goes through a per-class sigmoid classifier. Inference averages the expert
 probability vectors.
 
-The active heads are stored as one: `Model.stacked_heads` holds each
-parameter role as a single Parameter with a leading expert axis E, and each
-head's Parameters are views of their expert's slice. The forward functions
-take that axis in front of every activation, so training and inference run
-all experts as one batched graph on the stored stack.
+Every head has the same parameter roles, declared once in `_head_roles`.
+The model holds each role once: `Model.stacked_heads` maps it to one
+Parameter with a leading expert axis E. The forward functions index roles
+by name, so they run unchanged on that stack, with E in front of every
+activation, and on one expert's slice of it
+`{role: p[e] for role, p in model.stacked_heads.items()}`, whose gradients
+flow back into the stack. Training and inference run all experts as one
+batched graph on the stack; `Model.parameters()` names each expert's view
+of it for checkpoints.
 """
 
-import copy
 import json
 import struct
 from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,185 +69,115 @@ class ModelConfig:
         return cls(**d)
 
 
-def _init_weight(rng, fan_in, fan_out):
-    return rng.uniform(-1.0, 1.0, size=(fan_in, fan_out)) / np.sqrt(fan_in)
+def _head_roles(cfg):
+    """(role, shape) of every parameter of one expert head, in checkpoint order.
+
+    phi_mu and phi_var are phi_depth-1 normalized ReLU layers and a linear
+    output, f_q, f_k and f_v the attention projections, cls the classifier.
+    """
+    roles = []
+    for branch in ("phi_mu", "phi_var"):
+        d_in = cfg.d_trunk
+        for i in range(cfg.phi_depth - 1):
+            layer = f"{branch}.layer{i}"
+            roles += [(f"{layer}.W", (d_in, cfg.hidden))]
+            roles += [(f"{layer}.{r}", (cfg.hidden,)) for r in ("b", "scale", "shift")]
+            d_in = cfg.hidden
+        roles += [(f"{branch}.out.W", (d_in, cfg.d)), (f"{branch}.out.b", (cfg.d,))]
+    for name, d_out in (("f_q", cfg.d), ("f_k", cfg.d), ("f_v", cfg.d), ("cls", cfg.C)):
+        roles += [(f"{name}.W", (cfg.d, d_out)), (f"{name}.b", (d_out,))]
+    return roles
 
 
-class Linear:
-    def __init__(self, rng, d_in, d_out, name):
-        self.W = Parameter(_init_weight(rng, d_in, d_out), f"{name}.W")
-        self.b = Parameter(np.zeros(d_out), f"{name}.b")
-
-    def __call__(self, x):
-        return ag.add(ag.matmul(x, self.W), self.b)
-
-    def parameters(self):
-        return [self.W, self.b]
-
-
-class AffineNormLayer:
-    """Linear map + per-row feature normalization with learnable scale/shift."""
-
-    def __init__(self, rng, d_in, d_out, name):
-        self.W = Parameter(_init_weight(rng, d_in, d_out), f"{name}.W")
-        self.b = Parameter(np.zeros(d_out), f"{name}.b")
-        self.scale = Parameter(np.ones(d_out), f"{name}.scale")
-        self.shift = Parameter(np.zeros(d_out), f"{name}.shift")
-
-    def __call__(self, x):
-        return ag.affine_norm_layer(x, self.W, self.b, self.scale, self.shift)
-
-    def parameters(self):
-        return [self.W, self.b, self.scale, self.shift]
-
-
-class MLP:
-    """phi_depth-1 normalized ReLU layers followed by a plain linear output."""
-
-    def __init__(self, rng, d_in, hidden, d_out, depth, name):
-        self.layers = []
-        cur = d_in
-        for i in range(depth - 1):
-            self.layers.append(AffineNormLayer(rng, cur, hidden, f"{name}.layer{i}"))
-            cur = hidden
-        self.out = Linear(rng, cur, d_out, f"{name}.out")
-
-    def __call__(self, x):
-        for layer in self.layers:
-            x = ag.relu(layer(x))
-        return self.out(x)
-
-    def parameters(self):
-        ps = []
-        for layer in self.layers:
-            ps.extend(layer.parameters())
-        return ps + self.out.parameters()
-
-
-class Trunk:
-    """Shared per-frame linear + ReLU block, consumed by every expert."""
-
-    def __init__(self, rng, D, d_trunk):
-        self.lin = Linear(rng, D, d_trunk, "trunk")
-
-    def __call__(self, x):
-        return ag.relu(self.lin(x))
-
-    def parameters(self):
-        return self.lin.parameters()
-
-
-class ExpertHead:
-    def __init__(self, rng, cfg, kind):
-        name = f"expert.{kind}"
-        self.phi_mu = MLP(rng, cfg.d_trunk, cfg.hidden, cfg.d, cfg.phi_depth, f"{name}.phi_mu")
-        self.phi_var = MLP(rng, cfg.d_trunk, cfg.hidden, cfg.d, cfg.phi_depth, f"{name}.phi_var")
-        self.f_q = Linear(rng, cfg.d, cfg.d, f"{name}.f_q")
-        self.f_k = Linear(rng, cfg.d, cfg.d, f"{name}.f_k")
-        self.f_v = Linear(rng, cfg.d, cfg.d, f"{name}.f_v")
-        self.classifier = Linear(rng, cfg.d, cfg.C, f"{name}.cls")
-        self.gamma = np.full(cfg.C, 0.5)  # per-class variance targets
-
-    def parameters(self):
-        return (self.phi_mu.parameters() + self.phi_var.parameters()
-                + self.f_q.parameters() + self.f_k.parameters()
-                + self.f_v.parameters() + self.classifier.parameters())
-
-    def variance_parameters(self):
-        return (self.phi_var.parameters() + self.f_q.parameters()
-                + self.f_k.parameters() + self.f_v.parameters())
-
-
-@dataclass
-class Embedding:
-    mu: Tensor       # (B, d), L2-normalized rows
-    sigma: Tensor    # (B, d), non-negative
-    z: Tensor        # (B, d)
+def _initial_value(rng, role, shape):
+    """A weight is drawn uniform in +-1/sqrt(fan_in); a scale is 1, the rest 0."""
+    if role.endswith(".W"):
+        return rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[0])
+    return np.ones(shape) if role.endswith(".scale") else np.zeros(shape)
 
 
 class Model:
+    """The trunk and the expert heads, each parameter role held once.
+
+    `trunk` and `stacked_heads` map role names to Parameters. A head role is
+    stacked along a leading expert axis in `cfg.experts` order; its vectors
+    get singleton axes after E to broadcast over the batch axes: (E, 1, 1, n)
+    per frame, (E, 1, n) in the classifier. `heads[kind].gamma` holds the
+    expert's per-class variance targets.
+    """
+
     def __init__(self, cfg, seed=0):
         self.cfg = cfg
         self.seed = seed
         rng = derive_rng(seed, "init")
-        self.trunk = Trunk(rng, cfg.D, cfg.d_trunk)
-        self.heads = {kind: ExpertHead(rng, cfg, kind) for kind in cfg.experts}
-        self.stacked_heads = _stack_storage([self.heads[kind] for kind in cfg.experts])
+        self.trunk = {role: Parameter(_initial_value(rng, role, shape), role)
+                      for role, shape in (("trunk.W", (cfg.D, cfg.d_trunk)),
+                                          ("trunk.b", (cfg.d_trunk,)))}
+        roles = _head_roles(cfg)
+        drawn = [[_initial_value(rng, role, shape) for role, shape in roles]
+                 for _ in cfg.experts]
+        self.stacked_heads = {}
+        for (role, shape), values in zip(roles, zip(*drawn)):
+            data = np.stack(values)
+            if len(shape) == 1:
+                frame_axes = 1 if role.startswith("cls.") else 2
+                data = data.reshape(data.shape[:1] + (1,) * frame_axes + shape)
+            self.stacked_heads[role] = Parameter(data, f"expert.*.{role}")
+        self.heads = {kind: SimpleNamespace(gamma=np.full(cfg.C, 0.5)) for kind in cfg.experts}
 
     def parameters(self):
-        """Every parameter under its own name, trunk then heads: the checkpoint order."""
-        ps = self.trunk.parameters()
-        for kind in self.cfg.experts:
-            ps.extend(self.heads[kind].parameters())
+        """Every parameter under its own name, trunk then heads: the checkpoint order.
+
+        Expert e's parameter `expert.<kind>.<role>` is a view of slice e of the
+        stored role, for values and gradients alike, so either side sees the
+        other's writes.
+        """
+        ps = list(self.trunk.values())
+        roles = _head_roles(self.cfg)
+        for e, kind in enumerate(self.cfg.experts):
+            for role, shape in roles:
+                stored = self.stacked_heads[role]
+                p = Parameter(stored.data[e].reshape(shape), f"expert.{kind}.{role}")
+                p.grad = stored.grad[e].reshape(shape)
+                ps.append(p)
         return ps
 
     def stored_parameters(self):
         """The tensors that own the parameter memory: the trunk's, then the stacked roles."""
-        return self.trunk.parameters() + self.stacked_heads.parameters()
+        return list(self.trunk.values()) + list(self.stacked_heads.values())
 
     def zero_grad(self):
         for p in self.stored_parameters():
             p.zero_grad()
 
 
-def _view(modules, combine):
-    """A copy of modules[0] whose tensors are combine(that role in every module)."""
-    view = copy.copy(modules[0])
-    for name, value in list(vars(view).items()):
-        parts = [getattr(m, name) for m in modules]
-        if isinstance(value, Tensor):
-            setattr(view, name, combine(parts))
-        elif isinstance(value, list):
-            setattr(view, name, [_view(group, combine) for group in zip(*parts)])
-        elif hasattr(value, "parameters"):
-            setattr(view, name, _view(parts, combine))
-    return view
-
-
-def _stack_storage(heads):
-    """The heads as one head whose parameter roles are stacked along axis 0.
-
-    Each role becomes one Parameter of shape (E, ...) that owns the values
-    and gradients, and every head's Parameter becomes a view of its
-    expert's slice of both, so either side sees the other's writes. Vectors
-    get singleton axes after E to broadcast over the batch axes: (B, L) per
-    frame, (B,) in the classifier. The result has the ExpertHead
-    attributes, so estimate_mean, estimate_variance and classify run it as
-    they run a single head, with E in front of every activation. The gamma
-    targets stay on the heads.
-    """
-    def store(frame_axes):
-        def combine(params):
-            data = np.stack([p.data for p in params])
-            if data.ndim == 2:
-                data = data.reshape(data.shape[:1] + (1,) * frame_axes + data.shape[1:])
-            role = Parameter(data, "expert.*." + params[0].name.split(".", 2)[2])
-            for p, value, grad in zip(params, role.data, role.grad):
-                p.data = value.reshape(p.data.shape)
-                p.grad = grad.reshape(p.data.shape)
-            return role
-        return combine
-
-    view = copy.copy(heads[0])
-    view.gamma = None
-    for name in ("phi_mu", "phi_var", "f_q", "f_k", "f_v", "classifier"):
-        frame_axes = 1 if name == "classifier" else 2
-        setattr(view, name, _view([getattr(h, name) for h in heads], store(frame_axes)))
-    return view
-
-
 # -- forward ops --------------------------------------------------------------
-# Every op takes an optional leading expert axis when given stacked heads.
+# `head` maps role names to tensors: the stacked heads, whose leading expert
+# axis every op carries through, or one expert's slice of them.
+
+def _linear(params, name, x):
+    return ag.add(ag.matmul(x, params[f"{name}.W"]), params[f"{name}.b"])
+
+
+def _mlp(params, name, x):
+    """The normalized ReLU layers name.layer0, name.layer1, ... present, then name.out."""
+    i = 0
+    while f"{name}.layer{i}.W" in params:
+        layer = [params[f"{name}.layer{i}.{r}"] for r in ("W", "b", "scale", "shift")]
+        x = ag.relu(ag.affine_norm_layer(x, *layer))
+        i += 1
+    return _linear(params, f"{name}.out", x)
+
 
 def trunk_forward(X, trunk):
     """Per-frame trunk application; X is (B, L, D), (L, D) or (E, B, L, D)."""
     X = X if isinstance(X, Tensor) else Tensor(X)
-    return trunk(X)
+    return ag.relu(_linear(trunk, "trunk", X))
 
 
 def estimate_mean(H0, head):
     """Mean-pool phi_mu over frames, then L2-normalize each row."""
-    h = head.phi_mu(H0)
+    h = _mlp(head, "phi_mu", H0)
     mu = ag.mean_along(h, axis=-2)
     return ag.l2_normalize(mu, axis=-1)
 
@@ -256,13 +190,13 @@ def estimate_variance(H0, mu, head, temporal_attention=True):
     and weight the value projections; without it, value projections are
     mean-pooled. Softplus keeps sigma non-negative.
     """
-    h = head.phi_var(H0)                       # (..., L, d)
+    h = _mlp(head, "phi_var", H0)              # (..., L, d)
     mu_b = ag.reshape(mu, mu.shape[:-1] + (1,) + mu.shape[-1:])
     delta = ag.sub(h, mu_b)
-    v = head.f_v(delta)
+    v = _linear(head, "f_v", delta)
     if temporal_attention:
-        q = head.f_q(delta)
-        k = head.f_k(delta)
+        q = _linear(head, "f_q", delta)
+        k = _linear(head, "f_k", delta)
         d = delta.shape[-1]
         scores = ag.mul(ag.sum_along(ag.mul(q, k), axis=-1), 1.0 / np.sqrt(d))
         alpha = ag.softmax_along(scores, axis=-1)            # (..., L)
@@ -273,28 +207,18 @@ def estimate_variance(H0, mu, head, temporal_attention=True):
     return ag.softplus(raw)
 
 
-def reparameterize(mu, sigma, rng, train_mode):
-    """z = mu + eps * sigma with eps ~ N(0,1) in train mode, eps = 0 in eval."""
-    if train_mode:
-        epsilon = rng.standard_normal(mu.shape)
-    else:
-        epsilon = np.zeros(mu.shape)
-    z = ag.add(mu, ag.mul(Tensor(epsilon), sigma))
-    return Embedding(mu=mu, sigma=sigma, z=z)
+def reparameterize(mu, sigma, eps):
+    """The stochastic embedding z = mu + eps * sigma for the noise array eps."""
+    return ag.add(mu, ag.mul(Tensor(eps), sigma))
 
 
 def classify(z, head):
     """Per-class sigmoid probabilities from linear logits."""
-    return ag.sigmoid(head.classifier(z))
+    return ag.sigmoid(_linear(head, "cls", z))
 
 
-def forward_expert(X, trunk, head, rng=None, train_mode=False, temporal_attention=True):
-    H0 = trunk_forward(X, trunk)
-    mu = estimate_mean(H0, head)
-    sigma = estimate_variance(H0, mu, head, temporal_attention)
-    emb = reparameterize(mu, sigma, rng, train_mode)
-    p = classify(emb.z, head)
-    return emb, p
+def _frozen(params):
+    return {role: Tensor(p.data) for role, p in params.items()}
 
 
 def forward_inference(X, model):
@@ -305,8 +229,8 @@ def forward_inference(X, model):
     and each activation is freed as soon as it is consumed. Eval mode sets
     z = mu, so the variance branch is not run.
     """
-    heads = _view([model.stacked_heads], lambda params: Tensor(params[0].data))
-    H0 = trunk_forward(X, _view([model.trunk], lambda params: Tensor(params[0].data)))
+    heads = _frozen(model.stacked_heads)
+    H0 = trunk_forward(X, _frozen(model.trunk))
     mu = estimate_mean(ag.reshape(H0, (1,) + H0.shape), heads)
     return ag.mean_along(classify(mu, heads), axis=0)
 

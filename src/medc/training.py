@@ -16,14 +16,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import autograd as ag
 from . import sampling
-from .autograd import Tensor
 from .data import HEAD_THRESHOLD, MEDIUM_THRESHOLD, compute_label_stats
 from .losses import (LossWeights, classification_loss, gamma_targets,
                      mean_contrastive_loss, total_loss, variance_region_loss)
 from .model import (Model, ModelConfig, classify, estimate_mean, estimate_variance,
-                    load_checkpoint, save_checkpoint, trunk_forward)
+                    load_checkpoint, reparameterize, save_checkpoint, trunk_forward)
 from .sampling import EXPERT_KINDS, INVERSE, LONG_TAILED, UNIFORM
 from .seeding import derive_rng
 
@@ -141,12 +139,11 @@ def composed_objective(model, kinds, X, Y, eps, weights, tau=1.0, strict_cls=Fal
     H0 = trunk_forward(X, model.trunk)
     mu = estimate_mean(H0, heads)
     sigma = estimate_variance(H0, mu, heads, model.cfg.temporal_attention)
-    z = ag.add(mu, ag.mul(Tensor(eps), sigma))
-    p = classify(z, heads)
+    p = classify(reparameterize(mu, sigma, eps), heads)
     gamma = np.stack([model.heads[kind].gamma for kind in kinds])
     terms = (mean_contrastive_loss(mu, Y, tau), classification_loss(p, Y, strict_cls),
              variance_region_loss(sigma, Y, gamma))
-    return total_loss([terms], weights), terms
+    return total_loss(terms, weights), terms
 
 
 def train_epoch(model, feats, labels, samplers, cfg, epoch, adam):

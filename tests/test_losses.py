@@ -206,13 +206,13 @@ def test_variance_loss_gradient_matches_finite_differences():
 # -- combination ---------------------------------------------------------------
 
 def test_total_loss_weighted_sum():
-    terms = [(Tensor(1.0), Tensor(2.0), Tensor(3.0))]
+    terms = (Tensor([1.0]), Tensor([2.0]), Tensor([3.0]))
     out = total_loss(terms, LossWeights(0.8, 1.0, 0.4))
     assert out.item() == pytest.approx(0.8 * 1 + 1.0 * 2 + 0.4 * 3)
 
 
 def test_total_loss_sums_over_experts():
-    terms = [(Tensor(1.0), Tensor(1.0), Tensor(1.0))] * 3
+    terms = (Tensor(np.ones(3)), Tensor(np.ones(3)), Tensor(np.ones(3)))
     out = total_loss(terms, LossWeights(1.0, 1.0, 1.0))
     assert out.item() == pytest.approx(9.0)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -7,9 +8,9 @@ import pytest
 from medc import autograd as ag
 from medc.autograd import Tensor
 from medc.model import (EXPERT_KINDS, Model, ModelConfig, classify,
-                        estimate_mean, estimate_variance, forward_expert,
-                        forward_inference, load_checkpoint, reparameterize,
-                        save_checkpoint, trunk_forward)
+                        estimate_mean, estimate_variance, forward_inference,
+                        load_checkpoint, reparameterize, save_checkpoint,
+                        trunk_forward)
 from medc.seeding import derive_rng
 from medc.verify import composed_objective_gradcheck
 
@@ -20,49 +21,58 @@ def tiny_cfg(**over):
     return ModelConfig(**base)
 
 
-def zero_linear(lin):
-    lin.W.data[:] = 0.0
-    lin.b.data[:] = 0.0
+def expert_slice(model, kind):
+    """One expert's head as the forward functions take it: its slice of every stored role."""
+    e = model.cfg.experts.index(kind)
+    return {role: p[e] for role, p in model.stacked_heads.items()}
 
 
-class IdentityMap:
-    def __call__(self, x):
-        return x
+def expert_forward(model, X, kind, eps):
+    """mu, sigma and the class probabilities of one expert, through its slice."""
+    head = expert_slice(model, kind)
+    H0 = trunk_forward(X, model.trunk)
+    mu = estimate_mean(H0, head)
+    sigma = estimate_variance(H0, mu, head, model.cfg.temporal_attention)
+    return mu, sigma, classify(reparameterize(mu, sigma, eps), head)
 
-    def parameters(self):
-        return []
+
+def zero_linear(model, kind, name):
+    e = model.cfg.experts.index(kind)
+    model.stacked_heads[f"{name}.W"].data[e] = 0.0
+    model.stacked_heads[f"{name}.b"].data[e] = 0.0
 
 
 def test_trunk_identity_weights_give_relu():
     model = Model(tiny_cfg(), seed=0)
-    model.trunk.lin.W.data = np.eye(3)
-    model.trunk.lin.b.data[:] = 0.0
+    model.trunk["trunk.W"].data = np.eye(3)
+    model.trunk["trunk.b"].data[:] = 0.0
     X = np.array([[[1.0, -2.0, 0.5], [-0.1, 3.0, -4.0]]])
     out = trunk_forward(X, model.trunk)
     assert np.array_equal(out.data, np.maximum(X, 0.0))
 
 
 def test_estimate_mean_hand_case():
-    head = Model(tiny_cfg(d=2, d_trunk=2), seed=0).heads["long_tailed"]
-    head.phi_mu = IdentityMap()
-    H0 = Tensor([[1.0, 3.0], [3.0, 5.0]])  # pools to (2, 4)
-    mu = estimate_mean(H0, head)
-    assert mu.data == pytest.approx(np.array([2.0, 4.0]) / np.sqrt(20.0))
+    model = Model(tiny_cfg(d=2, d_trunk=2, phi_depth=1), seed=0)
+    model.stacked_heads["phi_mu.out.W"].data[0] = np.eye(2)  # phi_mu is the identity
+    model.stacked_heads["phi_mu.out.b"].data[0] = 0.0
+    H0 = Tensor([[[1.0, 3.0], [3.0, 5.0]]])  # one video, pools to (2, 4)
+    mu = estimate_mean(H0, expert_slice(model, "long_tailed"))
+    assert mu.data[0] == pytest.approx(np.array([2.0, 4.0]) / np.sqrt(20.0))
 
 
 def test_estimate_mean_rows_are_unit_norm():
     model = Model(tiny_cfg(), seed=3)
     X = derive_rng(3, "x").uniform(-1, 1, size=(5, 4, 3))
     H0 = trunk_forward(X, model.trunk)
-    mu = estimate_mean(H0, model.heads["uniform"])
+    mu = estimate_mean(H0, expert_slice(model, "uniform"))
     assert mu.shape == (5, 6)
     np.testing.assert_allclose(np.linalg.norm(mu.data, axis=-1), 1.0, atol=1e-12)
 
 
 def test_sigma_is_softplus_zero_when_values_vanish():
     model = Model(tiny_cfg(), seed=1)
-    head = model.heads["long_tailed"]
-    zero_linear(head.f_v)
+    zero_linear(model, "long_tailed", "f_v")
+    head = expert_slice(model, "long_tailed")
     X = derive_rng(1, "x").uniform(-1, 1, size=(2, 4, 3))
     H0 = trunk_forward(X, model.trunk)
     mu = estimate_mean(H0, head)
@@ -72,8 +82,8 @@ def test_sigma_is_softplus_zero_when_values_vanish():
 
 def test_zero_query_attention_equals_mean_pooling():
     model = Model(tiny_cfg(), seed=2)
-    head = model.heads["inverse"]
-    zero_linear(head.f_q)
+    zero_linear(model, "inverse", "f_q")
+    head = expert_slice(model, "inverse")
     X = derive_rng(2, "x").uniform(-1, 1, size=(3, 5, 3))
     H0 = trunk_forward(X, model.trunk)
     mu = estimate_mean(H0, head)
@@ -84,7 +94,7 @@ def test_zero_query_attention_equals_mean_pooling():
 
 def test_single_frame_attention_is_identity_weighting():
     model = Model(tiny_cfg(), seed=4)
-    head = model.heads["uniform"]
+    head = expert_slice(model, "uniform")
     X = derive_rng(4, "x").uniform(-1, 1, size=(2, 1, 3))
     H0 = trunk_forward(X, model.trunk)
     mu = estimate_mean(H0, head)
@@ -96,7 +106,8 @@ def test_single_frame_attention_is_identity_weighting():
 def test_sigma_nonnegative():
     model = Model(tiny_cfg(), seed=6)
     X = derive_rng(6, "x").uniform(-3, 3, size=(4, 3, 3))
-    for head in model.heads.values():
+    for kind in model.cfg.experts:
+        head = expert_slice(model, kind)
         H0 = trunk_forward(X, model.trunk)
         mu = estimate_mean(H0, head)
         sigma = estimate_variance(H0, mu, head)
@@ -106,61 +117,60 @@ def test_sigma_nonnegative():
 def test_reparameterize_eval_mode_returns_mean():
     mu = Tensor([[0.3, -0.7]])
     sigma = Tensor([[2.0, 5.0]])
-    emb = reparameterize(mu, sigma, rng=None, train_mode=False)
-    assert np.array_equal(emb.z.data, mu.data)
+    z = reparameterize(mu, sigma, np.zeros(mu.shape))
+    assert np.array_equal(z.data, mu.data)
 
 
 def test_reparameterize_train_mode_statistics():
     n = 20000
     mu = Tensor(np.zeros((n, 1)))
     sigma = Tensor(np.full((n, 1), 1.5))
-    emb = reparameterize(mu, sigma, derive_rng(0, "eps"), train_mode=True)
-    z = emb.z.data
+    z = reparameterize(mu, sigma, derive_rng(0, "eps").standard_normal(mu.shape)).data
     assert abs(z.mean()) < 0.05
     assert abs(z.std() - 1.5) < 0.05
 
 
 def test_classify_zero_logits_give_half():
-    head = Model(tiny_cfg(), seed=0).heads["long_tailed"]
-    zero_linear(head.classifier)
-    p = classify(Tensor(np.ones((2, 6))), head)
+    model = Model(tiny_cfg(), seed=0)
+    zero_linear(model, "long_tailed", "cls")
+    p = classify(Tensor(np.ones((2, 6))), expert_slice(model, "long_tailed"))
     assert np.array_equal(p.data, np.full((2, 4), 0.5))
 
 
 def test_classify_bias_hand_case():
-    head = Model(tiny_cfg(C=2), seed=0).heads["long_tailed"]
-    zero_linear(head.classifier)
-    head.classifier.b.data[:] = [0.0, np.log(3.0)]
-    p = classify(Tensor(np.zeros((1, 6))), head)
+    model = Model(tiny_cfg(C=2), seed=0)
+    zero_linear(model, "long_tailed", "cls")
+    model.stacked_heads["cls.b"].data[0] = [0.0, np.log(3.0)]
+    p = classify(Tensor(np.zeros((1, 6))), expert_slice(model, "long_tailed"))
     assert p.data.ravel() == pytest.approx([0.5, 0.75])
 
 
-def test_forward_expert_shapes_and_determinism():
+def test_expert_slice_forward_shapes_and_determinism():
     model = Model(tiny_cfg(), seed=8)
     X = derive_rng(8, "x").uniform(-1, 1, size=(5, 4, 3))
-    head = model.heads["long_tailed"]
-    e1, p1 = forward_expert(X, model.trunk, head)
-    e2, p2 = forward_expert(X, model.trunk, head)
-    assert p1.shape == (5, 4) and e1.mu.shape == (5, 6)
+    mu1, sigma1, p1 = expert_forward(model, X, "uniform", np.zeros((5, 6)))
+    mu2, sigma2, p2 = expert_forward(model, X, "uniform", np.zeros((5, 6)))
+    assert p1.shape == (5, 4) and mu1.shape == (5, 6)
     assert np.array_equal(p1.data, p2.data)
-    assert np.array_equal(e1.sigma.data, e2.sigma.data)
+    assert np.array_equal(sigma1.data, sigma2.data)
+    model.zero_grad()
+    ag.sum_along(p1).backward()
+    for role, p in model.stacked_heads.items():  # the gradient lands in the slice only
+        assert not np.delete(p.grad, 1, axis=0).any(), role
+    assert model.stacked_heads["cls.W"].grad[1].any()
 
 
 def copy_parameters(dst, src):
     """Write src's trunk and, by expert kind, its heads into dst's stored values."""
-    pairs = list(zip(dst.trunk.parameters(), src.trunk.parameters()))
-    for kind in dst.cfg.experts:
-        pairs += zip(dst.heads[kind].parameters(), src.heads[kind].parameters())
-    for p_dst, p_src in pairs:
-        p_dst.data[...] = p_src.data
+    named = {p.name: p for p in src.parameters()}
+    for p in dst.parameters():
+        p.data[...] = named[p.name].data
 
 
 def test_inference_average_of_identical_experts_is_idempotent():
     model = Model(tiny_cfg(), seed=9)
-    src = model.heads["long_tailed"]
-    for kind in ("uniform", "inverse"):
-        for p_dst, p_src in zip(model.heads[kind].parameters(), src.parameters()):
-            p_dst.data[...] = p_src.data
+    for p in model.stacked_heads.values():  # every expert a copy of long_tailed
+        p.data[:] = p.data[model.cfg.experts.index("long_tailed")]
     single = Model(tiny_cfg(experts=("long_tailed",)), seed=0)
     copy_parameters(single, model)
     X = derive_rng(9, "x").uniform(-1, 1, size=(3, 2, 3))
@@ -171,10 +181,9 @@ def test_inference_average_of_identical_experts_is_idempotent():
 def test_inference_average_arithmetic():
     model = Model(tiny_cfg(C=1), seed=10)
     probs = [0.2, 0.4, 0.6]
-    for kind, p in zip(EXPERT_KINDS, probs):
-        head = model.heads[kind]
-        zero_linear(head.classifier)
-        head.classifier.b.data[:] = np.log(p / (1.0 - p))
+    for e, (kind, p) in enumerate(zip(EXPERT_KINDS, probs)):
+        zero_linear(model, kind, "cls")
+        model.stacked_heads["cls.b"].data[e] = np.log(p / (1.0 - p))
     X = derive_rng(10, "x").uniform(0.1, 1.0, size=(2, 3, 3))
     out = forward_inference(X, model)
     assert out.data == pytest.approx(np.full((2, 1), 0.4))
@@ -227,24 +236,6 @@ def test_checkpoint_stores_extra_arrays_as_binary(tmp_path):
     assert np.array_equal(extra["adam"]["m"], moments)
 
 
-def test_checkpoint_rejects_shape_mismatch(tmp_path):
-    import json
-    import struct
-
-    model = Model(tiny_cfg(), seed=13)
-    path = tmp_path / "model.bin"
-    save_checkpoint(path, model)
-    blob = path.read_bytes()
-    (mlen,) = struct.unpack("<Q", blob[8:16])
-    manifest = json.loads(blob[16:16 + mlen])
-    manifest["params"][0]["shape"] = [99, 99]
-    new_m = json.dumps(manifest, sort_keys=True).encode()
-    path.write_bytes(blob[:8] + struct.pack("<Q", len(new_m)) + new_m
-                     + blob[16 + mlen:])
-    with pytest.raises(ValueError, match="99"):
-        load_checkpoint(path)
-
-
 def rewrite_manifest(path, change):
     """Apply change(manifest) to the JSON manifest of the checkpoint at path."""
     blob = path.read_bytes()
@@ -253,6 +244,31 @@ def rewrite_manifest(path, change):
     change(manifest)
     new_m = json.dumps(manifest, sort_keys=True).encode()
     path.write_bytes(blob[:8] + struct.pack("<Q", len(new_m)) + new_m + blob[16 + mlen:])
+
+
+# sha256 of the checkpoint of Model(tiny_cfg(**over), seed=12): the role table's
+# order, its names and its RNG draw order are pinned to these bytes
+GOLDEN_CHECKPOINTS = [
+    (dict(phi_depth=1), "c5b1ac7a0031879dcff350ac5b11a1018194f149f58cbe8ab05a5871862dba2f"),
+    (dict(phi_depth=3, experts=("inverse", "uniform")),
+     "bb0b5176a6d6e4e6003a6987558c712799734d91d7264e7e743f3353a864331f"),
+]
+
+
+@pytest.mark.parametrize("over,digest", GOLDEN_CHECKPOINTS, ids=["depth1", "depth3-two-experts"])
+def test_checkpoint_bytes_are_pinned(tmp_path, over, digest):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, Model(tiny_cfg(**over), seed=12))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_checkpoint_rejects_shape_mismatch(tmp_path):
+    model = Model(tiny_cfg(), seed=13)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, model)
+    rewrite_manifest(path, lambda m: m["params"][0].update(shape=[99, 99]))
+    with pytest.raises(ValueError, match="99"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("change,named", [
@@ -305,11 +321,8 @@ def test_checkpoint_reader_is_bounds_checked(tmp_path):
     path.write_bytes(blob + b"\x00")
     with pytest.raises(ValueError, match=f"trailing garbage at byte offset {len(blob)}"):
         load_checkpoint(path)
-    (mlen,) = struct.unpack("<Q", blob[8:16])
-    manifest = json.loads(blob[16:16 + mlen])
-    manifest["arrays"][0] = [-5]
-    new_m = json.dumps(manifest, sort_keys=True).encode()
-    path.write_bytes(blob[:8] + struct.pack("<Q", len(new_m)) + new_m + blob[16 + mlen:])
+    path.write_bytes(blob)
+    rewrite_manifest(path, lambda m: m.update(arrays=[[-5]]))
     with pytest.raises(ValueError, match="negative length -40 for array 0 at byte offset"):
         load_checkpoint(path)
 

@@ -1,5 +1,4 @@
-import json
-import struct
+import functools
 
 import numpy as np
 import pytest
@@ -10,13 +9,13 @@ from medc.autograd import Parameter
 from medc.data import SyntheticConfig, generate_synthetic
 from medc.losses import (LossWeights, classification_loss, mean_contrastive_loss,
                          total_loss, variance_region_loss)
-from medc.model import (EXPERT_KINDS, Model, ModelConfig, forward_expert,
-                        forward_inference, load_checkpoint, save_checkpoint)
+from medc.model import (EXPERT_KINDS, Model, ModelConfig, forward_inference,
+                        load_checkpoint, save_checkpoint)
 from medc.seeding import derive_rng
 from medc.training import (TERM_NAMES, Adam, TrainConfig, composed_objective,
                            train)
 
-from test_model import rewrite_manifest
+from test_model import expert_forward, rewrite_manifest
 
 
 def small_dataset(seed=0, counts=(12, 8, 4)):
@@ -213,13 +212,12 @@ def test_version_2_checkpoint_loads_but_is_not_resumed(tmp_path):
     records = small_dataset()
     model, _ = train(small_train_cfg(epochs=1), records, out_dir=str(tmp_path))
     path = tmp_path / "checkpoint_final.bin"
-    blob = path.read_bytes()
-    (mlen,) = struct.unpack("<Q", blob[8:16])
-    manifest = json.loads(blob[16:16 + mlen])
-    manifest["version"] = 2
-    del manifest["extra"]["adam"]["params"]  # version 2 kept no parameter order
-    new_m = json.dumps(manifest, sort_keys=True).encode()
-    path.write_bytes(blob[:8] + struct.pack("<Q", len(new_m)) + new_m + blob[16 + mlen:])
+
+    def as_version_2(manifest):
+        manifest["version"] = 2
+        del manifest["extra"]["adam"]["params"]  # version 2 kept no parameter order
+
+    rewrite_manifest(path, as_version_2)
     loaded, _ = load_checkpoint(path)
     for p, q in zip(model.parameters(), loaded.parameters()):
         assert np.array_equal(p.data, q.data)
@@ -241,14 +239,14 @@ def test_checkpoint_without_run_record_loads_but_is_not_resumed(tmp_path):
 
 def _assert_parameters_are_stored_stacked(model):
     stored = {p.name: p for p in model.stored_parameters()}
-    for p in model.trunk.parameters():
+    for p in model.trunk.values():
         assert stored[p.name] is p
-    for e, kind in enumerate(model.cfg.experts):
-        for p in model.heads[kind].parameters():
-            role = stored["expert.*." + p.name.split(".", 2)[2]]
-            for mine, store in ((p.data, role.data), (p.grad, role.grad)):
-                assert np.shares_memory(mine, store[e]), p.name
-                assert np.array_equal(mine.ravel(), store[e].ravel()), p.name
+    for p in model.parameters()[len(model.trunk):]:
+        _, kind, role_name = p.name.split(".", 2)
+        e, role = model.cfg.experts.index(kind), stored["expert.*." + role_name]
+        for mine, store in ((p.data, role.data), (p.grad, role.grad)):
+            assert np.shares_memory(mine, store[e]), p.name
+            assert np.array_equal(mine.ravel(), store[e].ravel()), p.name
 
 
 def test_head_parameters_stay_views_of_the_stacked_storage(tmp_path, monkeypatch):
@@ -350,12 +348,10 @@ def test_batched_objective_matches_per_head_reference(E, attention):
 
     per_head = []
     for e, kind in enumerate(kinds):
-        head = model.heads[kind]
-        emb, p = forward_expert(X[e], model.trunk, head, rng=derive_rng(E, "eps", kind),
-                                train_mode=True, temporal_attention=attention)
-        per_head.append((mean_contrastive_loss(emb.mu, Y[e]), classification_loss(p, Y[e]),
-                         variance_region_loss(emb.sigma, Y[e], head.gamma)))
-    ref_loss = total_loss(per_head, weights)
+        mu, sigma, p = expert_forward(model, X[e], kind, eps[e])
+        per_head.append((mean_contrastive_loss(mu, Y[e]), classification_loss(p, Y[e]),
+                         variance_region_loss(sigma, Y[e], model.heads[kind].gamma)))
+    ref_loss = functools.reduce(ag.add, [total_loss(t, weights) for t in per_head])
     reference = gradients(ref_loss)
 
     assert terms[0].data[0] == 0.0
