@@ -2,7 +2,8 @@
 
 Tensors wrap float64 numpy arrays and record a computation graph on the fly.
 Calling ``backward()`` on a scalar output accumulates gradients into every
-reachable tensor with ``requires_grad=True``. Only the ops needed by the
+reachable tensor with ``requires_grad=True``; inside ``with no_tape():`` ops
+record no graph. Only the ops needed by the
 model live here; everything is deterministic and single threaded.
 """
 
@@ -121,8 +122,29 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# False inside a `no_tape` block: ops then record nothing
+_taping = True
+
+
+class no_tape:
+    """Context in which every op returns its bare output, with no tape.
+
+    The idea of torch.no_grad: nothing computed inside can be backpropagated,
+    and each intermediate is freed as soon as it is consumed. The previous
+    mode is restored on exit, also when the block raises.
+    """
+
+    def __enter__(self):
+        global _taping
+        self._was, _taping = _taping, False
+
+    def __exit__(self, *exc_info):
+        global _taping
+        _taping = self._was
+
+
 def _track(out, parents, backward):
-    if any(p.requires_grad or p._parents for p in parents):
+    if _taping and any(p.requires_grad or p._parents for p in parents):
         out._parents = parents
         out._backward = backward
     return out

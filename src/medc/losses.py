@@ -2,7 +2,10 @@
 
 Total objective: lambda1 * sum_e L_mu + lambda2 * sum_e L_cls +
 lambda3 * sum_e L_sigma, summed over experts. Each loss takes an optional
-leading expert axis and then returns one value per expert.
+leading expert axis and then returns one value per expert. Any further
+leading axes in front of it (a probe axis: K copies of the batch under K
+parameter sets) are carried through, so a loss of labels (K, E, B, C)
+is (K, E).
 """
 
 from dataclasses import dataclass
@@ -52,14 +55,39 @@ def gamma_targets(stats, expert_kind, a=0.01, b=1.0, uniform_const=0.5):
     return a + (b - a) * (w - lo) / (hi - lo)
 
 
-def _mean_per_expert(values, owner, lead):
-    """Mean of the row values (R,) per expert; an expert with no rows gets 0.
+def _rows(mask, lead):
+    """np.nonzero(mask), one row per true entry, laid out for `_mean_per_expert`.
 
-    lead is () for a single head, whose mean is a scalar, or (E,) with
-    owner[r] the expert of row r.
+    For a single head (lead ()) the index arrays are flat (R,). With lead
+    (..., E) each is lead[:-1] + (1, R): the entries of probe index g fill
+    row g in order, and a probe with fewer entries is padded with index -1,
+    a valid index whose expert -1 matches no expert. With one probe
+    index, as for lead (E,), that is np.nonzero's order with no padding.
+    """
+    idx = np.nonzero(mask)
+    if len(lead) < 2:  # at most one probe index: nothing to pad
+        return tuple(i[None] for i in idx) if lead else idx
+    probes = lead[:-1]
+    group = np.ravel_multi_index(idx[:len(probes)], probes)
+    counts = np.bincount(group, minlength=int(np.prod(probes)))
+    slot = np.arange(group.size) - (np.cumsum(counts) - counts)[group]
+    laid = []
+    for i in idx:
+        a = np.full((counts.size, counts.max()), -1, dtype=np.intp)
+        a[group, slot] = i
+        laid.append(a.reshape(probes + (1, counts.max())))
+    return tuple(laid)
+
+
+def _mean_per_expert(values, rows, lead):
+    """Mean of the row values per leading index; an index with no rows gets 0.
+
+    values and rows are laid out by `_rows`. lead is () for a single head,
+    whose mean is a scalar, or (..., E), whose expert e averages the rows
+    with rows[len(lead) - 1] == e within each probe index.
     """
     if lead:
-        member = (owner[None, :] == np.arange(lead[0])[:, None]).astype(np.float64)
+        member = (rows[len(lead) - 1] == np.arange(lead[-1])[:, None]).astype(np.float64)
     else:
         member = np.ones(values.shape[0])
     weights = member / np.maximum(member.sum(axis=-1, keepdims=True), 1.0)
@@ -95,16 +123,15 @@ def mean_contrastive_loss(mus, labels, tau=1.0):
     # nearest positive by dot product; argmax breaks ties by lowest index
     best = np.where(share, sv, -np.inf).argmax(axis=-1)
 
-    rows = np.nonzero(eligible)       # (expert, anchor) of each eligible row
-    mask = disjoint[rows].astype(np.float64)
-    mask[np.arange(mask.shape[0]), best[rows]] = 1.0
+    rows = _rows(eligible, lead)      # (leading index, anchor) of each eligible row
+    mask = (disjoint | (best[..., None] == np.arange(B)))[rows].astype(np.float64)
     # constant per-anchor shift keeps exp bounded without touching gradients
-    shift = np.where(mask > 0, sv[rows], -np.inf).max(axis=1, keepdims=True)
+    shift = np.where(mask > 0, sv[rows], -np.inf).max(axis=-1, keepdims=True)
     z = ag.mul(ag.sub(sims[rows], Tensor(shift)), 1.0 / tau)
     e = ag.mul(ag.exp(z), Tensor(mask))
-    lse = ag.add(ag.log(ag.sum_along(e, axis=1)), Tensor(shift[:, 0] / tau))
+    lse = ag.add(ag.log(ag.sum_along(e, axis=-1)), Tensor(shift[..., 0] / tau))
     pos = ag.mul(sims[rows + (best[rows],)], 1.0 / tau)
-    return _mean_per_expert(ag.sub(lse, pos), rows[0], lead)
+    return _mean_per_expert(ag.sub(lse, pos), rows, lead)
 
 
 def classification_loss(p, y, strict_positive_only=False):
@@ -128,27 +155,30 @@ def variance_region_loss(sigmas, labels, gamma):
 
     Mean over samples, their positive labels, and embedding dimensions of
     (sigma_j^2 - gamma_c)^2. With a leading expert axis (sigmas (E, B, d),
-    labels (E, B, C), gamma (E, C)) the mean is per expert, giving (E,).
+    labels (E, B, C), gamma (E, C)) the mean is per expert, giving (E,);
+    gamma broadcasts over any further leading axes of the labels.
     """
     labels = np.asarray(labels)
     lead = labels.shape[:-2]
-    *rows, cols = np.nonzero(labels)
+    *rows, cols = _rows(labels, lead)
     if cols.size == 0:
         return Tensor(np.zeros(lead))
     rows = tuple(rows)
-    sel = ag.square(sigmas)[rows]                                    # (P, d)
-    targets = Tensor(np.asarray(gamma)[rows[:-1] + (cols,)][:, None])
-    dev = ag.sum_along(ag.square(ag.sub(sel, targets)), axis=-1)     # (P,)
-    return ag.mul(_mean_per_expert(dev, rows[0], lead), 1.0 / sel.shape[-1])
+    sel = ag.square(sigmas)[rows]                                    # (..., R, d)
+    gamma = np.broadcast_to(gamma, lead + labels.shape[-1:])
+    targets = Tensor(gamma[rows[:-1] + (cols,)][..., None])
+    dev = ag.sum_along(ag.square(ag.sub(sel, targets)), axis=-1)     # (..., R)
+    return ag.mul(_mean_per_expert(dev, rows, lead), 1.0 / sel.shape[-1])
 
 
 def total_loss(terms, weights):
-    """weights-weighted sum of one (L_mu, L_cls, L_sigma) triple over every expert.
+    """weights-weighted sum of one (L_mu, L_cls, L_sigma) triple over the expert axis.
 
-    Each term is a scalar for one expert or an (E,) vector with one value
-    per expert.
+    Each term is a scalar for one expert, an (E,) vector with one value per
+    expert, or (..., E) with further leading (probe) axes, which the sum
+    keeps.
     """
     m, c, s = terms
     t = ag.add(ag.add(ag.mul(m, weights.lambda1), ag.mul(c, weights.lambda2)),
                ag.mul(s, weights.lambda3))
-    return ag.sum_along(t) if t.ndim else t
+    return ag.sum_along(t, axis=-1) if t.ndim else t

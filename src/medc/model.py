@@ -153,7 +153,8 @@ class Model:
 
 # -- forward ops --------------------------------------------------------------
 # `head` maps role names to tensors: the stacked heads, whose leading expert
-# axis every op carries through, or one expert's slice of them.
+# axis every op carries through, or one expert's slice of them. Any further
+# leading axes, such as the gradient check's probe axis, broadcast too.
 
 def _linear(params, name, x):
     return ag.add(ag.matmul(x, params[f"{name}.W"]), params[f"{name}.b"])
@@ -170,7 +171,7 @@ def _mlp(params, name, x):
 
 
 def trunk_forward(X, trunk):
-    """Per-frame trunk application; X is (B, L, D), (L, D) or (E, B, L, D)."""
+    """Per-frame trunk application; X is (B, L, D), (L, D), (E, B, L, D) or (1, E, B, L, D)."""
     X = X if isinstance(X, Tensor) else Tensor(X)
     return ag.relu(_linear(trunk, "trunk", X))
 
@@ -217,22 +218,18 @@ def classify(z, head):
     return ag.sigmoid(_linear(head, "cls", z))
 
 
-def _frozen(params):
-    return {role: Tensor(p.data) for role, p in params.items()}
-
-
 def forward_inference(X, model):
     """Eval-mode probabilities averaged over the model's experts.
 
-    The trunk runs once on X (B, L, D) and the stacked heads once. Both
-    read frozen copies of the stored parameter values, so no tape is built
-    and each activation is freed as soon as it is consumed. Eval mode sets
-    z = mu, so the variance branch is not run.
+    The trunk runs once on X (B, L, D) and the stacked heads once, on the
+    stored parameters under `ag.no_tape`, so no tape is built and each
+    activation is freed as soon as it is consumed. Eval mode sets z = mu,
+    so the variance branch is not run.
     """
-    heads = _frozen(model.stacked_heads)
-    H0 = trunk_forward(X, _frozen(model.trunk))
-    mu = estimate_mean(ag.reshape(H0, (1,) + H0.shape), heads)
-    return ag.mean_along(classify(mu, heads), axis=0)
+    with ag.no_tape():
+        H0 = trunk_forward(X, model.trunk)
+        mu = estimate_mean(ag.reshape(H0, (1,) + H0.shape), model.stacked_heads)
+        return ag.mean_along(classify(mu, model.stacked_heads), axis=0)
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -124,22 +124,30 @@ def build_samplers(records, stats, kinds):
     return built
 
 
-def composed_objective(model, kinds, X, Y, eps, weights, tau=1.0, strict_cls=False):
+def composed_objective(model, kinds, X, Y, eps, weights, tau=1.0, strict_cls=False,
+                       params=None):
     """The training objective of the experts `kinds` as one batched graph.
 
     `kinds` must be the model's experts in order, since the graph reads the
     model's stored stack of heads. Expert e sees its own batch X[e]
     (E, B, L, D) with labels Y[e] (E, B, C) and noise eps[e] (E, B, d).
     Returns the scalar loss and the (E,) vectors (L_mu, L_cls, L_sigma).
+
+    `params` maps every stored role name to the tensor that stands in for
+    it, `model.trunk` and `model.stacked_heads` by default. A probe axis K
+    in front evaluates K parameter sets at once: the head roles are then
+    (K, E, ...), the trunk's (K, 1, D, d_trunk) and (K, 1, 1, 1, d_trunk),
+    X is (1, E, B, L, D) and Y (K, E, B, C); the loss is (K,) and the terms
+    are (K, E).
     """
     if tuple(kinds) != model.cfg.experts:
         raise ValueError(f"composed_objective runs the model's experts {model.cfg.experts}, "
                          f"got {tuple(kinds)}")
-    heads = model.stacked_heads
-    H0 = trunk_forward(X, model.trunk)
-    mu = estimate_mean(H0, heads)
-    sigma = estimate_variance(H0, mu, heads, model.cfg.temporal_attention)
-    p = classify(reparameterize(mu, sigma, eps), heads)
+    params = params or {**model.trunk, **model.stacked_heads}
+    H0 = trunk_forward(X, params)
+    mu = estimate_mean(H0, params)
+    sigma = estimate_variance(H0, mu, params, model.cfg.temporal_attention)
+    p = classify(reparameterize(mu, sigma, eps), params)
     gamma = np.stack([model.heads[kind].gamma for kind in kinds])
     terms = (mean_contrastive_loss(mu, Y, tau), classification_loss(p, Y, strict_cls),
              variance_region_loss(sigma, Y, gamma))

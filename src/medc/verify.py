@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from . import autograd as ag
+from .autograd import Tensor
 from .losses import LossWeights
 from .model import Model, ModelConfig
 from .seeding import derive_rng
@@ -9,20 +11,17 @@ from .training import composed_objective
 
 # an entry whose error at step h exceeds this is retried at h/4 and 4h
 REFINE_ABOVE = 2e-5
+# probes per batched objective evaluation
+PROBES = 64
 
 
-def composed_objective_gradcheck(seed):
-    """Max relative gradient error of the full three-expert objective.
+def composed_objective_problem(seed):
+    """The objective that `composed_objective_gradcheck` checks, as (f, probe, params).
 
-    Builds a random mini-batch of 4 samples (4 frames of 4 features, 4
-    classes) with a mix of shared and disjoint labels, given to every
-    expert, fixes one epsilon draw per expert so the objective is
-    deterministic, and central-differences (h = 2e-5) every parameter entry
-    of the batched objective that training runs, with temporal attention.
-    Parameters get a small random perturbation after init so the check runs
-    at a generic point: fresh zero biases put dead-frame rows exactly on the
-    feature-norm guard, where curvature defeats finite differences even
-    though the analytic gradient is fine.
+    f() is the batched three-expert objective at the stored parameters
+    `params` (the trunk's two, then the stacked head roles); probe(values)
+    is the same objective for K parameter sets along a leading probe axis,
+    values[j] being the (K, ...) stack of params[j]'s values.
     """
     C, d, L, batch, D = 4, 8, 4, 4, 4
     rng = derive_rng(seed, "gradcheck")
@@ -47,23 +46,80 @@ def composed_objective_gradcheck(seed):
     def objective():
         return composed_objective(model, cfg.experts, X, labels, eps, weights)[0]
 
-    return gradient_check(objective, model.parameters(), h=2e-5)
+    def probe(values):
+        W, b, *heads = values
+        K = len(W)
+        params = {"trunk.W": Tensor(W[:, None]), "trunk.b": Tensor(b[:, None, None, None])}
+        params.update((role, Tensor(v)) for role, v in zip(model.stacked_heads, heads))
+        loss, _ = composed_objective(model, cfg.experts, X[None], np.broadcast_to(
+            labels, (K,) + labels.shape), eps, weights, params=params)
+        return loss.data
+
+    return objective, probe, model.stored_parameters()
 
 
-def _fd_error(f, flat, i, analytic, h):
-    orig = flat[i]
-    flat[i] = orig + h
-    f_plus = f().item()
-    flat[i] = orig - h
-    f_minus = f().item()
-    flat[i] = orig
-    if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+def composed_objective_gradcheck(seed):
+    """Max relative gradient error of the full three-expert objective.
+
+    Builds a random mini-batch of 4 samples (4 frames of 4 features, 4
+    classes) with a mix of shared and disjoint labels, given to every
+    expert, fixes one epsilon draw per expert so the objective is
+    deterministic, and central-differences (h = 2e-5) every parameter entry
+    of the batched objective that training runs, with temporal attention.
+    Parameters get a small random perturbation after init so the check runs
+    at a generic point: fresh zero biases put dead-frame rows exactly on the
+    feature-norm guard, where curvature defeats finite differences even
+    though the analytic gradient is fine. The finite differences run as
+    chunks of PROBES parameter sets along a probe axis in front of the
+    expert axis (`composed_objective_problem`), with the tape off.
+    """
+    f, probe, params = composed_objective_problem(seed)
+    return gradient_check(f, params, h=2e-5, probe=probe)
+
+
+def _probe_values(f, params, probes, probe=None):
+    """The objective at each probe (j, i, step): params[j]'s flat entry i set to its value + step.
+
+    With `probe`, chunks of PROBES probes run as one call on the stacked
+    parameter values; without it, each probe is a chunk of one, written
+    into the parameters in place for f() and undone afterwards. The tape
+    is off throughout.
+    """
+    chunk = PROBES if probe else 1
+    out = np.empty(len(probes))
+    with ag.no_tape():
+        for lo in range(0, len(probes), chunk):
+            part = probes[lo:lo + chunk]
+            if probe:
+                values = [np.repeat(p.data[None], len(part), axis=0) for p in params]
+                for k, (j, i, step) in enumerate(part):
+                    values[j][k].reshape(-1)[i] += step
+                out[lo:lo + len(part)] = probe(values)
+            else:
+                (j, i, step), = part
+                flat = params[j].data.reshape(-1)
+                orig = flat[i]
+                flat[i] = orig + step
+                out[lo] = f().item()
+                flat[i] = orig
+    if not np.isfinite(out).all():
         raise ValueError("gradient_check: non-finite objective under perturbation")
+    return out
+
+
+def _errors(f, params, probe, entries, analytic, h):
+    """Relative error of each entry (j, i) against its central difference at step h.
+
+    h is one step for every entry or an array of one step per entry.
+    """
+    h = np.broadcast_to(h, (len(entries),))
+    steps = [(j, i, s) for (j, i), hi in zip(entries, h) for s in (hi, -hi)]
+    f_plus, f_minus = _probe_values(f, params, steps, probe).reshape(-1, 2).T
     numeric = (f_plus - f_minus) / (2.0 * h)
-    return abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
+    return np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
 
 
-def gradient_check(f, params, h=1e-4):
+def gradient_check(f, params, h=1e-4, probe=None):
     """Max relative error of the analytic gradients of scalar f() against central differences.
 
     The error of one entry is |analytic - numeric| / max(1e-8, |analytic| +
@@ -72,6 +128,14 @@ def gradient_check(f, params, h=1e-4):
     noise on near-zero gradients); the entry's error is the best of the
     three. A wrong analytic gradient fails at every step size. A non-finite
     objective, at the point or under a perturbation, raises ValueError.
+
+    The analytic gradient comes from one taped pass of f(). The finite
+    differences run with the tape off (`ag.no_tape`), each probe perturbing
+    one entry by +-step. An objective that takes a probe axis passes
+    probe(values) -> (K,) objective values, values[j] being the (K, ...)
+    stack of params[j]'s values; its probes then run in chunks of PROBES,
+    and the refinement is one more batched pass over the flagged entries.
+    Without `probe` every chunk is one probe, evaluated in place by f().
     """
     for p in params:
         p.zero_grad()
@@ -80,15 +144,13 @@ def gradient_check(f, params, h=1e-4):
         raise ValueError("gradient_check: non-finite objective value")
     y.backward()
 
-    max_err = 0.0
-    for p in params:
-        an = p.grad.reshape(-1)
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            err = _fd_error(f, flat, i, an[i], h)
-            if err > REFINE_ABOVE:
-                err = min(err, _fd_error(f, flat, i, an[i], h / 4.0),
-                          _fd_error(f, flat, i, an[i], 4.0 * h))
-            if err > max_err:
-                max_err = err
-    return max_err
+    entries = [(j, i) for j, p in enumerate(params) for i in range(p.data.size)]
+    analytic = np.concatenate([p.grad.reshape(-1) for p in params])
+    err = _errors(f, params, probe, entries, analytic, h)
+    flagged = np.flatnonzero(err > REFINE_ABOVE)
+    if flagged.size:
+        retry = [entries[n] for n in flagged]
+        ladder = _errors(f, params, probe, retry * 2, np.tile(analytic[flagged], 2),
+                         np.repeat([h / 4.0, 4.0 * h], flagged.size))
+        err[flagged] = np.minimum(err[flagged], ladder.reshape(2, -1).min(axis=0))
+    return err.max()

@@ -7,7 +7,7 @@ import pytest
 
 from medc import autograd as ag
 from medc.autograd import Parameter, ShapeError, Tensor
-from medc.verify import gradient_check
+from medc.verify import REFINE_ABOVE, gradient_check
 
 
 def test_matmul_identity():
@@ -129,6 +129,36 @@ def test_gradient_check_constant():
     theta = Parameter(np.array([1.0, 2.0]), "theta")
     err = gradient_check(lambda: ag.sum_along(ag.mul(theta, 0.0)), [theta])
     assert err == 0.0
+
+
+def test_gradient_check_probe_batches_match_serial_probes():
+    theta = Parameter(np.array([1e-5, 0.5, -0.3]), "theta")  # entry 0 sits on the ReLU kink
+
+    def probe(values):
+        return ag.sum_along(ag.relu(Tensor(values[0])), axis=-1).data
+
+    serial = gradient_check(lambda: ag.sum_along(ag.relu(theta)), [theta])
+    assert serial > REFINE_ABOVE  # so the refinement ladder ran
+    assert gradient_check(lambda: ag.sum_along(ag.relu(theta)), [theta], probe=probe) == serial
+
+
+def test_no_tape_records_nothing_and_is_undone_on_exit():
+    p = Parameter(np.array([1.0, 2.0]), "p")
+    with ag.no_tape():
+        y = ag.mul(p, p)
+        with ag.no_tape():
+            pass
+        inner = ag.add(y, p)
+    assert y._parents == () and y._backward is None
+    assert inner._parents == () and inner._backward is None
+    with pytest.raises(RuntimeError, match="inside"):
+        with ag.no_tape():
+            raise RuntimeError("inside")
+    assert ag._taping
+    z = ag.sum_along(ag.mul(p, p))
+    assert z._parents and z._backward is not None
+    z.backward()
+    np.testing.assert_array_equal(p.grad, [2.0, 4.0])
 
 
 def _rand(rng, *shape):

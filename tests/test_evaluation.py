@@ -3,9 +3,8 @@ import pytest
 
 from medc.data import (HEAD, MEDIUM, TAIL, SyntheticConfig, compute_label_stats,
                        generate_synthetic, split_records)
-from medc.evaluation import (METRIC_COLUMNS, MetricsReport, ablate,
-                             average_precision, evaluate, lambda_sweep,
-                             metrics_from_scores, score_records, write_csv)
+from medc.evaluation import (METRIC_COLUMNS, ablate, average_precision, evaluate,
+                             lambda_sweep, metrics_from_scores, score_records, write_csv)
 from medc.model import Model, ModelConfig
 from medc.training import TrainConfig
 

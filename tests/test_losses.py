@@ -217,6 +217,41 @@ def test_total_loss_sums_over_experts():
     assert out.item() == pytest.approx(9.0)
 
 
+@pytest.mark.parametrize("per_probe", [False, True], ids=["shared-labels", "labels-per-probe"])
+def test_losses_carry_a_probe_axis(per_probe):
+    rng = np.random.default_rng(7)
+    K, E, B, C, d = 5, 3, 6, 4, 3
+    labels = (rng.random((K, E, B, C) if per_probe else (E, B, C)) < 0.4).astype(np.uint8)
+    labels[..., np.arange(B), rng.integers(0, C, B)] = 1  # at least one positive
+    labels = np.broadcast_to(labels, (K, E, B, C))
+    mus = rng.standard_normal((K, E, B, d))
+    mus /= np.linalg.norm(mus, axis=-1, keepdims=True)
+    p = rng.uniform(0.01, 0.99, size=(K, E, B, C))
+    sigmas = rng.uniform(0.1, 1.5, size=(K, E, B, d))
+    gamma = rng.uniform(0.01, 1.0, size=(E, C))
+    weights = LossWeights()
+
+    def terms(k):
+        at = (slice(None),) if k is None else k
+        return (mean_contrastive_loss(Tensor(mus[at]), labels[at]),
+                classification_loss(Tensor(p[at]), labels[at]),
+                variance_region_loss(Tensor(sigmas[at]), labels[at], gamma))
+
+    batched = terms(None)
+    assert all(t.shape == (K, E) for t in batched)
+    total = total_loss(batched, weights)
+    assert total.shape == (K,)
+    assert (batched[0].data > 0.0).any(axis=-1).all()  # every probe has anchors
+    for k in range(K):
+        alone = terms(k)
+        got = np.hstack([t.data[k] for t in batched] + [total.data[k]])
+        want = np.hstack([t.data for t in alone] + [total_loss(alone, weights).data])
+        if per_probe:  # probes with fewer rows are padded, which may move the last bit
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        else:          # the gradient check's case: bit for bit
+            np.testing.assert_array_equal(got, want)
+
+
 def test_loss_weights_validate():
     with pytest.raises(ValueError):
         LossWeights(-0.1, 1.0, 1.0)

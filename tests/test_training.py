@@ -273,6 +273,25 @@ def test_head_parameters_stay_views_of_the_stacked_storage(tmp_path, monkeypatch
     _assert_parameters_are_stored_stacked(built[0])
 
 
+def test_probe_batch_equals_serial_in_place_evaluation():
+    f, probe, params = verify.composed_objective_problem(seed=0)
+    rng = np.random.default_rng(0)
+    probes = [(j, int(rng.integers(p.data.size)), step)
+              for j, p in enumerate(params) for step in (2e-5, -2e-5, 8e-5, -8e-5)]
+    assert len(probes) > verify.PROBES  # more than one chunk
+    before = [p.data.copy() for p in params]
+    batched = verify._probe_values(f, params, probes, probe)
+    for p, b in zip(params, before):
+        np.testing.assert_array_equal(p.data, b)
+    for (j, i, step), got in zip(probes, batched):
+        flat = params[j].data.reshape(-1)
+        orig = flat[i]
+        flat[i] = orig + step
+        assert f().item() == got, (params[j].name, i, step)
+        flat[i] = orig
+    assert len(set(batched.tolist())) > len(params)  # the probes moved the objective
+
+
 def test_composed_objective_refuses_other_experts_than_the_model():
     model = Model(ModelConfig(D=2, C=2, d_trunk=2, hidden=2, d=2), seed=0)
     X = np.zeros((2, 1, 1, 2))
