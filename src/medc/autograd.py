@@ -181,23 +181,18 @@ def matmul(a, b):
     further axes of `a` fold into the rows of one GEMM per batch entry. So a
     2-D `b` (a weight) takes every leading axis of `a` as rows in a single
     GEMM, and an expert stack (E, K, N) maps (E or 1, ..., K) to (E, ..., N).
-    A 1-D `a` is one row whose axis is dropped from the result, as in numpy.
-    When `a` has fewer axes than `b`, numpy broadcasting applies.
+    Both operands have at least two axes. When `a` has fewer axes than `b`,
+    numpy broadcasting applies.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     A, Bs = a.data.shape, b.data.shape
     lead = len(Bs) - 2
-    if (a.data.ndim < 1 or b.data.ndim < 2 or A[-1] != Bs[-2]
+    if (a.data.ndim < 2 or b.data.ndim < 2 or A[-1] != Bs[-2]
             or (a.data.ndim > b.data.ndim
                 and any(m != n and 1 not in (m, n) for m, n in zip(A[:lead], Bs[:lead])))):
         raise ShapeError(f"matmul: incompatible shapes {A} x {Bs}")
-    fold = a.data.ndim > b.data.ndim or a.data.ndim == 1
-    if not fold:
-        a2 = a.data
-    elif a.data.ndim == 1:
-        a2 = a.data.reshape(1, -1)
-    else:
-        a2 = a.data.reshape(A[:lead] + (-1, A[-1]))
+    fold = a.data.ndim > b.data.ndim
+    a2 = a.data.reshape(A[:lead] + (-1, A[-1])) if fold else a.data
     y = np.matmul(a2, b.data)
     out = Tensor(y.reshape(y.shape[:-2] + A[lead:-1] + Bs[-1:]) if fold else y)
 
@@ -334,11 +329,11 @@ def take(x, idx):
 
 # -- composite layers -------------------------------------------------------
 
-def feature_norm(x, guard=1e-5):
-    """Per-row feature normalization: (x - mean) / (std + guard).
+def feature_norm(x):
+    """Per-row feature normalization: (x - mean) / (std + 1e-5).
 
-    Mean and std run over the last axis of each row; the guard keeps the
-    all-equal-features row finite. Fused forward/backward.
+    Mean and std run over the last axis of each row; the 1e-5 guard keeps
+    the all-equal-features row finite. Fused forward/backward.
     """
     x = _as_tensor(x)
     n = x.data.shape[-1]
@@ -346,7 +341,7 @@ def feature_norm(x, guard=1e-5):
         raise ShapeError("feature_norm on empty feature axis")
     centered = x.data - x.data.mean(axis=-1, keepdims=True)
     std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-12)
-    denom = std + guard
+    denom = std + 1e-5
     out = Tensor(centered / denom)
 
     def backward(g):
@@ -367,14 +362,14 @@ def affine_norm_layer(x, W, b, scale, shift):
     return add(mul(scale, feature_norm(a)), shift)
 
 
-def l2_normalize(x, axis=-1, guard=1e-12):
+def l2_normalize(x, axis=-1):
     """Scale rows of x to unit L2 norm along `axis`. Fused forward/backward.
 
-    The guard inside the square root keeps all-zero rows (and their
+    A 1e-12 guard inside the square root keeps all-zero rows (and their
     gradients) finite; such rows map to zero instead of NaN.
     """
     x = _as_tensor(x)
-    norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True) + guard)
+    norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True) + 1e-12)
     y = x.data / norm
 
     def backward(g):

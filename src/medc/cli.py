@@ -52,9 +52,13 @@ def _resolve_seed(args, cfg):
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("MEDC_SEED")
-    if env is not None:
+    if env is None:
+        return cfg.seed
+    try:
         return int(env)
-    return cfg.seed
+    except ValueError:
+        raise ConfigError(f"environment variable MEDC_SEED must be an integer, "
+                          f"got {env!r}") from None
 
 
 def _values(text, kind):
@@ -140,15 +144,16 @@ def _select_variants(names):
 def _experiment(args, name, header, run):
     """Train and evaluate a grid on the config's split of --data, one CSV row per point.
 
-    run(inputs, seed) returns the rows, where inputs are the train config,
-    the train records, the test records and the train set's label stats.
+    run(inputs) returns the rows, where inputs are the train config (with
+    the run's seed), the train records, the test records and the train
+    set's label stats.
     """
     cfg = load_config(args.config)
     seed = _resolve_seed(args, cfg)
     records, tcfg = _load_train_inputs(args, cfg, seed)
     train_recs, test_recs = split_records(records, cfg.test_fraction, seed)
     stats = compute_label_stats(train_recs, cfg.head_threshold, cfg.medium_threshold)
-    rows = run((tcfg, train_recs, test_recs, stats), seed)
+    rows = run((tcfg, train_recs, test_recs, stats))
     os.makedirs(args.out, exist_ok=True)
     out_csv = os.path.join(args.out, f"{name}.csv")
     evaluation.write_csv(out_csv, header, [[row[k] for k in header] for row in rows])
@@ -160,14 +165,14 @@ def cmd_ablate(args):
     variants = _select_variants(args.experts)
     seeds = _values(args.seeds, int) if args.seeds else None
     return _experiment(args, "ablation", ("variant",) + evaluation.METRIC_COLUMNS,
-                       lambda inputs, seed: evaluation.ablate(
-                           *inputs, variants, [seed] if seeds is None else seeds))
+                       lambda inputs: evaluation.ablate(
+                           *inputs, variants, [inputs[0].seed] if seeds is None else seeds))
 
 
 def cmd_sweep(args):
     grids = _values(args.lambda1, float), _values(args.lambda3, float)
     return _experiment(args, "sweep", ("lambda1", "lambda3", "overall_mAP"),
-                       lambda inputs, seed: evaluation.lambda_sweep(*inputs, *grids))
+                       lambda inputs: evaluation.lambda_sweep(*inputs, *grids))
 
 
 def cmd_gradcheck(args):

@@ -50,7 +50,6 @@ class MetricsReport:
     acc_at_5: float
     per_class_AP: dict          # class index -> AP, evaluated classes only
     skipped_classes: list       # classes with no test positives
-    config_digest: str = ""
     seed: int = 0
 
     def metric_rows(self):
@@ -79,7 +78,7 @@ def _group_mean(per_class, groups, tag):
     return float(np.mean(vals)) if vals else math.nan
 
 
-def metrics_from_scores(scores, labels, groups, config_digest="", seed=0):
+def metrics_from_scores(scores, labels, groups, seed=0):
     """MetricsReport of scores (N, C) against 0/1 labels (N, C).
 
     Classes without a positive label are skipped. Raises ValueError when
@@ -114,16 +113,15 @@ def metrics_from_scores(scores, labels, groups, config_digest="", seed=0):
         medium_mAP=_group_mean(per_class, groups, MEDIUM),
         tail_mAP=_group_mean(per_class, groups, TAIL),
         acc_at_1=acc1, acc_at_5=acc5,
-        per_class_AP=per_class, skipped_classes=skipped,
-        config_digest=config_digest, seed=seed)
+        per_class_AP=per_class, skipped_classes=skipped, seed=seed)
 
 
-def evaluate(model, records, stats, config_digest="", seed=0):
+def evaluate(model, records, stats, seed=0):
     """MetricsReport for a test set under averaged-expert inference."""
     if not records:
         raise ValueError("test set is empty")
     scores, labels = score_records(model, records)
-    return metrics_from_scores(scores, labels, stats.groups, config_digest, seed)
+    return metrics_from_scores(scores, labels, stats.groups, seed)
 
 
 # -- report serialization ------------------------------------------------------

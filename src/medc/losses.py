@@ -6,6 +6,10 @@ leading expert axis and then returns one value per expert. Any further
 leading axes in front of it (a probe axis: K copies of the batch under K
 parameter sets) are carried through, so a loss of labels (K, E, B, C)
 is (K, E).
+
+The paper's loss hyperparameters are fixed: contrastive temperature 1,
+variance targets in [GAMMA_LOW, GAMMA_HIGH], and GAMMA_UNIFORM for the
+uniform expert.
 """
 
 from dataclasses import dataclass
@@ -15,6 +19,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .sampling import INVERSE, LONG_TAILED, UNIFORM, reversed_frequencies
+
+GAMMA_LOW, GAMMA_HIGH, GAMMA_UNIFORM = 0.01, 1.0, 0.5
 
 
 @dataclass
@@ -30,19 +36,18 @@ class LossWeights:
             raise ValueError("at least one loss weight must be positive")
 
 
-def gamma_targets(stats, expert_kind, a=0.01, b=1.0, uniform_const=0.5):
+def gamma_targets(stats, expert_kind):
     """Per-class variance targets for one expert.
 
-    Uniform expert: constant. Long-tailed expert: min-max normalization of
-    the label frequencies into [a, b], so head classes get large regions.
-    Inverse expert: same normalization applied to the reversed frequencies.
-    Degenerate all-equal frequencies fall back to (a+b)/2.
+    Uniform expert: GAMMA_UNIFORM. Long-tailed expert: min-max
+    normalization of the label frequencies into [GAMMA_LOW, GAMMA_HIGH], so
+    head classes get large regions. Inverse expert: same normalization
+    applied to the reversed frequencies. Degenerate all-equal frequencies
+    fall back to the middle of that range.
     """
-    if not b > a > 0:
-        raise ValueError(f"need b > a > 0, got ({a}, {b})")
     C = len(stats.frequencies)
     if expert_kind == UNIFORM:
-        return np.full(C, uniform_const)
+        return np.full(C, GAMMA_UNIFORM)
     if expert_kind == LONG_TAILED:
         w = stats.frequencies
     elif expert_kind == INVERSE:
@@ -51,8 +56,8 @@ def gamma_targets(stats, expert_kind, a=0.01, b=1.0, uniform_const=0.5):
         raise ValueError(f"unknown expert kind {expert_kind!r}")
     lo, hi = w.min(), w.max()
     if hi == lo:
-        return np.full(C, (a + b) / 2.0)
-    return a + (b - a) * (w - lo) / (hi - lo)
+        return np.full(C, (GAMMA_LOW + GAMMA_HIGH) / 2.0)
+    return GAMMA_LOW + (GAMMA_HIGH - GAMMA_LOW) * (w - lo) / (hi - lo)
 
 
 def _rows(mask, lead):
@@ -60,23 +65,18 @@ def _rows(mask, lead):
 
     For a single head (lead ()) the index arrays are flat (R,). With lead
     (..., E) each is lead[:-1] + (1, R): the entries of probe index g fill
-    row g in order, and a probe with fewer entries is padded with index -1,
-    a valid index whose expert -1 matches no expert. With one probe
-    index, as for lead (E,), that is np.nonzero's order with no padding.
+    row g in np.nonzero's order. Every probe index must hold the same mask,
+    as when the gradient check's probes share one label set; a mask that
+    differs along the probe axes raises ValueError.
     """
     idx = np.nonzero(mask)
-    if len(lead) < 2:  # at most one probe index: nothing to pad
-        return tuple(i[None] for i in idx) if lead else idx
+    if not lead:
+        return idx
     probes = lead[:-1]
-    group = np.ravel_multi_index(idx[:len(probes)], probes)
-    counts = np.bincount(group, minlength=int(np.prod(probes)))
-    slot = np.arange(group.size) - (np.cumsum(counts) - counts)[group]
-    laid = []
-    for i in idx:
-        a = np.full((counts.size, counts.max()), -1, dtype=np.intp)
-        a[group, slot] = i
-        laid.append(a.reshape(probes + (1, counts.max())))
-    return tuple(laid)
+    if probes and (mask != mask[(0,) * len(probes)]).any():
+        raise ValueError("the labels differ along the probe axes; "
+                         "every probe must share one label set")
+    return tuple(i.reshape(probes + (1, -1)) for i in idx)
 
 
 def _mean_per_expert(values, rows, lead):
@@ -94,16 +94,16 @@ def _mean_per_expert(values, rows, lead):
     return ag.sum_along(ag.mul(values, Tensor(weights)), axis=-1)
 
 
-def mean_contrastive_loss(mus, labels, tau=1.0):
+def mean_contrastive_loss(mus, labels):
     """InfoNCE-style loss pulling same-class mean estimates together.
 
     For each anchor with at least one in-batch positive (>= 1 shared label)
     and one negative (disjoint labels): the positive is the nearest one by
     dot product, the negatives are all label-disjoint rows; rows with
     partial label overlap join neither set. Returns the mean of
-    -log softmax over eligible anchors, 0 if none are eligible. With a
-    leading expert axis (mus (E, B, d), labels (E, B, C)) each expert's
-    batch is its own, and the result is (E,).
+    -log softmax (temperature 1) over eligible anchors, 0 if none are
+    eligible. With a leading expert axis (mus (E, B, d), labels (E, B, C))
+    each expert's batch is its own, and the result is (E,).
     """
     labels = np.asarray(labels).astype(bool)
     lead, B = labels.shape[:-2], labels.shape[-2]
@@ -127,25 +127,20 @@ def mean_contrastive_loss(mus, labels, tau=1.0):
     mask = (disjoint | (best[..., None] == np.arange(B)))[rows].astype(np.float64)
     # constant per-anchor shift keeps exp bounded without touching gradients
     shift = np.where(mask > 0, sv[rows], -np.inf).max(axis=-1, keepdims=True)
-    z = ag.mul(ag.sub(sims[rows], Tensor(shift)), 1.0 / tau)
-    e = ag.mul(ag.exp(z), Tensor(mask))
-    lse = ag.add(ag.log(ag.sum_along(e, axis=-1)), Tensor(shift[..., 0] / tau))
-    pos = ag.mul(sims[rows + (best[rows],)], 1.0 / tau)
+    e = ag.mul(ag.exp(ag.sub(sims[rows], Tensor(shift))), Tensor(mask))
+    lse = ag.add(ag.log(ag.sum_along(e, axis=-1)), Tensor(shift[..., 0]))
+    pos = sims[rows + (best[rows],)]
     return _mean_per_expert(ag.sub(lse, pos), rows, lead)
 
 
-def classification_loss(p, y, strict_positive_only=False):
+def classification_loss(p, y):
     """Multi-label binary cross-entropy, averaged over classes and samples.
 
     With a leading expert axis the average is per expert, giving (E,).
-    strict_positive_only keeps only the positive-label term (the degenerate
-    form; for fidelity experiments only).
     """
     y = np.asarray(y, dtype=np.float64)
     pc = ag.clamp(p, 1e-7, 1.0 - 1e-7)
     pos = ag.mul(Tensor(y), ag.log(pc))
-    if strict_positive_only:
-        return ag.mul(ag.mean_along(pos, axis=(-2, -1)), -1.0)
     neg = ag.mul(Tensor(1.0 - y), ag.log(ag.sub(1.0, pc)))
     return ag.mul(ag.mean_along(ag.add(pos, neg), axis=(-2, -1)), -1.0)
 

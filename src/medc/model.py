@@ -292,8 +292,9 @@ def save_checkpoint(path, model, extra=None):
 def read_checkpoint_manifest(path):
     """The JSON manifest of a checkpoint file and a reader at its first payload.
 
-    Bad magic, a truncated manifest, a lacking key or another version raise
-    ValueError; the parameters are not read.
+    Bad magic, a truncated manifest, a manifest that is not a JSON object,
+    a lacking key or another version raise ValueError; the parameters are
+    not read.
     """
     with open(path, "rb") as f:
         reader = ByteReader(f.read(), ValueError)
@@ -302,6 +303,8 @@ def read_checkpoint_manifest(path):
         raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
     (mlen,) = reader.unpack("<Q", "manifest length")
     manifest = json.loads(reader.read(mlen, "manifest").decode("utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"checkpoint manifest is not a JSON object: {manifest!r:.40}")
     missing = [k for k in ("version", "config", "seed", "gamma", "params", "extra")
                if k not in manifest]
     if missing:

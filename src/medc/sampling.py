@@ -17,7 +17,6 @@ EXPERT_KINDS = (LONG_TAILED, UNIFORM, INVERSE)
 
 @dataclass
 class SamplerSpec:
-    kind: str
     per_sample_weights: np.ndarray
 
     def __post_init__(self):
@@ -29,20 +28,20 @@ class SamplerSpec:
         self.per_sample_weights = w
 
 
-def original_weights(stats, n_records):
+def original_weights(n_records):
     """Each record weight 1/N: class probability equals the empirical omega."""
     if n_records < 1:
         raise ValueError("need at least one record")
-    return SamplerSpec(LONG_TAILED, np.full(n_records, 1.0 / n_records))
+    return SamplerSpec(np.full(n_records, 1.0 / n_records))
 
 
-def _per_record_from_class_weights(class_w, labels_per_record, kind):
+def _per_record_from_class_weights(class_w, labels_per_record):
     weights = np.empty(len(labels_per_record))
     for i, labels in enumerate(labels_per_record):
         pos = np.flatnonzero(labels)
         weights[i] = class_w[pos].mean()
     weights /= weights.sum()
-    return SamplerSpec(kind, weights)
+    return SamplerSpec(weights)
 
 
 def uniform_class_weights(stats, labels_per_record):
@@ -55,7 +54,7 @@ def uniform_class_weights(stats, labels_per_record):
         raise ValueError(f"empty classes: {np.flatnonzero(stats.counts == 0).tolist()}")
     C = len(stats.counts)
     class_w = (1.0 / C) / stats.counts
-    return _per_record_from_class_weights(class_w, labels_per_record, UNIFORM)
+    return _per_record_from_class_weights(class_w, labels_per_record)
 
 
 def reversed_frequencies(frequencies):
@@ -78,7 +77,7 @@ def inverse_class_weights(stats, labels_per_record):
         raise ValueError(f"empty classes: {np.flatnonzero(stats.counts == 0).tolist()}")
     rev = reversed_frequencies(stats.frequencies)
     class_w = rev / stats.counts
-    return _per_record_from_class_weights(class_w, labels_per_record, INVERSE)
+    return _per_record_from_class_weights(class_w, labels_per_record)
 
 
 def sample_batch(spec, batch_size, rng):

@@ -41,14 +41,9 @@ class TrainConfig:
     seed: int = 0
     active_experts: tuple[str, ...] = EXPERT_KINDS
     temporal_attention: bool = True
-    gamma_low: float = 0.01
-    gamma_high: float = 1.0
-    gamma_uniform: float = 0.5
-    tau: float = 1.0
     head_threshold: int = HEAD_THRESHOLD
     medium_threshold: int = MEDIUM_THRESHOLD
     checkpoint_every: int = 10
-    strict_cls: bool = False
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -114,7 +109,7 @@ def build_samplers(records, stats, kinds):
     built = {}
     for kind in kinds:
         if kind == LONG_TAILED:
-            built[kind] = sampling.original_weights(stats, len(records))
+            built[kind] = sampling.original_weights(len(records))
         elif kind == UNIFORM:
             built[kind] = sampling.uniform_class_weights(stats, labels)
         elif kind == INVERSE:
@@ -124,32 +119,27 @@ def build_samplers(records, stats, kinds):
     return built
 
 
-def composed_objective(model, kinds, X, Y, eps, weights, tau=1.0, strict_cls=False,
-                       params=None):
-    """The training objective of the experts `kinds` as one batched graph.
+def composed_objective(model, X, Y, eps, weights, params=None):
+    """The training objective of the model's experts as one batched graph.
 
-    `kinds` must be the model's experts in order, since the graph reads the
-    model's stored stack of heads. Expert e sees its own batch X[e]
-    (E, B, L, D) with labels Y[e] (E, B, C) and noise eps[e] (E, B, d).
-    Returns the scalar loss and the (E,) vectors (L_mu, L_cls, L_sigma).
+    Expert e of `model.cfg.experts` sees its own batch X[e] (E, B, L, D)
+    with labels Y[e] (E, B, C) and noise eps[e] (E, B, d). Returns the
+    scalar loss and the (E,) vectors (L_mu, L_cls, L_sigma).
 
     `params` maps every stored role name to the tensor that stands in for
     it, `model.trunk` and `model.stacked_heads` by default. A probe axis K
     in front evaluates K parameter sets at once: the head roles are then
     (K, E, ...), the trunk's (K, 1, D, d_trunk) and (K, 1, 1, 1, d_trunk),
-    X is (1, E, B, L, D) and Y (K, E, B, C); the loss is (K,) and the terms
-    are (K, E).
+    X is (1, E, B, L, D) and Y (K, E, B, C), the same labels for every
+    probe; the loss is (K,) and the terms are (K, E).
     """
-    if tuple(kinds) != model.cfg.experts:
-        raise ValueError(f"composed_objective runs the model's experts {model.cfg.experts}, "
-                         f"got {tuple(kinds)}")
     params = params or {**model.trunk, **model.stacked_heads}
     H0 = trunk_forward(X, params)
     mu = estimate_mean(H0, params)
     sigma = estimate_variance(H0, mu, params, model.cfg.temporal_attention)
     p = classify(reparameterize(mu, sigma, eps), params)
-    gamma = np.stack([model.heads[kind].gamma for kind in kinds])
-    terms = (mean_contrastive_loss(mu, Y, tau), classification_loss(p, Y, strict_cls),
+    gamma = np.stack([model.heads[kind].gamma for kind in model.cfg.experts])
+    terms = (mean_contrastive_loss(mu, Y), classification_loss(p, Y),
              variance_region_loss(sigma, Y, gamma))
     return total_loss(terms, weights), terms
 
@@ -167,8 +157,7 @@ def train_epoch(model, feats, labels, samplers, cfg, epoch, adam):
         idx = np.stack([sampling.sample_batch(samplers[k], cfg.batch_size, rng)
                         for k, rng in zip(kinds, sampler_rngs)])
         eps = np.stack([rng.standard_normal((cfg.batch_size, model.cfg.d)) for rng in eps_rngs])
-        loss, terms = composed_objective(model, kinds, feats[idx], labels[idx], eps,
-                                         cfg.weights, cfg.tau, cfg.strict_cls)
+        loss, terms = composed_objective(model, feats[idx], labels[idx], eps, cfg.weights)
         sums += np.stack([t.data for t in terms], axis=1)
         model.zero_grad()
         loss.backward()
@@ -188,10 +177,13 @@ def _run_record(cfg):
 
 
 def _refuse_other_settings(path, holder, saved, run):
-    for key, value in run.items():
-        if saved.get(key) != value:
+    """Raise ValueError naming the first setting that the two records do not share."""
+    for key in {**run, **saved}:
+        if key not in run or saved.get(key) != run[key]:
+            need = (f"this run needs {key}={run[key]!r}" if key in run
+                    else "a setting this run lacks")
             raise ValueError(f"cannot resume from {path}: {holder} {key}={saved.get(key)!r}, "
-                             f"this run needs {key}={value!r}")
+                             f"{need}")
 
 
 def checkpoint_names(cfg, start_epoch):
@@ -213,7 +205,8 @@ def train(cfg, records, out_dir=None, resume_from=None):
     expert per epoch. Checkpoints land in out_dir every checkpoint_every
     epochs plus a final one, with a record of cfg. A resume is refused,
     naming the field, when the checkpoint's model or recorded cfg differs
-    from this run's in anything but epochs and checkpoint_every.
+    from this run's in anything but epochs and checkpoint_every, or records
+    a setting this run does not have.
     """
     stats = compute_label_stats(records, cfg.head_threshold, cfg.medium_threshold)
     feats = np.stack([r.features for r in records])
@@ -235,8 +228,7 @@ def train(cfg, records, out_dir=None, resume_from=None):
     else:
         model = Model(mcfg, seed=cfg.seed)
         for kind in cfg.active_experts:
-            model.heads[kind].gamma = gamma_targets(
-                stats, kind, cfg.gamma_low, cfg.gamma_high, cfg.gamma_uniform)
+            model.heads[kind].gamma = gamma_targets(stats, kind)
         start_epoch = 0
         history = []
 

@@ -44,14 +44,14 @@ def composed_objective_problem(seed):
     weights = LossWeights(0.8, 1.0, 0.4)
 
     def objective():
-        return composed_objective(model, cfg.experts, X, labels, eps, weights)[0]
+        return composed_objective(model, X, labels, eps, weights)[0]
 
     def probe(values):
         W, b, *heads = values
         K = len(W)
         params = {"trunk.W": Tensor(W[:, None]), "trunk.b": Tensor(b[:, None, None, None])}
         params.update((role, Tensor(v)) for role, v in zip(model.stacked_heads, heads))
-        loss, _ = composed_objective(model, cfg.experts, X[None], np.broadcast_to(
+        loss, _ = composed_objective(model, X[None], np.broadcast_to(
             labels, (K,) + labels.shape), eps, weights, params=params)
         return loss.data
 

@@ -43,6 +43,8 @@ def test_matmul_folds_leading_axes_like_numpy():
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
         ag.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+    with pytest.raises(ShapeError, match=r"\(2,\).*\(2, 2\)"):  # a vector is not a matrix
+        ag.matmul(Tensor(np.zeros(2)), Tensor(np.zeros((2, 2))))
 
 
 def test_softmax_symmetry():
@@ -176,7 +178,6 @@ def _rand(rng, *shape):
                                                   ag.reshape(q, (2, 4, 2)))),
     ("matmul_shared_left", lambda p, q: ag.matmul(ag.reshape(p, (1, 4, 4)),
                                                   ag.reshape(q, (2, 4, 2)))),
-    ("matmul_vector_left", lambda p, q: ag.matmul(p[0], q)),
     ("sigmoid", lambda p, q: ag.sigmoid(ag.mul(p, q))),
     ("softplus", lambda p, q: ag.softplus(ag.mul(p, 3.0))),
     ("exp", lambda p, q: ag.exp(p)),

@@ -139,6 +139,13 @@ def test_seed_precedence_flag_env_config(workspace, tmp_path, monkeypatch):
     assert gen(["--seed", "99"], "e.medc") == env99  # flag beats env
 
 
+def test_env_seed_that_is_not_an_integer_is_named(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "run.json")
+    monkeypatch.setenv("MEDC_SEED", "abc")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.medc")]) == 1
+    assert "MEDC_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+
 def test_ablate_subset_and_csv(workspace):
     tmp_path, cfg, data = workspace
     cfg1 = write_config(tmp_path / "fast.json", train={"epochs": 1})

@@ -56,6 +56,12 @@ def test_omitted_keys_take_the_dataclass_defaults():
                                                           TrainConfig().medium_threshold)
 
 
+@pytest.mark.parametrize("key", ["tau", "gamma_low", "gamma_high", "gamma_uniform", "strict_cls"])
+def test_a_fixed_loss_constant_is_an_unknown_train_key(key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in config section 'train'"):
+        RunConfig(raw_config(train={key: 1}))
+
+
 def test_out_dir_is_an_unknown_key():
     with pytest.raises(ConfigError, match="unknown key 'out_dir'"):
         RunConfig(dict(raw_config(), out_dir="run/"))

@@ -45,8 +45,6 @@ def test_gamma_degenerate_balanced():
 
 def test_gamma_bounds_validated():
     with pytest.raises(ValueError):
-        gamma_targets(stats_for([2, 1]), LONG_TAILED, a=0.5, b=0.5)
-    with pytest.raises(ValueError):
         gamma_targets(stats_for([2, 1]), "nonsense")
 
 
@@ -99,7 +97,7 @@ def test_contrastive_decreases_as_positive_aligns():
     assert losses[0] > losses[1] > losses[2]
 
 
-def reference_contrastive(mus, labels, tau=1.0):
+def reference_contrastive(mus, labels):
     """Loop-based restatement of the pull-together objective."""
     labels = np.asarray(labels).astype(bool)
     sims = mus @ mus.T
@@ -112,9 +110,8 @@ def reference_contrastive(mus, labels, tau=1.0):
         if not positives or not negatives:
             continue
         best = max(positives, key=lambda j: (sims[i, j], -j))
-        den = np.exp(sims[i, best] / tau) + sum(np.exp(sims[i, j] / tau)
-                                                for j in negatives)
-        terms.append(-np.log(np.exp(sims[i, best] / tau) / den))
+        den = np.exp(sims[i, best]) + sum(np.exp(sims[i, j]) for j in negatives)
+        terms.append(-np.log(np.exp(sims[i, best]) / den))
     return float(np.mean(terms)) if terms else 0.0
 
 
@@ -126,8 +123,8 @@ def test_contrastive_matches_loop_reference(seed):
     labels[np.arange(B), rng.integers(0, C, B)] = 1  # at least one positive
     mus = rng.standard_normal((B, d))
     mus /= np.linalg.norm(mus, axis=1, keepdims=True)
-    got = mean_contrastive_loss(Tensor(mus), labels, tau=0.7).item()
-    assert got == pytest.approx(reference_contrastive(mus, labels, tau=0.7))
+    got = mean_contrastive_loss(Tensor(mus), labels).item()
+    assert got == pytest.approx(reference_contrastive(mus, labels))
 
 
 def test_contrastive_gradient_matches_finite_differences():
@@ -146,15 +143,6 @@ def test_bce_hand_cases():
     assert classification_loss(p, [[1]]).item() == pytest.approx(-np.log(0.9))
     assert classification_loss(Tensor([[0.5, 0.5]]), [[1, 0]]).item() == pytest.approx(np.log(2.0))
     assert classification_loss(Tensor([[1.0]]), [[1]]).item() == pytest.approx(0.0, abs=1e-6)
-
-
-def test_bce_strict_positive_only_mode():
-    p = Tensor([[0.9, 0.9]])
-    y = [[1, 0]]
-    strict = classification_loss(p, y, strict_positive_only=True).item()
-    assert strict == pytest.approx(-np.log(0.9) / 2.0)
-    full = classification_loss(p, y).item()
-    assert full == pytest.approx((-np.log(0.9) - np.log(0.1)) / 2.0)
 
 
 def test_bce_gradient_matches_finite_differences():
@@ -237,6 +225,10 @@ def test_losses_carry_a_probe_axis(per_probe):
                 classification_loss(Tensor(p[at]), labels[at]),
                 variance_region_loss(Tensor(sigmas[at]), labels[at], gamma))
 
+    if per_probe:  # only the gradient check's case, one label set for every probe, is laid out
+        with pytest.raises(ValueError, match="labels differ along the probe axes"):
+            terms(None)
+        return
     batched = terms(None)
     assert all(t.shape == (K, E) for t in batched)
     total = total_loss(batched, weights)
@@ -246,10 +238,7 @@ def test_losses_carry_a_probe_axis(per_probe):
         alone = terms(k)
         got = np.hstack([t.data[k] for t in batched] + [total.data[k]])
         want = np.hstack([t.data for t in alone] + [total_loss(alone, weights).data])
-        if per_probe:  # probes with fewer rows are padded, which may move the last bit
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
-        else:          # the gradient check's case: bit for bit
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_loss_weights_validate():

@@ -7,10 +7,10 @@ import pytest
 
 from medc import autograd as ag
 from medc.autograd import Tensor
-from medc.model import (EXPERT_KINDS, Model, ModelConfig, classify,
-                        estimate_mean, estimate_variance, forward_inference,
-                        load_checkpoint, reparameterize, save_checkpoint,
-                        trunk_forward)
+from medc.model import (CHECKPOINT_MAGIC, EXPERT_KINDS, Model, ModelConfig,
+                        classify, estimate_mean, estimate_variance,
+                        forward_inference, load_checkpoint, reparameterize,
+                        save_checkpoint, trunk_forward)
 from medc.seeding import derive_rng
 from medc.verify import composed_objective_gradcheck
 
@@ -294,6 +294,15 @@ def test_checkpoint_manifest_is_validated_by_name(tmp_path, change, named):
     save_checkpoint(path, Model(tiny_cfg(), seed=13), extra={"epoch": 1})
     rewrite_manifest(path, change)
     with pytest.raises(ValueError, match=named):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("manifest", [5, None, "x", []], ids=["number", "null", "string", "list"])
+def test_checkpoint_manifest_that_is_not_an_object_is_refused(tmp_path, manifest):
+    blob = json.dumps(manifest).encode()
+    path = tmp_path / "model.bin"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(ValueError, match="checkpoint manifest is not a JSON object"):
         load_checkpoint(path)
 
 

@@ -28,19 +28,19 @@ def record_labels(counts):
 
 
 def test_original_weights_uniform_per_record():
-    spec = original_weights(stats_for([2, 2]), 4)
+    spec = original_weights(4)
     assert np.array_equal(spec.per_sample_weights, [0.25] * 4)
 
 
 def test_original_weights_single_pair():
-    spec = original_weights(stats_for([1, 1]), 2)
+    spec = original_weights(2)
     assert np.array_equal(spec.per_sample_weights, [0.5, 0.5])
 
 
 def test_original_class_probability_equals_omega():
     counts = [6, 3, 1]
     stats = stats_for(counts)
-    spec = original_weights(stats, sum(counts))
+    spec = original_weights(sum(counts))
     labels = np.array(record_labels(counts))
     class_prob = spec.per_sample_weights @ labels
     assert class_prob == pytest.approx(stats.frequencies)
@@ -56,7 +56,7 @@ def test_uniform_weights_hand_case():
 def test_uniform_weights_balanced_equals_original():
     counts = [5, 5]
     uni = uniform_class_weights(stats_for(counts), record_labels(counts))
-    orig = original_weights(stats_for(counts), 10)
+    orig = original_weights(10)
     assert uni.per_sample_weights == pytest.approx(orig.per_sample_weights)
 
 
@@ -94,13 +94,13 @@ def test_inverse_weight_ratio_hand_case():
 def test_sample_batch_point_mass():
     w = np.zeros(5)
     w[3] = 1.0
-    spec = SamplerSpec("uniform", w)
+    spec = SamplerSpec(w)
     batch = sample_batch(spec, 10, derive_rng(0, "s"))
     assert (batch == 3).all()
 
 
 def test_sample_batch_deterministic():
-    spec = original_weights(stats_for([3, 3]), 6)
+    spec = original_weights(6)
     b1 = sample_batch(spec, 32, derive_rng(7, "batch"))
     b2 = sample_batch(spec, 32, derive_rng(7, "batch"))
     assert np.array_equal(b1, b2)
@@ -109,7 +109,7 @@ def test_sample_batch_deterministic():
 def test_original_sampler_monte_carlo_frequencies():
     counts = [500, 100, 10]
     stats = stats_for(counts)
-    spec = original_weights(stats, sum(counts))
+    spec = original_weights(sum(counts))
     labels = np.array(record_labels(counts))
     idx = sample_batch(spec, 100_000, derive_rng(1, "mc"))
     emp = labels[idx].mean(axis=0)
@@ -153,6 +153,6 @@ def test_specs_invariant_to_record_permutation():
 
 def test_weights_validate():
     with pytest.raises(ValueError):
-        SamplerSpec("uniform", [0.5, 0.4])
+        SamplerSpec([0.5, 0.4])
     with pytest.raises(ValueError):
-        SamplerSpec("uniform", [1.5, -0.5])
+        SamplerSpec([1.5, -0.5])

@@ -190,7 +190,6 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     ("learning_rate", 2e-3, "learning_rate"),
     ("batch_size", 4, "batch_size"),
     ("seed", 2, "seed"),
-    ("tau", 0.5, "tau"),
     ("weights", LossWeights(lambda1=0.5), "weights"),
 ])
 def test_resume_refuses_a_different_model(tmp_path, field, value, name):
@@ -222,6 +221,15 @@ def test_version_2_checkpoint_loads_but_is_not_resumed(tmp_path):
     for p, q in zip(model.parameters(), loaded.parameters()):
         assert np.array_equal(p.data, q.data)
     with pytest.raises(ValueError, match="version 2"):
+        train(small_train_cfg(epochs=2), records, resume_from=str(path))
+
+
+def test_resume_refuses_a_setting_this_run_does_not_have(tmp_path):
+    records = small_dataset()
+    train(small_train_cfg(epochs=1), records, out_dir=str(tmp_path))
+    path = tmp_path / "checkpoint_final.bin"
+    rewrite_manifest(path, lambda m: m["extra"]["run"].update(tau=0.5))
+    with pytest.raises(ValueError, match="tau=0.5, a setting this run lacks"):
         train(small_train_cfg(epochs=2), records, resume_from=str(path))
 
 
@@ -292,14 +300,6 @@ def test_probe_batch_equals_serial_in_place_evaluation():
     assert len(set(batched.tolist())) > len(params)  # the probes moved the objective
 
 
-def test_composed_objective_refuses_other_experts_than_the_model():
-    model = Model(ModelConfig(D=2, C=2, d_trunk=2, hidden=2, d=2), seed=0)
-    X = np.zeros((2, 1, 1, 2))
-    with pytest.raises(ValueError, match="model's experts"):
-        composed_objective(model, ("uniform", "inverse"), X, np.zeros((2, 1, 2)),
-                           np.zeros((2, 1, 2)), LossWeights())
-
-
 def test_final_checkpoint_reproduces_model(tmp_path):
     records = small_dataset()
     model, _ = train(small_train_cfg(epochs=2), records, out_dir=str(tmp_path))
@@ -362,7 +362,7 @@ def test_batched_objective_matches_per_head_reference(E, attention):
         return [p.grad.copy() for p in params]
 
     eps = np.stack([derive_rng(E, "eps", kind).standard_normal((B, d)) for kind in kinds])
-    loss, terms = composed_objective(model, kinds, X, Y, eps, weights)
+    loss, terms = composed_objective(model, X, Y, eps, weights)
     batched = gradients(loss)
 
     per_head = []
