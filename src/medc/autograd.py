@@ -174,53 +174,63 @@ def mul(a, b):
         _unbroadcast(g * a.data, b.data.shape)))
 
 
-def matmul(a, b):
-    """Matrix product over the last two axes.
+def _matmul_forward(a, b):
+    """(a @ b, a as its GEMM sees it) for arrays; the product is a fresh array.
 
     The batch axes of `b` line up with the leading axes of `a`, and any
     further axes of `a` fold into the rows of one GEMM per batch entry. So a
     2-D `b` (a weight) takes every leading axis of `a` as rows in a single
     GEMM, and an expert stack (E, K, N) maps (E or 1, ..., K) to (E, ..., N).
-    Both operands have at least two axes. When `a` has fewer axes than `b`,
-    numpy broadcasting applies.
+    Both operands have at least two axes. When `a` has no more axes than
+    `b`, numpy broadcasting applies and nothing folds.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
-    A, Bs = a.data.shape, b.data.shape
+    A, Bs = a.shape, b.shape
     lead = len(Bs) - 2
-    if (a.data.ndim < 2 or b.data.ndim < 2 or A[-1] != Bs[-2]
-            or (a.data.ndim > b.data.ndim
+    if (a.ndim < 2 or b.ndim < 2 or A[-1] != Bs[-2]
+            or (a.ndim > b.ndim
                 and any(m != n and 1 not in (m, n) for m, n in zip(A[:lead], Bs[:lead])))):
         raise ShapeError(f"matmul: incompatible shapes {A} x {Bs}")
-    fold = a.data.ndim > b.data.ndim
-    a2 = a.data.reshape(A[:lead] + (-1, A[-1])) if fold else a.data
-    y = np.matmul(a2, b.data)
-    out = Tensor(y.reshape(y.shape[:-2] + A[lead:-1] + Bs[-1:]) if fold else y)
+    if a.ndim <= b.ndim:
+        return np.matmul(a, b), a
+    a2 = a.reshape(A[:lead] + (-1, A[-1]))
+    y = np.matmul(a2, b)
+    return y.reshape(y.shape[:-2] + A[lead:-1] + Bs[-1:]), a2
 
-    def backward(g):
-        g = g.reshape(y.shape)
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a2, -1, -2), g)
-        return _unbroadcast(ga, a2.shape).reshape(A), _unbroadcast(gb, Bs)
 
-    return _track(out, (a, b), backward)
+def _matmul_backward(g, a, a2, b, need_a, need_b):
+    """The gradients of a and b from g, the gradient of the product of `_matmul_forward`.
+
+    a2 is the folded a it returned. An input whose flag is false gets None,
+    and its GEMM is skipped.
+    """
+    g = g.reshape(g.shape[:b.ndim - 2] + (-1, g.shape[-1]))   # the GEMM's output shape
+    ga = gb = None
+    if need_a:
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a2.shape).reshape(a.shape)
+    if need_b:
+        gb = _unbroadcast(np.matmul(np.swapaxes(a2, -1, -2), g), b.shape)
+    return ga, gb
+
+
+def _needs_grad(t):
+    """Whether a gradient can reach anything through t: a data input has none to give."""
+    return t.requires_grad or bool(t._parents)
+
+
+def matmul(a, b):
+    """Matrix product over the last two axes, folding as `_matmul_forward` says."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    y, a2 = _matmul_forward(a.data, b.data)
+    return _track(Tensor(y), (a, b), lambda g: _matmul_backward(
+        g, a.data, a2, b.data, _needs_grad(a), _needs_grad(b)))
 
 
 # -- elementwise unary ------------------------------------------------------
 
-def relu(x):
-    x = _as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0))
-    return _track(out, (x,), lambda g: (g * (x.data > 0.0),))
-
-
 def _stable_sigmoid(x):
     """Logistic function of an array, with no overflow in exp for either sign."""
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def sigmoid(x):
@@ -327,40 +337,79 @@ def take(x, idx):
     return _track(out, (x,), backward)
 
 
-# -- composite layers -------------------------------------------------------
+# -- fused layers -----------------------------------------------------------
+# Each is one tape node. The forward works in place on the array its own
+# matmul allocated, running the numpy operations of the separate ops in
+# their order, so the values equal theirs; the backward is written by hand
+# and computes no gradient for a data input.
 
-def feature_norm(x):
-    """Per-row feature normalization: (x - mean) / (std + 1e-5).
+def _add_into(y, b):
+    """y + b, written into y when b broadcasts within y's shape."""
+    if np.broadcast_shapes(y.shape, b.shape) == y.shape:
+        y += b
+        return y
+    return y + b
 
-    Mean and std run over the last axis of each row; the 1e-5 guard keeps
-    the all-equal-features row finite. Fused forward/backward.
-    """
-    x = _as_tensor(x)
-    n = x.data.shape[-1]
-    if n == 0:
-        raise ShapeError("feature_norm on empty feature axis")
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-12)
-    denom = std + 1e-5
-    out = Tensor(centered / denom)
+
+def linear(x, W, b, relu=False):
+    """The affine map x @ W + b, then max(., 0) if `relu`."""
+    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
+    y, x2 = _matmul_forward(x.data, W.data)
+    prod_shape = y.shape
+    out = _add_into(y, b.data)
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def backward(g):
-        gc = g / denom - centered * ((g * centered).sum(axis=-1, keepdims=True)
-                                     / (n * std * denom * denom))
-        return (gc - gc.mean(axis=-1, keepdims=True),)
+        if relu:
+            g = g * (out > 0.0)
+        gx, gW = _matmul_backward(_unbroadcast(g, prod_shape), x.data, x2, W.data,
+                                  _needs_grad(x), _needs_grad(W))
+        return gx, gW, _unbroadcast(g, b.data.shape)
 
-    return _track(out, (x,), backward)
+    return _track(Tensor(out), (x, W, b), backward)
 
 
-def affine_norm_layer(x, W, b, scale, shift):
-    """Affine map followed by per-row feature normalization.
+def affine_norm_relu(x, W, b, scale, shift):
+    """A normalized ReLU layer: max(scale * (a - mean(a)) / (std(a) + 1e-5) + shift, 0).
 
-    y = scale * (a - mean(a)) / (std(a) + 1e-5) + shift with a = xW + b,
-    mean/std taken over the feature (last) axis of each row.
+    a = x @ W + b; mean and std run over the feature (last) axis of each
+    row, and the 1e-5 guard keeps the all-equal-features row finite. The
+    backward keeps x_hat = (a - mean(a)) / denom, std, denom = std + 1e-5
+    and the output.
     """
-    a = add(matmul(x, W), b)
-    return add(mul(scale, feature_norm(a)), shift)
+    x, W, b, scale, shift = (_as_tensor(t) for t in (x, W, b, scale, shift))
+    y, x2 = _matmul_forward(x.data, W.data)
+    prod_shape = y.shape
+    x_hat = _add_into(y, b.data)
+    n = x_hat.shape[-1]
+    if n == 0:
+        raise ShapeError("affine_norm_relu on empty feature axis")
+    x_hat -= x_hat.mean(axis=-1, keepdims=True)
+    std = np.sqrt((x_hat * x_hat).mean(axis=-1, keepdims=True) + 1e-12)
+    denom = std + 1e-5
+    x_hat /= denom
+    out = _add_into(scale.data * x_hat, shift.data)
+    np.maximum(out, 0.0, out=out)
 
+    def backward(g):
+        g = g * (out > 0.0)
+        g_hat = _unbroadcast(g * scale.data, x_hat.shape)
+        # the feature-norm gradient with a - mean(a) = x_hat * denom substituted:
+        # g_hat / denom - x_hat * sum(g_hat * x_hat) / (n * std), then centered
+        coef = (g_hat * x_hat).sum(axis=-1, keepdims=True) / (n * std)
+        g_hat /= denom
+        g_hat -= x_hat * coef
+        g_hat -= g_hat.mean(axis=-1, keepdims=True)
+        gx, gW = _matmul_backward(_unbroadcast(g_hat, prod_shape), x.data, x2, W.data,
+                                  _needs_grad(x), _needs_grad(W))
+        return (gx, gW, _unbroadcast(g_hat, b.data.shape),
+                _unbroadcast(g * x_hat, scale.data.shape), _unbroadcast(g, shift.data.shape))
+
+    return _track(Tensor(out), (x, W, b, scale, shift), backward)
+
+
+# -- composite layers -------------------------------------------------------
 
 def l2_normalize(x, axis=-1):
     """Scale rows of x to unit L2 norm along `axis`. Fused forward/backward.

@@ -105,7 +105,7 @@ def metrics_from_scores(scores, labels, groups, seed=0):
     top1 = order[:, 0]
     top5 = order[:, :min(5, C)]
     acc1 = float(np.mean(labels[np.arange(n), top1] > 0))
-    acc5 = float(np.mean([labels[i, top5[i]].any() for i in range(n)]))
+    acc5 = float(np.mean(np.take_along_axis(labels, top5, axis=1).any(axis=1)))
 
     return MetricsReport(
         overall_mAP=float(np.mean(list(per_class.values()))),

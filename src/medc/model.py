@@ -157,30 +157,35 @@ class Model:
 # leading axes, such as the gradient check's probe axis, broadcast too.
 
 def _linear(params, name, x):
-    return ag.add(ag.matmul(x, params[f"{name}.W"]), params[f"{name}.b"])
+    return ag.linear(x, params[f"{name}.W"], params[f"{name}.b"])
 
 
-def _mlp(params, name, x):
-    """The normalized ReLU layers name.layer0, name.layer1, ... present, then name.out."""
+def _hidden(params, name, x):
+    """The normalized ReLU layers name.layer0, name.layer1, ... present, in order."""
     i = 0
     while f"{name}.layer{i}.W" in params:
-        layer = [params[f"{name}.layer{i}.{r}"] for r in ("W", "b", "scale", "shift")]
-        x = ag.relu(ag.affine_norm_layer(x, *layer))
+        x = ag.affine_norm_relu(x, *(params[f"{name}.layer{i}.{r}"]
+                                     for r in ("W", "b", "scale", "shift")))
         i += 1
-    return _linear(params, f"{name}.out", x)
+    return x
 
 
 def trunk_forward(X, trunk):
     """Per-frame trunk application; X is (B, L, D), (L, D), (E, B, L, D) or (1, E, B, L, D)."""
-    X = X if isinstance(X, Tensor) else Tensor(X)
-    return ag.relu(_linear(trunk, "trunk", X))
+    return ag.linear(X, trunk["trunk.W"], trunk["trunk.b"], relu=True)
 
 
 def estimate_mean(H0, head):
-    """Mean-pool phi_mu over frames, then L2-normalize each row."""
-    h = _mlp(head, "phi_mu", H0)
-    mu = ag.mean_along(h, axis=-2)
-    return ag.l2_normalize(mu, axis=-1)
+    """phi_mu's output mean-pooled over frames, then L2-normalized per row.
+
+    phi_mu's output layer is affine, so pooling commutes with it: the
+    hidden layers' output is pooled first, and the output layer runs once
+    per video instead of once per frame. The pooled frame axis is kept
+    while the stacked (E, 1, 1, d) bias broadcasts, then dropped.
+    """
+    pooled = ag.mean_along(_hidden(head, "phi_mu", H0), axis=-2, keepdims=True)
+    mu = _linear(head, "phi_mu.out", pooled)
+    return ag.l2_normalize(ag.reshape(mu, mu.shape[:-2] + mu.shape[-1:]), axis=-1)
 
 
 def estimate_variance(H0, mu, head, temporal_attention=True):
@@ -191,7 +196,7 @@ def estimate_variance(H0, mu, head, temporal_attention=True):
     and weight the value projections; without it, value projections are
     mean-pooled. Softplus keeps sigma non-negative.
     """
-    h = _mlp(head, "phi_var", H0)              # (..., L, d)
+    h = _linear(head, "phi_var.out", _hidden(head, "phi_var", H0))   # (..., L, d)
     mu_b = ag.reshape(mu, mu.shape[:-1] + (1,) + mu.shape[-1:])
     delta = ag.sub(h, mu_b)
     v = _linear(head, "f_v", delta)

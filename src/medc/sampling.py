@@ -17,6 +17,8 @@ EXPERT_KINDS = (LONG_TAILED, UNIFORM, INVERSE)
 
 @dataclass
 class SamplerSpec:
+    """Per-record sampling weights, and their normalized cumulative sum `cdf`."""
+
     per_sample_weights: np.ndarray
 
     def __post_init__(self):
@@ -26,6 +28,8 @@ class SamplerSpec:
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"sampler weights sum to {w.sum()}, expected 1")
         self.per_sample_weights = w
+        self.cdf = w.cumsum()
+        self.cdf /= self.cdf[-1]
 
 
 def original_weights(n_records):
@@ -81,8 +85,11 @@ def inverse_class_weights(stats, labels_per_record):
 
 
 def sample_batch(spec, batch_size, rng):
-    """i.i.d. draws with replacement from the spec's per-record weights."""
+    """i.i.d. draws with replacement from the spec's per-record weights.
+
+    The arithmetic of rng.choice(n, batch_size, p=weights) on the CDF built
+    once: the same indices, and the same generator state after.
+    """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    n = len(spec.per_sample_weights)
-    return rng.choice(n, size=batch_size, replace=True, p=spec.per_sample_weights)
+    return spec.cdf.searchsorted(rng.random(batch_size), side="right")

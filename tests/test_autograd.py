@@ -7,6 +7,7 @@ import pytest
 
 from medc import autograd as ag
 from medc.autograd import Parameter, ShapeError, Tensor
+from medc.seeding import derive_rng
 from medc.verify import REFINE_ABOVE, gradient_check
 
 
@@ -98,17 +99,18 @@ def test_mean_pool_zero_extent_errors():
 def test_affine_norm_degenerate_row_outputs_shift():
     x = Tensor(np.full((2, 3), 4.0))
     W = Tensor(np.eye(3))
-    out = ag.affine_norm_layer(x, W, Tensor(np.zeros(3)), Tensor(np.ones(3)),
-                               Tensor(np.full(3, 2.5)))
+    out = ag.affine_norm_relu(x, W, Tensor(np.zeros(3)), Tensor(np.ones(3)),
+                              Tensor(np.full(3, 2.5)))
     assert out.data == pytest.approx(np.full((2, 3), 2.5))
 
 
 def test_affine_norm_hand_case():
-    out = ag.affine_norm_layer(Tensor([[1.0, 3.0]]), Tensor(np.eye(2)),
-                               Tensor(np.zeros(2)), Tensor(np.ones(2)),
-                               Tensor(np.zeros(2)))
-    # (x - 2) / (1 + guard)
-    assert out.data.ravel() == pytest.approx([-1.0, 1.0], abs=5e-5)
+    out = ag.affine_norm_relu(Tensor([[1.0, 3.0]]), Tensor(np.eye(2)),
+                              Tensor(np.zeros(2)), Tensor(np.ones(2)),
+                              Tensor(np.ones(2)))
+    # (x - 2) / (1 + guard) + 1, then the ReLU, which both entries pass
+    assert out.data.ravel() == pytest.approx([0.0, 2.0], abs=5e-5)
+    assert (out.data > 0.0).all()
 
 
 def test_affine_norm_row_shift_invariance():
@@ -116,8 +118,8 @@ def test_affine_norm_row_shift_invariance():
     x = rng.standard_normal((3, 4))
     W, b = Tensor(np.eye(4)), Tensor(np.zeros(4))
     s, t = Tensor(np.ones(4)), Tensor(np.zeros(4))
-    base = ag.affine_norm_layer(Tensor(x), W, b, s, t).data
-    shifted = ag.affine_norm_layer(Tensor(x + 3.7), W, b, s, t).data
+    base = ag.affine_norm_relu(Tensor(x), W, b, s, t).data
+    shifted = ag.affine_norm_relu(Tensor(x + 3.7), W, b, s, t).data
     np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
@@ -134,14 +136,17 @@ def test_gradient_check_constant():
 
 
 def test_gradient_check_probe_batches_match_serial_probes():
-    theta = Parameter(np.array([1e-5, 0.5, -0.3]), "theta")  # entry 0 sits on the ReLU kink
+    theta = Parameter(np.array([[1e-5, 0.5, -0.3]]), "theta")  # entry 0 sits on the ReLU kink
+
+    def relu(x):
+        return ag.linear(x, Tensor(np.eye(3)), Tensor(np.zeros(3)), relu=True)
 
     def probe(values):
-        return ag.sum_along(ag.relu(Tensor(values[0])), axis=-1).data
+        return ag.sum_along(relu(Tensor(values[0])), axis=(-2, -1)).data
 
-    serial = gradient_check(lambda: ag.sum_along(ag.relu(theta)), [theta])
+    serial = gradient_check(lambda: ag.sum_along(relu(theta)), [theta])
     assert serial > REFINE_ABOVE  # so the refinement ladder ran
-    assert gradient_check(lambda: ag.sum_along(ag.relu(theta)), [theta], probe=probe) == serial
+    assert gradient_check(lambda: ag.sum_along(relu(theta)), [theta], probe=probe) == serial
 
 
 def test_no_tape_records_nothing_and_is_undone_on_exit():
@@ -187,7 +192,10 @@ def _rand(rng, *shape):
     ("mean", lambda p, q: ag.mean_along(ag.mul(p, q), axis=0)),
     ("slice", lambda p, q: p[1:3, :2]),
     ("take_fancy", lambda p, q: p[np.array([0, 2, 2]), np.array([1, 0, 3])]),
-    ("feature_norm", lambda p, q: ag.feature_norm(ag.mul(p, 2.0))),
+    ("linear", lambda p, q: ag.linear(p, q, q[0])),
+    ("linear_relu", lambda p, q: ag.linear(p, q, q[0], relu=True)),
+    ("affine_norm_relu", lambda p, q: ag.affine_norm_relu(ag.mul(p, 2.0), q, q[0], p[1],
+                                                          ag.add(q[2], 1.0))),
     ("l2_normalize", lambda p, q: ag.mul(ag.l2_normalize(p, axis=1), q)),
     ("clamp", lambda p, q: ag.clamp(ag.mul(p, 0.4), -0.5, 0.5)),
 ])
@@ -205,8 +213,118 @@ def test_relu_gradient_away_from_kink():
     vals = _rand(rng, 5, 5)
     vals[np.abs(vals) < 0.01] = 0.5  # keep finite differences off the kink
     p = Parameter(vals, "p")
-    err = gradient_check(lambda: ag.sum_along(ag.square(ag.relu(p))), [p])
+    err = gradient_check(lambda: ag.sum_along(ag.square(ag.linear(
+        p, Tensor(np.eye(5)), Tensor(np.zeros(5)), relu=True))), [p])
     assert err < 1e-4
+
+
+# -- the fused layers against the separate ops they replace -------------------
+
+def _relu(x):
+    """ReLU as its own tape node: the op `linear(relu=True)` and `affine_norm_relu` fuse."""
+    return ag._track(Tensor(np.maximum(x.data, 0.0)), (x,), lambda g: (g * (x.data > 0.0),))
+
+
+def _feature_norm(x):
+    """(x - mean) / (std + 1e-5) over the last axis as its own tape node, with its own backward."""
+    n = x.data.shape[-1]
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-12)
+    denom = std + 1e-5
+
+    def backward(g):
+        gc = g / denom - centered * ((g * centered).sum(axis=-1, keepdims=True)
+                                     / (n * std * denom * denom))
+        return (gc - gc.mean(axis=-1, keepdims=True),)
+
+    return ag._track(Tensor(centered / denom), (x,), backward)
+
+
+def _unfused_linear(x, W, b, relu=False):
+    out = ag.add(ag.matmul(x, W), b)
+    return _relu(out) if relu else out
+
+
+def _unfused_affine_norm_relu(x, W, b, scale, shift):
+    return _relu(ag.add(ag.mul(scale, _feature_norm(ag.add(ag.matmul(x, W), b))), shift))
+
+
+# (x, W, b-like) shapes: no expert axis, a single expert's slice of the stacked
+# (E, 1, 1, n) vectors, the expert axis, the gradient check's probe axis in front
+# of it (heads (K, E, ...), trunk (K, 1, ...) over a shared (1, E, ...) input), and
+# a bias that broadcasts beyond the product's shape
+FUSED_SHAPES = {
+    "plain": ((6, 4), (4, 5), (5,)),
+    "expert_slice": ((3, 4, 4), (4, 5), (1, 1, 5)),
+    "expert_axis": ((2, 3, 4, 4), (2, 4, 5), (2, 1, 1, 5)),
+    "probe_axis": ((3, 2, 3, 4, 4), (3, 2, 4, 5), (3, 2, 1, 1, 5)),
+    "probe_trunk": ((1, 2, 3, 4, 4), (3, 1, 4, 5), (3, 1, 1, 1, 5)),
+    "bias_beyond": ((4, 4), (4, 5), (1, 1, 5)),
+}
+FUSED_OPS = {
+    "linear": (lambda x, W, b, s, t: ag.linear(x, W, b),
+               lambda x, W, b, s, t: _unfused_linear(x, W, b)),
+    "linear_relu": (lambda x, W, b, s, t: ag.linear(x, W, b, relu=True),
+                    lambda x, W, b, s, t: _unfused_linear(x, W, b, relu=True)),
+    "affine_norm_relu": (ag.affine_norm_relu, _unfused_affine_norm_relu),
+}
+
+
+@pytest.mark.parametrize("shapes", FUSED_SHAPES.values(), ids=FUSED_SHAPES)
+@pytest.mark.parametrize("op", FUSED_OPS, ids=FUSED_OPS)
+def test_fused_op_equals_the_separate_ops(op, shapes):
+    fused, unfused = FUSED_OPS[op]
+    rng = np.random.default_rng(zlib.crc32(f"{op}{shapes}".encode()))
+    x_shape, w_shape, v_shape = shapes
+    values = [rng.standard_normal(x_shape), rng.standard_normal(w_shape)]
+    values += [rng.standard_normal(v_shape) for _ in range(3)]
+    results = []
+    for build in (fused, unfused):
+        params = [Parameter(v.copy(), f"p{i}") for i, v in enumerate(values)]
+        out = build(*params)
+        weights = derive_rng(0, "weights").standard_normal(out.shape)
+        ag.sum_along(ag.mul(out, weights)).backward()
+        results.append((out.data, [p.grad for p in params]))
+    (out_f, grads_f), (out_u, grads_u) = results
+    assert np.array_equal(out_f, out_u)
+    for g_f, g_u in zip(grads_f, grads_u):
+        np.testing.assert_allclose(g_f, g_u, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("op", FUSED_OPS, ids=FUSED_OPS)
+def test_fused_op_computes_no_gradient_for_a_data_input(op):
+    rng = np.random.default_rng(5)
+    X = Tensor(rng.standard_normal((3, 4, 4)))  # data: no gradient, no parents
+    params = [Parameter(rng.standard_normal(shape)) for shape in ((4, 5), (5,), (5,), (5,))]
+    out = FUSED_OPS[op][0](X, *params)
+    grads = out._backward(np.ones(out.shape))
+    assert grads[0] is None
+    assert all(g is not None for g in grads[1:])
+    x = Parameter(X.data)
+    assert FUSED_OPS[op][0](x, *params)._backward(np.ones(out.shape))[0] is not None
+
+
+def _masked_sigmoid(x):
+    """The logistic function by a boolean-mask gather and scatter: the reference formula."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def test_stable_sigmoid_bytes_equal_the_masked_formula():
+    rng = np.random.default_rng(9)
+    x = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 1e308, -1e308,
+         5e-324, -5e-324, 36.0, -36.0, 710.0, -710.0],
+        rng.standard_normal(200_000) * 10.0,
+        rng.uniform(-800.0, 800.0, 200_000),
+        np.sign(rng.standard_normal(50_000)) * 10.0 ** rng.uniform(-320, 308, 50_000)])
+    assert ag._stable_sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
+    block = x[:3 * 256 * 50].reshape(3, 256, 50)   # an eval chunk's logits
+    assert ag._stable_sigmoid(block).tobytes() == _masked_sigmoid(block).tobytes()
 
 
 def test_broadcast_add_gradient():
@@ -239,8 +357,9 @@ def test_forward_bit_identical_across_runs():
     def run():
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((3, 5)))
+        w1, b, s, t = (Tensor(rng.standard_normal(shape)) for shape in ((5, 5), 5, 5, 5))
         w = Tensor(rng.standard_normal((5, 2)))
-        return ag.sigmoid(ag.matmul(ag.feature_norm(x), w)).data
+        return ag.sigmoid(ag.matmul(ag.affine_norm_relu(x, w1, b, s, t), w)).data
 
     assert np.array_equal(run(), run())
 

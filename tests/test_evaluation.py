@@ -148,6 +148,16 @@ def test_acc_topk_hand_case():
     assert report.acc_at_5 == 1.0
 
 
+def test_acc_at_5_matches_per_record_loop():
+    rng = np.random.default_rng(4)
+    scores = rng.integers(0, 4, size=(300, 12)) / 4.0  # many ties
+    labels = (rng.random((300, 12)) < 0.1).astype(np.uint8)
+    labels[0, 0] = 1
+    top5 = np.argsort(-scores, axis=1, kind="stable")[:, :5]
+    loop = float(np.mean([labels[i, top5[i]].any() for i in range(len(scores))]))
+    assert metrics_from_scores(scores, labels, [HEAD] * 12).acc_at_5 == loop
+
+
 # -- end-to-end scoring and serialization ---------------------------------------
 
 def tiny_setup(seed=0):

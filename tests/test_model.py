@@ -7,8 +7,8 @@ import pytest
 
 from medc import autograd as ag
 from medc.autograd import Tensor
-from medc.model import (CHECKPOINT_MAGIC, EXPERT_KINDS, Model, ModelConfig,
-                        classify, estimate_mean, estimate_variance,
+from medc.model import (CHECKPOINT_MAGIC, EXPERT_KINDS, Model, ModelConfig, _hidden,
+                        _linear, classify, estimate_mean, estimate_variance,
                         forward_inference, load_checkpoint, reparameterize,
                         save_checkpoint, trunk_forward)
 from medc.seeding import derive_rng
@@ -67,6 +67,22 @@ def test_estimate_mean_rows_are_unit_norm():
     mu = estimate_mean(H0, expert_slice(model, "uniform"))
     assert mu.shape == (5, 6)
     np.testing.assert_allclose(np.linalg.norm(mu.data, axis=-1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_pooled_estimate_mean_matches_per_frame_output_layer(depth):
+    # pooling commutes with phi_mu's affine output layer: pooling before it equals
+    # the mean over frames of the output layer applied to every frame
+    model = Model(tiny_cfg(phi_depth=depth), seed=depth)
+    X = derive_rng(depth, "x").uniform(-1, 1, size=(5, 4, 3))
+    H0 = trunk_forward(X, model.trunk)
+    for head, H in ((expert_slice(model, "inverse"), H0),
+                    (model.stacked_heads, ag.reshape(H0, (1,) + H0.shape))):
+        per_frame = _linear(head, "phi_mu.out", _hidden(head, "phi_mu", H))
+        reference = ag.l2_normalize(ag.mean_along(per_frame, axis=-2), axis=-1)
+        mu = estimate_mean(H, head)
+        assert mu.shape == reference.shape
+        np.testing.assert_allclose(mu.data, reference.data, rtol=0, atol=1e-12)
 
 
 def test_sigma_is_softplus_zero_when_values_vanish():

@@ -106,6 +106,18 @@ def test_sample_batch_deterministic():
     assert np.array_equal(b1, b2)
 
 
+@pytest.mark.parametrize("n", [1, 5, 540])
+def test_sample_batch_equals_generator_choice(n):
+    w = derive_rng(n, "w").uniform(0.0, 1.0, size=n)
+    spec = SamplerSpec(w / w.sum())
+    ours, theirs = derive_rng(n, "draw"), derive_rng(n, "draw")
+    for batch_size in [1, 32, 7] * 100:
+        expected = theirs.choice(n, size=batch_size, replace=True, p=spec.per_sample_weights)
+        got = sample_batch(spec, batch_size, ours)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_original_sampler_monte_carlo_frequencies():
     counts = [500, 100, 10]
     stats = stats_for(counts)

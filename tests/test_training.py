@@ -380,3 +380,28 @@ def test_batched_objective_matches_per_head_reference(E, attention):
     assert loss.item() == pytest.approx(ref_loss.item(), rel=1e-12, abs=1e-12)
     for p, g, r in zip(params, batched, reference):
         np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12, err_msg=p.name)
+
+
+def _tape_nodes(out):
+    """The ops recorded on the tape that out's backward walks."""
+    seen, stack, nodes = set(), [out], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes += t._backward is not None
+            stack.extend(t._parents)
+    return nodes
+
+
+def test_training_step_tape_node_count_is_pinned():
+    # one step at the criterion-6 shapes (C=20, D=32, L=8, B=32, three experts);
+    # with the linear and normalized ReLU layers fused it records 63 ops (80 unfused)
+    E, B, L, D, C, d = 3, 32, 8, 32, 20, 16
+    model = Model(ModelConfig(D=D, C=C, d_trunk=32, hidden=32, d=d), seed=0)
+    rng = derive_rng(0, "tape")
+    Y = np.zeros((E, B, C), dtype=np.uint8)
+    Y[np.arange(E)[:, None], np.arange(B), rng.integers(0, C, size=(E, B))] = 1
+    loss, _ = composed_objective(model, rng.uniform(-1.0, 1.0, size=(E, B, L, D)), Y,
+                                 rng.standard_normal((E, B, d)), LossWeights())
+    assert _tape_nodes(loss) == 63
