@@ -5,7 +5,7 @@ uniform, inversely long-tailed) and calibrates its embedding variances to
 a matching per-class target. Inference averages the three probability
 vectors.
 
-Run: python3 demos/02_train_and_evaluate.py   (about half a minute)
+Run: python3 demos/02_train_and_evaluate.py   (about a second on a 2-vCPU VM)
 """
 
 from medc.data import (SyntheticConfig, compute_label_stats, generate_synthetic,

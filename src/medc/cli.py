@@ -3,8 +3,10 @@
 Subcommands: gen-data, train, eval, ablate, sweep, gradcheck. Every
 command that writes artifacts also writes a manifest.json recording the
 config digest, seed, and output checksums. Exit codes: 0 success, 1
-validation error, 2 runtime error. Seed precedence: --seed flag, then the
-MEDC_SEED environment variable, then the config file.
+validation error, 2 runtime error. The seed of gen-data, train, ablate and
+sweep resolves as: --seed flag, then the MEDC_SEED environment variable,
+then the config file. eval takes no seed; its manifest records the seed the
+checkpoint's model was built with.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import os
 import sys
 
 from . import evaluation
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
 from .data import (compute_label_stats, generate_synthetic, read_feature_file,
                    split_records, write_feature_file)
 from .model import load_checkpoint, read_checkpoint_manifest
@@ -49,7 +51,7 @@ def _finish(manifest_path, config_path, seed, output_paths, message):
 
 
 def _resolve_seed(args, cfg):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("MEDC_SEED")
     if env is None:
@@ -112,18 +114,17 @@ def cmd_eval(args):
                          f"data file has D={records[0].features.shape[1]}")
     if args.config:
         cfg = load_config(args.config)
-        seed = _resolve_seed(args, cfg)
-    else:  # the default thresholds of a config that gives none
-        cfg, seed = RunConfig({"seed": model.seed}), model.seed
-    stats = compute_label_stats(records, cfg.head_threshold, cfg.medium_threshold)
-    report = evaluation.evaluate(model, records, stats, seed=seed)
+        stats = compute_label_stats(records, cfg.head_threshold, cfg.medium_threshold)
+    else:
+        stats = compute_label_stats(records)
+    report = evaluation.evaluate(model, records, stats)
     os.makedirs(args.out, exist_ok=True)
     paths = [os.path.join(args.out, n) for n in
              ("report.json", "metrics.csv", "per_class_ap.csv")]
     evaluation.write_report_json(report, paths[0])
     evaluation.write_csv(paths[1], ("metric", "value"), report.metric_rows())
     evaluation.write_csv(paths[2], ("class", "AP"), sorted(report.per_class_AP.items()))
-    return _finish(os.path.join(args.out, "manifest.json"), args.config, seed, paths,
+    return _finish(os.path.join(args.out, "manifest.json"), args.config, model.seed, paths,
                    f"overall_mAP={report.overall_mAP:.4f} tail_mAP={report.tail_mAP:.4f}")
 
 
@@ -209,7 +210,6 @@ def build_parser():
     e.add_argument("--data", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--config", help="optional config for group thresholds")
-    e.add_argument("--seed", type=int)
     e.set_defaults(func=cmd_eval)
 
     a = sub.add_parser("ablate", help="expert-subset and attention ablation grid")

@@ -50,7 +50,6 @@ class MetricsReport:
     acc_at_5: float
     per_class_AP: dict          # class index -> AP, evaluated classes only
     skipped_classes: list       # classes with no test positives
-    seed: int = 0
 
     def metric_rows(self):
         return [(name, getattr(self, name)) for name in METRIC_COLUMNS]
@@ -78,7 +77,7 @@ def _group_mean(per_class, groups, tag):
     return float(np.mean(vals)) if vals else math.nan
 
 
-def metrics_from_scores(scores, labels, groups, seed=0):
+def metrics_from_scores(scores, labels, groups):
     """MetricsReport of scores (N, C) against 0/1 labels (N, C).
 
     Classes without a positive label are skipped. Raises ValueError when
@@ -113,15 +112,15 @@ def metrics_from_scores(scores, labels, groups, seed=0):
         medium_mAP=_group_mean(per_class, groups, MEDIUM),
         tail_mAP=_group_mean(per_class, groups, TAIL),
         acc_at_1=acc1, acc_at_5=acc5,
-        per_class_AP=per_class, skipped_classes=skipped, seed=seed)
+        per_class_AP=per_class, skipped_classes=skipped)
 
 
-def evaluate(model, records, stats, seed=0):
+def evaluate(model, records, stats):
     """MetricsReport for a test set under averaged-expert inference."""
     if not records:
         raise ValueError("test set is empty")
     scores, labels = score_records(model, records)
-    return metrics_from_scores(scores, labels, stats.groups, seed)
+    return metrics_from_scores(scores, labels, stats.groups)
 
 
 # -- report serialization ------------------------------------------------------
@@ -169,7 +168,7 @@ def _grid(points, train_records, test_records, stats, seeds):
         reports = []
         for seed in seeds:
             model, _ = train(replace(point_cfg, seed=seed), train_records)
-            reports.append(evaluate(model, test_records, stats, seed=seed))
+            reports.append(evaluate(model, test_records, stats))
         rows.append({**label, **{col: float(np.mean([getattr(r, col) for r in reports]))
                                  for col in METRIC_COLUMNS}})
     return rows

@@ -3,9 +3,10 @@
 Total objective: lambda1 * sum_e L_mu + lambda2 * sum_e L_cls +
 lambda3 * sum_e L_sigma, summed over experts. Each loss takes an optional
 leading expert axis and then returns one value per expert. Any further
-leading axes in front of it (a probe axis: K copies of the batch under K
-parameter sets) are carried through, so a loss of labels (K, E, B, C)
-is (K, E).
+leading axes in front of it (a probe axis: K batches under K parameter
+sets) are carried through, each index with its own labels, so a loss of
+labels (K, E, B, C) is (K, E). Each per-sample loss is a masked mean over
+the dense batch, so no leading index depends on another's labels.
 
 The paper's loss hyperparameters are fixed: contrastive temperature 1,
 variance targets in [GAMMA_LOW, GAMMA_HIGH], and GAMMA_UNIFORM for the
@@ -60,38 +61,10 @@ def gamma_targets(stats, expert_kind):
     return GAMMA_LOW + (GAMMA_HIGH - GAMMA_LOW) * (w - lo) / (hi - lo)
 
 
-def _rows(mask, lead):
-    """np.nonzero(mask), one row per true entry, laid out for `_mean_per_expert`.
-
-    For a single head (lead ()) the index arrays are flat (R,). With lead
-    (..., E) each is lead[:-1] + (1, R): the entries of probe index g fill
-    row g in np.nonzero's order. Every probe index must hold the same mask,
-    as when the gradient check's probes share one label set; a mask that
-    differs along the probe axes raises ValueError.
-    """
-    idx = np.nonzero(mask)
-    if not lead:
-        return idx
-    probes = lead[:-1]
-    if probes and (mask != mask[(0,) * len(probes)]).any():
-        raise ValueError("the labels differ along the probe axes; "
-                         "every probe must share one label set")
-    return tuple(i.reshape(probes + (1, -1)) for i in idx)
-
-
-def _mean_per_expert(values, rows, lead):
-    """Mean of the row values per leading index; an index with no rows gets 0.
-
-    values and rows are laid out by `_rows`. lead is () for a single head,
-    whose mean is a scalar, or (..., E), whose expert e averages the rows
-    with rows[len(lead) - 1] == e within each probe index.
-    """
-    if lead:
-        member = (rows[len(lead) - 1] == np.arange(lead[-1])[:, None]).astype(np.float64)
-    else:
-        member = np.ones(values.shape[0])
-    weights = member / np.maximum(member.sum(axis=-1, keepdims=True), 1.0)
-    return ag.sum_along(ag.mul(values, Tensor(weights)), axis=-1)
+def _mean_weights(mask, axis=-1):
+    """mask / max(count, 1) over axis: a sum of values times these is their mean
+    over the true entries of mask, and 0 at a leading index with none."""
+    return mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1)
 
 
 def mean_contrastive_loss(mus, labels):
@@ -106,31 +79,28 @@ def mean_contrastive_loss(mus, labels):
     each expert's batch is its own, and the result is (E,).
     """
     labels = np.asarray(labels).astype(bool)
-    lead, B = labels.shape[:-2], labels.shape[-2]
-    if B < 2:
-        return Tensor(np.zeros(lead))
+    B = labels.shape[-2]
     counts = labels.astype(np.int64)
     overlap = (counts @ np.swapaxes(counts, -1, -2)) > 0
     share = overlap & ~np.eye(B, dtype=bool)
     disjoint = ~overlap
     eligible = share.any(axis=-1) & disjoint.any(axis=-1)
-    if not eligible.any():
-        return Tensor(np.zeros(lead))
 
     axes = tuple(range(mus.ndim - 2)) + (mus.ndim - 1, mus.ndim - 2)
     sims = ag.matmul(mus, ag.transpose(mus, axes))
     sv = sims.data
-    # nearest positive by dot product; argmax breaks ties by lowest index
-    best = np.where(share, sv, -np.inf).argmax(axis=-1)
-
-    rows = _rows(eligible, lead)      # (leading index, anchor) of each eligible row
-    mask = (disjoint | (best[..., None] == np.arange(B)))[rows].astype(np.float64)
+    # nearest positive by dot product; argmax breaks ties by lowest index. An
+    # anchor without a positive keeps column 0, so every row's softmax has a
+    # term and a finite log-sum-exp, and weighs 0 in the mean.
+    nearest = np.where(share, sv, -np.inf).argmax(axis=-1)[..., None] == np.arange(B)
+    mask = disjoint | nearest
     # constant per-anchor shift keeps exp bounded without touching gradients
-    shift = np.where(mask > 0, sv[rows], -np.inf).max(axis=-1, keepdims=True)
-    e = ag.mul(ag.exp(ag.sub(sims[rows], Tensor(shift))), Tensor(mask))
+    shift = np.where(mask, sv, -np.inf).max(axis=-1, keepdims=True)
+    e = ag.mul(ag.exp(ag.sub(sims, Tensor(shift))), Tensor(mask))
     lse = ag.add(ag.log(ag.sum_along(e, axis=-1)), Tensor(shift[..., 0]))
-    pos = sims[rows + (best[rows],)]
-    return _mean_per_expert(ag.sub(lse, pos), rows, lead)
+    pos = ag.sum_along(ag.mul(sims, Tensor(nearest)), axis=-1)
+    loss = ag.mul(ag.sub(lse, pos), Tensor(_mean_weights(eligible)))
+    return ag.sum_along(loss, axis=-1)
 
 
 def classification_loss(p, y):
@@ -154,16 +124,21 @@ def variance_region_loss(sigmas, labels, gamma):
     gamma broadcasts over any further leading axes of the labels.
     """
     labels = np.asarray(labels)
-    lead = labels.shape[:-2]
-    *rows, cols = _rows(labels, lead)
-    if cols.size == 0:
-        return Tensor(np.zeros(lead))
-    rows = tuple(rows)
-    sel = ag.square(sigmas)[rows]                                    # (..., R, d)
-    gamma = np.broadcast_to(gamma, lead + labels.shape[-1:])
-    targets = Tensor(gamma[rows[:-1] + (cols,)][..., None])
-    dev = ag.sum_along(ag.square(ag.sub(sel, targets)), axis=-1)     # (..., R)
-    return ag.mul(_mean_per_expert(dev, rows, lead), 1.0 / sel.shape[-1])
+    # S slots per sample, its positive classes first; S is the most labels a sample has
+    S = max(int(np.count_nonzero(labels, axis=-1).max()), 1)
+    cls = np.argsort(labels == 0, axis=-1, kind="stable")[..., :S]
+    gamma = np.broadcast_to(np.asarray(gamma)[..., None, :], labels.shape)
+    # the slot axis leads, so it broadcasts against sigmas (..., B, d) with no reshape
+    held = np.moveaxis(np.take_along_axis(labels, cls, axis=-1) != 0, -1, 0)  # (S, ..., B)
+    targets = np.moveaxis(np.take_along_axis(gamma, cls, axis=-1), -1, 0)
+    sq = ag.square(sigmas)
+    dev = ag.sum_along(ag.square(ag.sub(sq, Tensor(targets[..., None]))), axis=-1)
+    # Summed on their own, the slots add an empty trailing slot as an exact 0 (numpy
+    # sums fewer than 8 terms in order), so the value does not depend on S, which
+    # other leading indices may set.
+    w = Tensor(_mean_weights(held, axis=(0, -1)))
+    per_sample = ag.sum_along(ag.mul(dev, w), axis=0)                           # (..., B)
+    return ag.mul(ag.sum_along(per_sample, axis=-1), 1.0 / sq.shape[-1])
 
 
 def total_loss(terms, weights):

@@ -130,8 +130,8 @@ def composed_objective(model, X, Y, eps, weights, params=None):
     it, `model.trunk` and `model.stacked_heads` by default. A probe axis K
     in front evaluates K parameter sets at once: the head roles are then
     (K, E, ...), the trunk's (K, 1, D, d_trunk) and (K, 1, 1, 1, d_trunk),
-    X is (1, E, B, L, D) and Y (K, E, B, C), the same labels for every
-    probe; the loss is (K,) and the terms are (K, E).
+    X is (1, E, B, L, D) and Y (K, E, B, C), each probe with its own labels;
+    the loss is (K,) and the terms are (K, E).
     """
     params = params or {**model.trunk, **model.stacked_heads}
     H0 = trunk_forward(X, params)
@@ -206,7 +206,7 @@ def train(cfg, records, out_dir=None, resume_from=None):
     epochs plus a final one, with a record of cfg. A resume is refused,
     naming the field, when the checkpoint's model or recorded cfg differs
     from this run's in anything but epochs and checkpoint_every, or records
-    a setting this run does not have.
+    a setting this run does not have, or holds more epochs than this run's.
     """
     stats = compute_label_stats(records, cfg.head_threshold, cfg.medium_threshold)
     feats = np.stack([r.features for r in records])
@@ -224,6 +224,9 @@ def train(cfg, records, out_dir=None, resume_from=None):
                              "the settings it was trained with")
         _refuse_other_settings(resume_from, "it was trained with", extra["run"], _run_record(cfg))
         start_epoch = extra["epoch"]
+        if start_epoch > cfg.epochs:
+            raise ValueError(f"cannot resume from {resume_from}: it holds {start_epoch} "
+                             f"epochs, past this run's epochs={cfg.epochs}")
         history = [tuple(row) for row in extra.get("history", [])]
     else:
         model = Model(mcfg, seed=cfg.seed)

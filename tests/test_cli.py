@@ -82,6 +82,19 @@ def test_repeated_eval_metrics_are_byte_identical(workspace):
     assert outs[0] == outs[1]
 
 
+def test_eval_reads_no_seed_and_records_the_checkpoints(workspace, monkeypatch):
+    tmp_path, cfg, data = workspace
+    run_dir = tmp_path / "run"
+    main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run_dir)])
+    monkeypatch.setenv("MEDC_SEED", "abc")  # refused by every command that reads it
+    for name, config_args in (("with-config", ["--config", str(cfg)]), ("default", [])):
+        out = tmp_path / name
+        assert main(["eval", "--checkpoint", str(run_dir / "checkpoint_final.bin"),
+                     "--data", str(data), "--out", str(out)] + config_args) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 7
+        assert "seed" not in json.loads((out / "report.json").read_text())
+
+
 def test_eval_rejects_class_count_mismatch(workspace, tmp_path, capsys):
     ws, cfg, data = workspace
     run_dir = ws / "run"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medc import autograd as ag
 from medc.autograd import Parameter, Tensor
@@ -225,10 +227,6 @@ def test_losses_carry_a_probe_axis(per_probe):
                 classification_loss(Tensor(p[at]), labels[at]),
                 variance_region_loss(Tensor(sigmas[at]), labels[at], gamma))
 
-    if per_probe:  # only the gradient check's case, one label set for every probe, is laid out
-        with pytest.raises(ValueError, match="labels differ along the probe axes"):
-            terms(None)
-        return
     batched = terms(None)
     assert all(t.shape == (K, E) for t in batched)
     total = total_loss(batched, weights)
@@ -239,6 +237,65 @@ def test_losses_carry_a_probe_axis(per_probe):
         got = np.hstack([t.data[k] for t in batched] + [total.data[k]])
         want = np.hstack([t.data for t in alone] + [total_loss(alone, weights).data])
         np.testing.assert_array_equal(got, want)
+
+
+def reference_variance(sigmas, labels, gamma):
+    """Loop-based restatement of the variance-region mean."""
+    terms = [(s ** 2 - gamma[c]) ** 2 for s, row in zip(sigmas, labels)
+             for c in np.flatnonzero(row)]
+    return float(np.mean(terms)) if terms else 0.0
+
+
+@st.composite
+def per_index_batches(draw):
+    """A (K, E) grid of batches, each with its own labels of 1-3 positives per sample.
+
+    Batch (0, 0) puts class 0 on every sample, so no anchor has a negative;
+    batch (K-1, E-1) has no positive label at all.
+    """
+    K, E, B, C = (draw(st.integers(1, 3)), draw(st.integers(2, 3)),
+                  draw(st.integers(2, 6)), draw(st.integers(2, 5)))
+    labels = np.zeros((K, E, B, C), dtype=np.uint8)
+    for idx in np.ndindex(K, E, B):
+        labels[idx + (sorted(draw(st.sets(st.integers(0, C - 1), min_size=1,
+                                          max_size=min(3, C)))),)] = 1
+    labels[0, 0, :, 0] = 1
+    labels[-1, -1] = 0
+    return labels, draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(per_index_batches())
+def test_batched_losses_equal_per_index_calls_bit_for_bit(batch):
+    labels, d, seed = batch
+    K, E, B, C = labels.shape
+    rng = np.random.default_rng(seed)
+    mus = rng.standard_normal((K, E, B, d))
+    mus /= np.linalg.norm(mus, axis=-1, keepdims=True)
+    p = rng.uniform(0.01, 0.99, size=(K, E, B, C))
+    sigmas = rng.uniform(0.1, 1.5, size=(K, E, B, d))
+    gamma = rng.uniform(0.01, 1.0, size=(E, C))
+
+    def run(at, g):
+        ins = [Parameter(x[at], "x") for x in (mus, p, sigmas)]
+        terms = (mean_contrastive_loss(ins[0], labels[at]),
+                 classification_loss(ins[1], labels[at]),
+                 variance_region_loss(ins[2], labels[at], g))
+        ag.sum_along(ag.add(ag.add(terms[0], terms[1]), terms[2])).backward()
+        return [t.data for t in terms], [x.grad for x in ins]
+
+    values, grads = run((slice(None),), gamma)
+    for v in values + grads:
+        assert np.isfinite(v).all()
+    for k, e in np.ndindex(K, E):
+        alone, alone_grads = run((k, e), gamma[e])
+        for batched, one in zip(values + grads, alone + alone_grads):
+            np.testing.assert_array_equal(batched[k, e], one)
+        assert alone[0] == pytest.approx(reference_contrastive(mus[k, e], labels[k, e]),
+                                         rel=1e-12, abs=1e-15)
+        assert alone[2] == pytest.approx(reference_variance(sigmas[k, e], labels[k, e],
+                                                            gamma[e]), rel=1e-12, abs=1e-15)
+    assert values[0][0, 0] == 0.0 and values[0][-1, -1] == 0.0 and values[2][-1, -1] == 0.0
 
 
 def test_loss_weights_validate():

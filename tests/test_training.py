@@ -207,6 +207,16 @@ def test_resume_refuses_data_of_another_shape(tmp_path):
               resume_from=str(tmp_path / "checkpoint_final.bin"))
 
 
+def test_resume_refuses_a_checkpoint_past_the_runs_end(tmp_path):
+    records = small_dataset()
+    train(small_train_cfg(epochs=3), records, out_dir=str(tmp_path))
+    path = tmp_path / "checkpoint_final.bin"
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="holds 3 epochs, past this run's epochs=1"):
+        train(small_train_cfg(epochs=1), records, out_dir=str(tmp_path), resume_from=str(path))
+    assert path.read_bytes() == before
+
+
 def test_version_2_checkpoint_loads_but_is_not_resumed(tmp_path):
     records = small_dataset()
     model, _ = train(small_train_cfg(epochs=1), records, out_dir=str(tmp_path))
