@@ -56,7 +56,7 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
-        """Zero the gradient in place, so a gradient that is a view stays one."""
+        """Zero the gradient in place, allocating it on first use."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         else:

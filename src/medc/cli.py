@@ -90,7 +90,6 @@ def cmd_train(args):
     records, tcfg = _load_train_inputs(args, cfg, seed)
     # read before train(), which may overwrite the checkpoint it resumes from
     resumed = read_checkpoint_manifest(args.resume)[0]["extra"] if args.resume else {}
-    os.makedirs(args.out, exist_ok=True)
     _, history = train(tcfg, records, out_dir=args.out, resume_from=args.resume)
     loss_csv = os.path.join(args.out, "loss_history.csv")
     evaluation.write_csv(loss_csv, ("epoch", "expert", "term", "value"), history)

@@ -79,7 +79,7 @@ class RunConfig:
         self.medium_threshold = ev.get("medium_threshold", defaults.medium_threshold)
         self.test_fraction = ev.get("test_fraction", 0.25)
 
-    def synthetic_config(self, seed=None):
+    def synthetic_config(self, seed):
         d = dict(self._data)
         if "C" not in d or "D" not in d or "L" not in d:
             raise ConfigError("config section 'data' needs C, D and L")
@@ -92,12 +92,12 @@ class RunConfig:
             d["counts"] = zipf_counts(d["C"], **z)
         elif "counts" not in d:
             raise ConfigError("config section 'data' needs counts or zipf")
-        return SyntheticConfig(**d, seed=self.seed if seed is None else seed)
+        return SyntheticConfig(**d, seed=seed)
 
-    def train_config(self, seed=None):
+    def train_config(self, seed):
         tr = dict(self._train)
         weights = LossWeights(**{k: tr.pop(k) for k in _WEIGHT_TYPES if k in tr})
-        return TrainConfig(**tr, weights=weights, seed=self.seed if seed is None else seed,
+        return TrainConfig(**tr, weights=weights, seed=seed,
                            head_threshold=self.head_threshold,
                            medium_threshold=self.medium_threshold)
 

@@ -133,9 +133,9 @@ def variance_region_loss(sigmas, labels, gamma):
     targets = np.moveaxis(np.take_along_axis(gamma, cls, axis=-1), -1, 0)
     sq = ag.square(sigmas)
     dev = ag.sum_along(ag.square(ag.sub(sq, Tensor(targets[..., None]))), axis=-1)
-    # Summed on their own, the slots add an empty trailing slot as an exact 0 (numpy
-    # sums fewer than 8 terms in order), so the value does not depend on S, which
-    # other leading indices may set.
+    # Summed on their own, the slots add an empty trailing slot as an exact 0. numpy sums
+    # fewer than 8 terms in order, so below 8 labels a sample the value does not depend
+    # on S, which other leading indices may set; from 8 on, its last bit can move with S.
     w = Tensor(_mean_weights(held, axis=(0, -1)))
     per_sample = ag.sum_along(ag.mul(dev, w), axis=0)                           # (..., B)
     return ag.mul(ag.sum_along(per_sample, axis=-1), 1.0 / sq.shape[-1])

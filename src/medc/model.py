@@ -14,8 +14,8 @@ by name, so they run unchanged on that stack, with E in front of every
 activation, and on one expert's slice of it
 `{role: p[e] for role, p in model.stacked_heads.items()}`, whose gradients
 flow back into the stack. Training and inference run all experts as one
-batched graph on the stack; `Model.parameters()` names each expert's view
-of it for checkpoints.
+batched graph on the stack, which `Model.parameters()` returns; only the
+checkpoint file lays it out per expert, through `per_expert_arrays`.
 """
 
 import json
@@ -126,28 +126,11 @@ class Model:
         self.heads = {kind: SimpleNamespace(gamma=np.full(cfg.C, 0.5)) for kind in cfg.experts}
 
     def parameters(self):
-        """Every parameter under its own name, trunk then heads: the checkpoint order.
-
-        Expert e's parameter `expert.<kind>.<role>` is a view of slice e of the
-        stored role, for values and gradients alike, so either side sees the
-        other's writes.
-        """
-        ps = list(self.trunk.values())
-        roles = _head_roles(self.cfg)
-        for e, kind in enumerate(self.cfg.experts):
-            for role, shape in roles:
-                stored = self.stacked_heads[role]
-                p = Parameter(stored.data[e].reshape(shape), f"expert.{kind}.{role}")
-                p.grad = stored.grad[e].reshape(shape)
-                ps.append(p)
-        return ps
-
-    def stored_parameters(self):
-        """The tensors that own the parameter memory: the trunk's, then the stacked roles."""
+        """The Parameters that own the model's memory: the trunk's, then the stacked roles."""
         return list(self.trunk.values()) + list(self.stacked_heads.values())
 
     def zero_grad(self):
-        for p in self.stored_parameters():
+        for p in self.parameters():
             p.zero_grad()
 
 
@@ -271,9 +254,23 @@ def _read_f8(reader, shape, what):
     return np.frombuffer(reader.read(8 * count, what), dtype="<f8").reshape(shape)
 
 
+def per_expert_arrays(model):
+    """(name, array) of every parameter in checkpoint order, each a view of the stored value.
+
+    The trunk's come first, then each expert's slice of every head role as
+    `expert.<kind>.<role>`, in the role table's order and shape.
+    """
+    named = [(p.name, p.data) for p in model.trunk.values()]
+    roles = _head_roles(model.cfg)
+    for e, kind in enumerate(model.cfg.experts):
+        named += [(f"expert.{kind}.{role}", model.stacked_heads[role].data[e].reshape(shape))
+                  for role, shape in roles]
+    return named
+
+
 def save_checkpoint(path, model, extra=None):
     """Write model and `extra`; float64 arrays in `extra`'s dicts go as binary."""
-    params = model.parameters()
+    named = per_expert_arrays(model)
     arrays = []
     extra = _lift_arrays(extra if extra is not None else {}, arrays)
     manifest = {
@@ -281,7 +278,7 @@ def save_checkpoint(path, model, extra=None):
         "config": model.cfg.to_dict(),
         "seed": model.seed,
         "gamma": {kind: model.heads[kind].gamma.tolist() for kind in model.cfg.experts},
-        "params": [{"name": p.name, "shape": list(p.data.shape)} for p in params],
+        "params": [{"name": name, "shape": list(a.shape)} for name, a in named],
         "arrays": [list(a.shape) for a in arrays],
         "extra": extra,
     }
@@ -290,7 +287,7 @@ def save_checkpoint(path, model, extra=None):
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        for a in [p.data for p in params] + arrays:
+        for a in [a for _, a in named] + arrays:
             f.write(a.astype("<f8").tobytes())
 
 
@@ -323,7 +320,7 @@ def read_checkpoint_manifest(path):
 def load_checkpoint(path):
     """Rebuild a Model from a checkpoint file; returns (model, extra).
 
-    The parameter values are written into the new model's stored stack.
+    The parameter values are written into the new model through `per_expert_arrays`.
     A truncated file, or bytes after the last payload, raise ValueError
     with the byte offset. A manifest of another version, or one that lacks
     a key, whose model config has an unknown or missing field or one of the
@@ -348,16 +345,16 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint 'gamma' of {kind!r} has shape {g.shape}, "
                              f"the model's C={cfg.C} classes need ({cfg.C},)")
         model.heads[kind].gamma = g
-    params = model.parameters()
-    if len(params) != len(manifest["params"]):
+    named = per_expert_arrays(model)
+    if len(named) != len(manifest["params"]):
         raise ValueError(f"checkpoint lists {len(manifest['params'])} parameters, "
-                         f"model has {len(params)}")
-    for p, meta in zip(params, manifest["params"]):
-        shape = list(p.data.shape)
-        if not isinstance(meta, dict) or meta.get("name") != p.name or meta.get("shape") != shape:
+                         f"model has {len(named)}")
+    for (name, a), meta in zip(named, manifest["params"]):
+        shape = list(a.shape)
+        if not isinstance(meta, dict) or meta.get("name") != name or meta.get("shape") != shape:
             raise ValueError(f"checkpoint params entry {meta!r} does not match the model's "
-                             f"parameter {p.name!r} of shape {shape}")
-        p.data[...] = _read_f8(reader, p.data.shape, f"parameter {p.name}")
+                             f"parameter {name!r} of shape {shape}")
+        a[...] = _read_f8(reader, a.shape, f"parameter {name}")
     arrays = [_read_f8(reader, tuple(shape), f"array {i}").astype(np.float64)
               for i, shape in enumerate(manifest.get("arrays", []))]
     reader.finish()

@@ -58,8 +58,8 @@ class TrainConfig:
 class Adam:
     """Adam over a parameter list, with the moments in one flat vector each.
 
-    Updates are written into each parameter's array in place, so parameters
-    that are views of a larger store stay views.
+    Updates are written into each parameter's array in place, so a view of
+    it, such as one of `model.per_expert_arrays`, sees them.
     """
 
     def __init__(self, params):
@@ -235,7 +235,7 @@ def train(cfg, records, out_dir=None, resume_from=None):
         start_epoch = 0
         history = []
 
-    adam = Adam(model.stored_parameters())
+    adam = Adam(model.parameters())
     if resume_from is not None and "adam" in extra:
         adam.load_state_dict(extra["adam"])
 

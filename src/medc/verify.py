@@ -5,7 +5,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .losses import LossWeights
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, per_expert_arrays
 from .seeding import derive_rng
 from .training import composed_objective
 
@@ -18,8 +18,8 @@ PROBES = 64
 def composed_objective_problem(seed):
     """The objective that `composed_objective_gradcheck` checks, as (f, probe, params).
 
-    f() is the batched three-expert objective at the stored parameters
-    `params` (the trunk's two, then the stacked head roles); probe(values)
+    f() is the batched three-expert objective at `params`, the model's
+    parameters (the trunk's two, then the stacked head roles); probe(values)
     is the same objective for K parameter sets along a leading probe axis,
     values[j] being the (K, ...) stack of params[j]'s values.
     """
@@ -33,8 +33,8 @@ def composed_objective_problem(seed):
 
     cfg = ModelConfig(D=D, C=C, d_trunk=3, hidden=3, d=d)
     model = Model(cfg, seed=seed)
-    for p in model.parameters():
-        p.data += rng.uniform(-0.05, 0.05, size=p.data.shape)
+    for _, a in per_expert_arrays(model):  # the checkpoint order fixes where each draw lands
+        a += rng.uniform(-0.05, 0.05, size=a.shape)
     for head in model.heads.values():
         head.gamma = rng.uniform(0.01, 1.0, size=C)
     eps = np.stack([rng.standard_normal((batch, d)) for _ in cfg.experts])
@@ -55,7 +55,7 @@ def composed_objective_problem(seed):
             labels, (K,) + labels.shape), eps, weights, params=params)
         return loss.data
 
-    return objective, probe, model.stored_parameters()
+    return objective, probe, model.parameters()
 
 
 def composed_objective_gradcheck(seed):

@@ -210,6 +210,23 @@ def test_train_resume_from_checkpoint(workspace):
         (full / "checkpoint_final.bin").read_bytes()
 
 
+@pytest.mark.parametrize("train_over,reason", [
+    ({"epochs": 1}, "holds 3 epochs, past this run's epochs=1"),
+    ({"batch_size": 4}, "batch_size=8, this run needs batch_size=4"),
+], ids=["past_the_end", "other_setting"])
+def test_a_refused_resume_leaves_no_output_directory(workspace, capsys, train_over, reason):
+    tmp_path, _, data = workspace
+    cfg3 = write_config(tmp_path / "c3.json", train={"epochs": 3})
+    full = tmp_path / "full"
+    assert main(["train", "--config", str(cfg3), "--data", str(data), "--out", str(full)]) == 0
+    other = write_config(tmp_path / "other.json", train={"epochs": 3, **train_over})
+    new = tmp_path / "new"
+    assert main(["train", "--config", str(other), "--data", str(data), "--out", str(new),
+                 "--resume", str(full / "checkpoint_final.bin")]) == 1
+    assert reason in capsys.readouterr().err
+    assert not new.exists()
+
+
 def test_train_manifest_lists_only_this_runs_checkpoints(workspace):
     tmp_path, _, data = workspace
     out = tmp_path / "run"
@@ -233,11 +250,11 @@ def test_config_zipf_counts(tmp_path):
     del raw["data"]["counts"]
     raw["data"]["zipf"] = {"max_count": 20, "min_count": 2}
     cfg.write_text(json.dumps(raw))
-    sc = load_config(str(cfg)).synthetic_config()
+    sc = load_config(str(cfg)).synthetic_config(seed=7)
     assert sc.counts == [20, 10, 7]
 
 
 def test_config_rejects_counts_and_zipf_together(tmp_path):
     cfg = write_config(tmp_path / "z.json", data={"zipf": {"max_count": 20}})
     with pytest.raises(ConfigError, match="not both"):
-        load_config(str(cfg)).synthetic_config()
+        load_config(str(cfg)).synthetic_config(seed=7)

@@ -41,17 +41,18 @@ def test_a_root_value_of_the_wrong_type_is_refused_by_name(key, value):
 def test_an_int_is_accepted_for_a_float():
     cfg = RunConfig(raw_config(train={"learning_rate": 1, "lambda3": 2},
                                data={"noise": 0}, eval={"test_fraction": 0}))
-    tcfg = cfg.train_config()
+    tcfg = cfg.train_config(cfg.seed)
     assert type(tcfg.learning_rate) is float and tcfg.learning_rate == 1.0
     assert type(tcfg.weights.lambda3) is float and tcfg.weights == LossWeights(lambda3=2.0)
-    assert type(cfg.synthetic_config().noise) is float
+    assert type(cfg.synthetic_config(cfg.seed).noise) is float
     assert type(cfg.test_fraction) is float
 
 
 def test_omitted_keys_take_the_dataclass_defaults():
     cfg = RunConfig(raw_config())
-    assert cfg.train_config() == TrainConfig(seed=7)
-    assert cfg.synthetic_config() == SyntheticConfig(C=3, D=4, L=2, counts=[14, 8, 4], seed=7)
+    assert cfg.train_config(cfg.seed) == TrainConfig(seed=7)
+    assert cfg.synthetic_config(cfg.seed) == SyntheticConfig(C=3, D=4, L=2, counts=[14, 8, 4],
+                                                             seed=7)
     assert (cfg.head_threshold, cfg.medium_threshold) == (TrainConfig().head_threshold,
                                                           TrainConfig().medium_threshold)
 

@@ -4,13 +4,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from medc import autograd as ag
 from medc.autograd import Tensor
 from medc.model import (CHECKPOINT_MAGIC, EXPERT_KINDS, Model, ModelConfig, _hidden,
                         _linear, classify, estimate_mean, estimate_variance,
-                        forward_inference, load_checkpoint, reparameterize,
-                        save_checkpoint, trunk_forward)
+                        forward_inference, load_checkpoint, per_expert_arrays,
+                        reparameterize, save_checkpoint, trunk_forward)
 from medc.seeding import derive_rng
 from medc.verify import composed_objective_gradcheck
 
@@ -178,9 +180,9 @@ def test_expert_slice_forward_shapes_and_determinism():
 
 def copy_parameters(dst, src):
     """Write src's trunk and, by expert kind, its heads into dst's stored values."""
-    named = {p.name: p for p in src.parameters()}
-    for p in dst.parameters():
-        p.data[...] = named[p.name].data
+    named = dict(per_expert_arrays(src))
+    for name, a in per_expert_arrays(dst):
+        a[...] = named[name]
 
 
 def test_inference_average_of_identical_experts_is_idempotent():
@@ -276,6 +278,27 @@ def test_checkpoint_bytes_are_pinned(tmp_path, over, digest):
     path = tmp_path / "model.bin"
     save_checkpoint(path, Model(tiny_cfg(**over), seed=12))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(phi_depth=st.integers(1, 3), seed=st.integers(0, 2**16),
+       experts=st.lists(st.sampled_from(EXPERT_KINDS), min_size=1, max_size=3, unique=True))
+def test_checkpoint_round_trip_over_role_tables(tmp_path, phi_depth, seed, experts):
+    model = Model(tiny_cfg(phi_depth=phi_depth, experts=experts), seed=seed)
+    rng = derive_rng(seed, "perturb")
+    for p in model.parameters():
+        p.data += rng.standard_normal(p.data.shape)
+    for head in model.heads.values():
+        head.gamma = rng.uniform(0.01, 1.0, size=model.cfg.C)
+    first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+    save_checkpoint(first, model)
+    loaded, _ = load_checkpoint(first)
+    save_checkpoint(second, loaded)
+    assert first.read_bytes() == second.read_bytes()
+    for p, q in zip(model.parameters(), loaded.parameters(), strict=True):
+        assert p.name == q.name
+        assert np.array_equal(p.data, q.data), p.name
 
 
 def test_checkpoint_rejects_shape_mismatch(tmp_path):

@@ -9,8 +9,8 @@ from medc.autograd import Parameter
 from medc.data import SyntheticConfig, generate_synthetic
 from medc.losses import (LossWeights, classification_loss, mean_contrastive_loss,
                          total_loss, variance_region_loss)
-from medc.model import (EXPERT_KINDS, Model, ModelConfig, forward_inference,
-                        load_checkpoint, save_checkpoint)
+from medc.model import (EXPERT_KINDS, Model, ModelConfig, _head_roles, forward_inference,
+                        load_checkpoint, per_expert_arrays, save_checkpoint)
 from medc.seeding import derive_rng
 from medc.training import (TERM_NAMES, Adam, TrainConfig, composed_objective,
                            train)
@@ -255,30 +255,30 @@ def test_checkpoint_without_run_record_loads_but_is_not_resumed(tmp_path):
         train(small_train_cfg(epochs=2), records, resume_from=str(path))
 
 
-def _assert_parameters_are_stored_stacked(model):
-    stored = {p.name: p for p in model.stored_parameters()}
-    for p in model.trunk.values():
-        assert stored[p.name] is p
-    for p in model.parameters()[len(model.trunk):]:
-        _, kind, role_name = p.name.split(".", 2)
-        e, role = model.cfg.experts.index(kind), stored["expert.*." + role_name]
-        for mine, store in ((p.data, role.data), (p.grad, role.grad)):
-            assert np.shares_memory(mine, store[e]), p.name
-            assert np.array_equal(mine.ravel(), store[e].ravel()), p.name
+def _assert_parameters_are_the_stored_tensors(model):
+    params = model.parameters()
+    stored = [*model.trunk.values(), *model.stacked_heads.values()]
+    assert all(p is q for p, q in zip(params, stored, strict=True))
+    assert [p.name for p in params] == (["trunk.W", "trunk.b"] +
+                                        [f"expert.*.{role}" for role, _ in _head_roles(model.cfg)])
+    for name, a in per_expert_arrays(model)[len(model.trunk):]:
+        _, kind, role = name.split(".", 2)
+        e = model.cfg.experts.index(kind)
+        assert np.shares_memory(a, model.stacked_heads[role].data[e]), name
 
 
-def test_head_parameters_stay_views_of_the_stacked_storage(tmp_path, monkeypatch):
+def test_parameters_are_the_trunk_then_the_stacked_roles(tmp_path, monkeypatch):
     cfg = ModelConfig(D=5, C=3, d_trunk=6, hidden=6, d=4)
     model = Model(cfg, seed=3)
-    _assert_parameters_are_stored_stacked(model)
+    _assert_parameters_are_the_stored_tensors(model)
 
     save_checkpoint(tmp_path / "m.bin", model)
     loaded, _ = load_checkpoint(tmp_path / "m.bin")
-    _assert_parameters_are_stored_stacked(loaded)
+    _assert_parameters_are_the_stored_tensors(loaded)
 
     trained, _ = train(small_train_cfg(epochs=1), small_dataset())
-    _assert_parameters_are_stored_stacked(trained)
-    assert any(p.grad.any() for p in trained.parameters())
+    _assert_parameters_are_the_stored_tensors(trained)
+    assert all(p.grad.any() for p in trained.parameters())
 
     built = []
 
@@ -288,7 +288,7 @@ def test_head_parameters_stay_views_of_the_stacked_storage(tmp_path, monkeypatch
 
     monkeypatch.setattr(verify, "Model", capture)
     assert verify.composed_objective_gradcheck(seed=0) < 1e-4
-    _assert_parameters_are_stored_stacked(built[0])
+    _assert_parameters_are_the_stored_tensors(built[0])
 
 
 def test_probe_batch_equals_serial_in_place_evaluation():
