@@ -168,10 +168,17 @@ def train_epoch(model, feats, labels, samplers, cfg, epoch, adam):
 TERM_NAMES = ("mean_contrastive", "classification", "variance_region")
 
 
+# TrainConfig fields a run may change on resume: the schedule, and the eval thresholds,
+# whose head/medium/tail groups training never reads. Checkpoints written before the
+# thresholds left the record still hold them; a resume ignores them there.
+_NOT_RECORDED = ("epochs", "checkpoint_every", "head_threshold", "medium_threshold")
+
+
 def _run_record(cfg):
-    """The settings a resumed run must share with its checkpoint: all but the schedule."""
+    """The settings a resumed run must share with its checkpoint."""
     record = asdict(cfg)  # the loss weights become a dict of their fields
-    del record["epochs"], record["checkpoint_every"]
+    for key in _NOT_RECORDED:
+        del record[key]
     record["active_experts"] = list(cfg.active_experts)
     return record
 
@@ -205,8 +212,9 @@ def train(cfg, records, out_dir=None, resume_from=None):
     expert per epoch. Checkpoints land in out_dir every checkpoint_every
     epochs plus a final one, with a record of cfg. A resume is refused,
     naming the field, when the checkpoint's model or recorded cfg differs
-    from this run's in anything but epochs and checkpoint_every, or records
-    a setting this run does not have, or holds more epochs than this run's.
+    from this run's in anything but epochs, checkpoint_every and the
+    head/medium thresholds, or records a setting this run does not have, or
+    holds more epochs than this run's.
     """
     stats = compute_label_stats(records, cfg.head_threshold, cfg.medium_threshold)
     feats = np.stack([r.features for r in records])
@@ -222,7 +230,8 @@ def train(cfg, records, out_dir=None, resume_from=None):
         if "run" not in extra:
             raise ValueError(f"cannot resume from {resume_from}: it has no 'run' record of "
                              "the settings it was trained with")
-        _refuse_other_settings(resume_from, "it was trained with", extra["run"], _run_record(cfg))
+        saved = {k: v for k, v in extra["run"].items() if k not in _NOT_RECORDED}
+        _refuse_other_settings(resume_from, "it was trained with", saved, _run_record(cfg))
         start_epoch = extra["epoch"]
         if start_epoch > cfg.epochs:
             raise ValueError(f"cannot resume from {resume_from}: it holds {start_epoch} "

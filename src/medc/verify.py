@@ -1,10 +1,12 @@
 """Gradient verification: finite differences against the autograd tape."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .losses import LossWeights
+from .losses import LossWeights, total_loss
 from .model import Model, ModelConfig, per_expert_arrays
 from .seeding import derive_rng
 from .training import composed_objective
@@ -19,9 +21,23 @@ def composed_objective_problem(seed):
     """The objective that `composed_objective_gradcheck` checks, as (f, probe, params).
 
     f() is the batched three-expert objective at `params`, the model's
-    parameters (the trunk's two, then the stacked head roles); probe(values)
-    is the same objective for K parameter sets along a leading probe axis,
-    values[j] being the (K, ...) stack of params[j]'s values.
+    parameters (the trunk's two, then the stacked head roles). probe(j, i)
+    is the batched objective for the probes of params[j]'s flat entry i: a
+    function of values -> (K,) objective values for K parameter sets along
+    a leading probe axis, values[j] being the (K, ...) stack of params[j]'s
+    values.
+
+    The objective is a sum of per-expert terms over a shared trunk, so an
+    entry of one expert's head moves that expert's terms alone. A trunk
+    entry's probes run all three experts. A head entry's probes run only
+    its expert: a one-expert model with that expert's gamma, on that
+    expert's batch, labels and eps, with the trunk unperturbed. Its (K, 1)
+    terms are spliced into the other experts' unperturbed (1, E) terms, and
+    `total_loss` sums them as the three-expert graph does. The values are
+    bit-identical to the three-expert graph's because each expert's terms
+    are computed on its own slices, and because `variance_region_loss`'s
+    slot count S, the most labels a sample has, is the same in both graphs:
+    the experts share the labels here, and every sample has fewer than 8.
     """
     C, d, L, batch, D = 4, 8, 4, 4, 4
     rng = derive_rng(seed, "gradcheck")
@@ -46,16 +62,46 @@ def composed_objective_problem(seed):
     def objective():
         return composed_objective(model, X, labels, eps, weights)[0]
 
-    def probe(values):
+    def run(sub, values, e=slice(None)):
+        """sub's loss and terms at the parameter stacks `values`, on the batch's experts e."""
         W, b, *heads = values
-        K = len(W)
         params = {"trunk.W": Tensor(W[:, None]), "trunk.b": Tensor(b[:, None, None, None])}
-        params.update((role, Tensor(v)) for role, v in zip(model.stacked_heads, heads))
-        loss, _ = composed_objective(model, X[None], np.broadcast_to(
-            labels, (K,) + labels.shape), eps, weights, params=params)
-        return loss.data
+        params.update((role, Tensor(v)) for role, v in zip(sub.stacked_heads, heads))
+        return composed_objective(sub, X[None, e], np.broadcast_to(
+            labels[e], (len(heads[0]),) + labels[e].shape), eps[e], weights, params=params)
 
-    return objective, probe, model.parameters()
+    def all_experts(values):
+        return run(model, values)[0].data
+
+    params = model.parameters()
+    with ag.no_tape():
+        base = [t.data for t in run(model, [p.data[None] for p in params])[1]]  # (1, E) each
+
+    def one_expert(e, kind):
+        sub = Model(replace(cfg, experts=(kind,)))
+        sub.heads[kind].gamma = model.heads[kind].gamma
+
+        def only_expert_e(values):
+            W, b, *heads = values
+            _, terms = run(sub, [W[:1], b[:1]] + [v[:, e:e + 1] for v in heads],
+                           slice(e, e + 1))
+            spliced = []
+            for t, unperturbed in zip(terms, base):
+                full = np.repeat(unperturbed, len(W), axis=0)
+                full[:, e:e + 1] = t.data
+                spliced.append(Tensor(full))
+            return total_loss(spliced, weights).data
+
+        return only_expert_e
+
+    by_expert = [one_expert(e, kind) for e, kind in enumerate(cfg.experts)]
+
+    def probe(j, i):
+        if j < len(model.trunk):
+            return all_experts
+        return by_expert[i // (params[j].data.size // E)]  # the expert axis leads a head role
+
+    return objective, probe, params
 
 
 def composed_objective_gradcheck(seed):
@@ -71,7 +117,8 @@ def composed_objective_gradcheck(seed):
     feature-norm guard, where curvature defeats finite differences even
     though the analytic gradient is fine. The finite differences run as
     chunks of PROBES parameter sets along a probe axis in front of the
-    expert axis (`composed_objective_problem`), with the tape off.
+    expert axis, with the tape off: a trunk entry's on all three experts,
+    a head entry's on its own expert alone (`composed_objective_problem`).
     """
     f, probe, params = composed_objective_problem(seed)
     return gradient_check(f, params, h=2e-5, probe=probe)
@@ -80,27 +127,32 @@ def composed_objective_gradcheck(seed):
 def _probe_values(f, params, probes, probe=None):
     """The objective at each probe (j, i, step): params[j]'s flat entry i set to its value + step.
 
-    With `probe`, chunks of PROBES probes run as one call on the stacked
-    parameter values; without it, each probe is a chunk of one, written
-    into the parameters in place for f() and undone afterwards. The tape
-    is off throughout.
+    With `probe`, the probes are grouped by the batched objective probe(j, i)
+    that evaluates them, and each group runs in chunks of PROBES as one call
+    of it on the stacked parameter values; without it, each probe is a
+    chunk of one, written into the parameters in place for f() and undone
+    afterwards. The tape is off throughout.
     """
-    chunk = PROBES if probe else 1
     out = np.empty(len(probes))
     with ag.no_tape():
-        for lo in range(0, len(probes), chunk):
-            part = probes[lo:lo + chunk]
-            if probe:
-                values = [np.repeat(p.data[None], len(part), axis=0) for p in params]
-                for k, (j, i, step) in enumerate(part):
-                    values[j][k].reshape(-1)[i] += step
-                out[lo:lo + len(part)] = probe(values)
-            else:
-                (j, i, step), = part
+        if probe:
+            groups = {}
+            for n, (j, i, _) in enumerate(probes):
+                groups.setdefault(probe(j, i), []).append(n)
+            for batched, members in groups.items():
+                for lo in range(0, len(members), PROBES):
+                    part = members[lo:lo + PROBES]
+                    values = [np.repeat(p.data[None], len(part), axis=0) for p in params]
+                    for k, n in enumerate(part):
+                        j, i, step = probes[n]
+                        values[j][k].reshape(-1)[i] += step
+                    out[part] = batched(values)
+        else:
+            for n, (j, i, step) in enumerate(probes):
                 flat = params[j].data.reshape(-1)
                 orig = flat[i]
                 flat[i] = orig + step
-                out[lo] = f().item()
+                out[n] = f().item()
                 flat[i] = orig
     if not np.isfinite(out).all():
         raise ValueError("gradient_check: non-finite objective under perturbation")
@@ -132,10 +184,12 @@ def gradient_check(f, params, h=1e-4, probe=None):
     The analytic gradient comes from one taped pass of f(). The finite
     differences run with the tape off (`ag.no_tape`), each probe perturbing
     one entry by +-step. An objective that takes a probe axis passes
-    probe(values) -> (K,) objective values, values[j] being the (K, ...)
-    stack of params[j]'s values; its probes then run in chunks of PROBES,
-    and the refinement is one more batched pass over the flagged entries.
-    Without `probe` every chunk is one probe, evaluated in place by f().
+    probe(j, i), the batched objective for the probes of params[j]'s flat
+    entry i: a function of values -> (K,) objective values, values[j] being
+    the (K, ...) stack of params[j]'s values. The probes that share a
+    batched objective run in chunks of PROBES, and the refinement is one
+    more batched pass over the flagged entries. Without `probe` every chunk
+    is one probe, evaluated in place by f().
     """
     for p in params:
         p.zero_grad()

@@ -4,6 +4,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medc import autograd as ag
 from medc.autograd import Parameter, ShapeError, Tensor
@@ -141,12 +143,13 @@ def test_gradient_check_probe_batches_match_serial_probes():
     def relu(x):
         return ag.linear(x, Tensor(np.eye(3)), Tensor(np.zeros(3)), relu=True)
 
-    def probe(values):
+    def batched(values):
         return ag.sum_along(relu(Tensor(values[0])), axis=(-2, -1)).data
 
     serial = gradient_check(lambda: ag.sum_along(relu(theta)), [theta])
     assert serial > REFINE_ABOVE  # so the refinement ladder ran
-    assert gradient_check(lambda: ag.sum_along(relu(theta)), [theta], probe=probe) == serial
+    assert gradient_check(lambda: ag.sum_along(relu(theta)), [theta],
+                          probe=lambda j, i: batched) == serial
 
 
 def test_no_tape_records_nothing_and_is_undone_on_exit():
@@ -302,6 +305,70 @@ def test_fused_op_computes_no_gradient_for_a_data_input(op):
     assert all(g is not None for g in grads[1:])
     x = Parameter(X.data)
     assert FUSED_OPS[op][0](x, *params)._backward(np.ones(out.shape))[0] is not None
+
+
+# -- the ops over random broadcast shapes ------------------------------------------
+# x is (*lead, n, k) with 0-2 leading axes. A weight's leading axes are a prefix of
+# lead and a vector's are all of lead or none, as the model's stacked roles are; each
+# leading axis of an operand has lead's size or 1.
+
+@st.composite
+def broadcast_operands(draw, op):
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    # one feature l2-normalizes to its sign, whose gradient (about 1e-12 / |x|^3) a central
+    # difference sees as roundoff alone; the checker's relative error cannot judge it
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    k = draw(st.integers(2 if op == "l2_normalize" else 1, 4))
+
+    def leading(depth):
+        return tuple(draw(st.sampled_from((a, 1))) for a in lead[:depth])
+
+    shapes = [leading(len(lead)) + (n, k)]
+    if op in ("linear", "affine_norm_relu"):
+        shapes.append(leading(draw(st.integers(0, len(lead)))) + (k, m))
+        for _ in range(1 if op == "linear" else 3):
+            shapes.append(leading(len(lead)) + (1, m) if draw(st.booleans()) else (m,))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = [rng.uniform(-1.0, 1.0, size=shape) for shape in shapes]
+    if op == "take":
+        lo = draw(st.integers(0, n - 1))
+        cols = np.array(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4)))
+        return values, (Ellipsis, slice(lo, n), cols)  # repeated columns accumulate
+    return values, draw(st.booleans())  # linear's relu flag
+
+
+BROADCAST_OPS = {
+    "linear": lambda args, relu: ag.linear(*args, relu=relu),
+    "affine_norm_relu": lambda args, _: ag.affine_norm_relu(*args),
+    "l2_normalize": lambda args, _: ag.l2_normalize(args[0], axis=-1),
+    "take": lambda args, idx: ag.take(args[0], idx),
+}
+
+
+def _at(a, idx, core):
+    """a's operand at the leading index idx: its leading axes indexed, a size-1 axis at 0."""
+    lead = a.shape[:a.ndim - core]
+    return a[tuple(i if size > 1 else 0 for i, size in zip(idx, lead))]
+
+
+@pytest.mark.parametrize("op", BROADCAST_OPS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_op_over_leading_axes_equals_the_op_at_each_index(op, data):
+    values, extra = data.draw(broadcast_operands(op))
+    run = BROADCAST_OPS[op]
+    out = run([Tensor(v) for v in values], extra).data
+    cores = [2, 2] + [1] * (len(values) - 2)
+    for idx in np.ndindex(out.shape[:-2]):
+        alone = run([Tensor(_at(v, idx, c)) for v, c in zip(values, cores)], extra).data
+        np.testing.assert_allclose(out[idx], alone, rtol=1e-12)
+
+    # unequal weights: the plain sum of an l2-normalized row's squares is constant
+    w = np.random.default_rng(0).uniform(0.5, 1.5, size=out.shape)
+    params = [Parameter(v, f"p{i}") for i, v in enumerate(values)]
+    err = gradient_check(lambda: ag.sum_along(ag.mul(ag.square(run(params, extra)), w)),
+                         params)
+    assert err < 1e-4
 
 
 def _masked_sigmoid(x):

@@ -200,6 +200,26 @@ def test_resume_refuses_a_different_model(tmp_path, field, value, name):
               resume_from=str(tmp_path / "checkpoint_final.bin"))
 
 
+def test_resume_ignores_the_eval_thresholds(tmp_path):
+    records = small_dataset()
+    m_full, h_full = train(small_train_cfg(epochs=4, checkpoint_every=2), records)
+    train(small_train_cfg(epochs=4, checkpoint_every=2), records, out_dir=str(tmp_path))
+    fresh = tmp_path / "checkpoint_epoch0002.bin"
+    old = tmp_path / "old.bin"  # a record written while the thresholds were run settings
+    old.write_bytes(fresh.read_bytes())
+    rewrite_manifest(old, lambda m: m["extra"]["run"].update(head_threshold=30,
+                                                             medium_threshold=6))
+    other = dict(epochs=4, checkpoint_every=2, head_threshold=31, medium_threshold=5)
+    for path in (fresh, old):
+        m_res, h_res = train(small_train_cfg(**other), records, resume_from=str(path))
+        assert h_res == h_full
+        for p, q in zip(m_full.parameters(), m_res.parameters(), strict=True):
+            assert p.data.tobytes() == q.data.tobytes(), p.name
+        with pytest.raises(ValueError, match="learning_rate="):
+            train(small_train_cfg(**other, learning_rate=2e-3), records,
+                  resume_from=str(path))
+
+
 def test_resume_refuses_data_of_another_shape(tmp_path):
     train(small_train_cfg(epochs=1), small_dataset(), out_dir=str(tmp_path))
     with pytest.raises(ValueError, match="C=4"):
@@ -308,6 +328,37 @@ def test_probe_batch_equals_serial_in_place_evaluation():
         assert f().item() == got, (params[j].name, i, step)
         flat[i] = orig
     assert len(set(batched.tolist())) > len(params)  # the probes moved the objective
+
+
+def test_head_probes_run_their_own_expert_alone(monkeypatch):
+    f, probe, params = verify.composed_objective_problem(seed=0)
+    E = len(params[-1].data)
+    n_trunk = 2
+    entries = [(j, i) for j in range(n_trunk) for i in range(params[j].data.size)]
+    for j, p in enumerate(params[n_trunk:], n_trunk):
+        per_expert = p.data.size // E
+        entries += [(j, e * per_expert + i) for e in range(E) for i in (0, per_expert - 1)]
+    probes = [(j, i, step) for j, i in entries for step in (2e-5, -2e-5)]
+
+    seen = []
+
+    def spy(model, X, *args, **kwargs):
+        seen.append((len(model.cfg.experts), X.shape[1]))
+        return composed_objective(model, X, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "composed_objective", spy)
+    batched = verify._probe_values(f, params, probes, probe)
+    monkeypatch.undo()
+
+    # every expert's head probes in chunks of one expert, the trunk's in one of all experts
+    head_chunks = -(-4 * (len(params) - n_trunk) // verify.PROBES)
+    assert sorted(seen) == [(1, 1)] * (E * head_chunks) + [(E, E)]
+    for (j, i, step), got in zip(probes, batched):
+        flat = params[j].data.reshape(-1)
+        orig = flat[i]
+        flat[i] = orig + step
+        assert f().item() == got, (params[j].name, i, step)
+        flat[i] = orig
 
 
 def test_final_checkpoint_reproduces_model(tmp_path):
