@@ -63,9 +63,15 @@ def _resolve_seed(args, cfg):
                           f"got {env!r}") from None
 
 
-def _values(text, kind):
-    """The comma-separated values of a flag, each converted by `kind`."""
-    return [kind(x) for x in text.split(",") if x.strip()]
+def _values(flag, text, kind):
+    """The comma-separated values of `flag`, each converted by `kind`; a bad item is named."""
+    values = []
+    for item in filter(None, (x.strip() for x in text.split(","))):
+        try:
+            values.append(kind(item))
+        except ValueError:
+            raise ConfigError(f"{flag} item {item!r} is not a valid {kind.__name__}") from None
+    return values
 
 
 def cmd_gen_data(args):
@@ -163,14 +169,15 @@ def _experiment(args, name, header, run):
 
 def cmd_ablate(args):
     variants = _select_variants(args.experts)
-    seeds = _values(args.seeds, int) if args.seeds else None
+    seeds = _values("--seeds", args.seeds, int) if args.seeds else None
     return _experiment(args, "ablation", ("variant",) + evaluation.METRIC_COLUMNS,
                        lambda inputs: evaluation.ablate(
                            *inputs, variants, [inputs[0].seed] if seeds is None else seeds))
 
 
 def cmd_sweep(args):
-    grids = _values(args.lambda1, float), _values(args.lambda3, float)
+    grids = (_values("--lambda1", args.lambda1, float),
+             _values("--lambda3", args.lambda3, float))
     return _experiment(args, "sweep", ("lambda1", "lambda3", "overall_mAP"),
                        lambda inputs: evaluation.lambda_sweep(*inputs, *grids))
 

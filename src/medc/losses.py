@@ -4,9 +4,10 @@ Total objective: lambda1 * sum_e L_mu + lambda2 * sum_e L_cls +
 lambda3 * sum_e L_sigma, summed over experts. Each loss takes an optional
 leading expert axis and then returns one value per expert. Any further
 leading axes in front of it (a probe axis: K batches under K parameter
-sets) are carried through, each index with its own labels, so a loss of
-labels (K, E, B, C) is (K, E). Each per-sample loss is a masked mean over
-the dense batch, so no leading index depends on another's labels.
+sets) are carried through, each index with its own labels or all with the
+same, so a loss of (K, E, ...) activations and labels (1 or K, E, B, C) is
+(K, E). Each per-sample loss is a masked mean over the dense batch, so no
+leading index depends on another's labels.
 
 The paper's loss hyperparameters are fixed: contrastive temperature 1,
 variance targets in [GAMMA_LOW, GAMMA_HIGH], and GAMMA_UNIFORM for the

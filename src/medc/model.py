@@ -53,8 +53,9 @@ class ModelConfig:
         for k in self.experts:
             if k not in EXPERT_KINDS:
                 raise ValueError(f"unknown expert kind {k!r}")
-        if self.phi_depth < 1:
-            raise ValueError("phi_depth must be >= 1")
+        for name in ("D", "C", "d_trunk", "hidden", "d", "phi_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self):
         return asdict(self)

@@ -18,6 +18,8 @@ def _key_int(k):
 
 
 def derive_rng(seed, *key):
-    """Independent Generator for the stream named by (seed, *key)."""
+    """Independent Generator for the stream named by (seed, *key); a negative seed raises."""
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     entropy = [int(seed)] + [_key_int(k) for k in key]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -50,6 +50,10 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
         self.active_experts = tuple(self.active_experts)
         if not self.active_experts:
             raise ValueError("active_experts must be non-empty")
@@ -119,26 +123,25 @@ def build_samplers(records, stats, kinds):
     return built
 
 
-def composed_objective(model, X, Y, eps, weights, params=None):
-    """The training objective of the model's experts as one batched graph.
+def composed_objective(params, X, Y, eps, gamma, weights, temporal_attention):
+    """The training objective of E experts as one batched graph.
 
-    Expert e of `model.cfg.experts` sees its own batch X[e] (E, B, L, D)
-    with labels Y[e] (E, B, C) and noise eps[e] (E, B, d). Returns the
-    scalar loss and the (E,) vectors (L_mu, L_cls, L_sigma).
+    `params` maps every stored role name to its tensor: the trunk's, and
+    each head role stacked along the expert axis. Expert e sees its own
+    batch X[e] (E, B, L, D) with labels Y[e] (E, B, C), noise eps[e]
+    (E, B, d) and variance targets gamma[e] (E, C). Returns the scalar loss
+    and the (E,) vectors (L_mu, L_cls, L_sigma).
 
-    `params` maps every stored role name to the tensor that stands in for
-    it, `model.trunk` and `model.stacked_heads` by default. A probe axis K
-    in front evaluates K parameter sets at once: the head roles are then
-    (K, E, ...), the trunk's (K, 1, D, d_trunk) and (K, 1, 1, 1, d_trunk),
-    X is (1, E, B, L, D) and Y (K, E, B, C), each probe with its own labels;
-    the loss is (K,) and the terms are (K, E).
+    A probe axis K in front evaluates K parameter sets at once: the head
+    roles are then (K, E, ...), the trunk's (K, 1, D, d_trunk) and
+    (K, 1, 1, 1, d_trunk), X is (1, E, B, L, D) and Y (1 or K, E, B, C),
+    one set of labels for every probe or one per probe; the loss is (K,)
+    and the terms are (K, E).
     """
-    params = params or {**model.trunk, **model.stacked_heads}
     H0 = trunk_forward(X, params)
     mu = estimate_mean(H0, params)
-    sigma = estimate_variance(H0, mu, params, model.cfg.temporal_attention)
+    sigma = estimate_variance(H0, mu, params, temporal_attention)
     p = classify(reparameterize(mu, sigma, eps), params)
-    gamma = np.stack([model.heads[kind].gamma for kind in model.cfg.experts])
     terms = (mean_contrastive_loss(mu, Y), classification_loss(p, Y),
              variance_region_loss(sigma, Y, gamma))
     return total_loss(terms, weights), terms
@@ -152,12 +155,15 @@ def train_epoch(model, feats, labels, samplers, cfg, epoch, adam):
     sampler_rngs = [derive_rng(cfg.seed, "sampler", k, epoch) for k in kinds]
     eps_rngs = [derive_rng(cfg.seed, "eps", k, epoch) for k in kinds]
 
+    params = {**model.trunk, **model.stacked_heads}
+    gamma = np.stack([model.heads[kind].gamma for kind in kinds])
     sums = np.zeros((len(kinds), 3))
     for _ in range(steps):
         idx = np.stack([sampling.sample_batch(samplers[k], cfg.batch_size, rng)
                         for k, rng in zip(kinds, sampler_rngs)])
         eps = np.stack([rng.standard_normal((cfg.batch_size, model.cfg.d)) for rng in eps_rngs])
-        loss, terms = composed_objective(model, feats[idx], labels[idx], eps, cfg.weights)
+        loss, terms = composed_objective(params, feats[idx], labels[idx], eps, gamma,
+                                         cfg.weights, model.cfg.temporal_attention)
         sums += np.stack([t.data for t in terms], axis=1)
         model.zero_grad()
         loss.backward()

@@ -1,7 +1,5 @@
 """Gradient verification: finite differences against the autograd tape."""
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import autograd as ag
@@ -28,16 +26,16 @@ def composed_objective_problem(seed):
     values.
 
     The objective is a sum of per-expert terms over a shared trunk, so an
-    entry of one expert's head moves that expert's terms alone. A trunk
-    entry's probes run all three experts. A head entry's probes run only
-    its expert: a one-expert model with that expert's gamma, on that
-    expert's batch, labels and eps, with the trunk unperturbed. Its (K, 1)
-    terms are spliced into the other experts' unperturbed (1, E) terms, and
-    `total_loss` sums them as the three-expert graph does. The values are
-    bit-identical to the three-expert graph's because each expert's terms
-    are computed on its own slices, and because `variance_region_loss`'s
-    slot count S, the most labels a sample has, is the same in both graphs:
-    the experts share the labels here, and every sample has fewer than 8.
+    entry of one expert's head moves that expert's terms alone. A probe
+    computes the terms of the experts its entry moves, on their own slices
+    of the heads, batches, labels (1, E, B, C), eps and gamma: all experts
+    for a trunk entry, expert e alone for an entry of e's head. Its terms,
+    (K, E) or (K, 1), are spliced into the unperturbed (1, E) terms, and
+    `total_loss` sums them as the three-expert graph does. The values are bit-identical
+    to the three-expert graph's because each expert's terms are computed
+    on its own slices, and because `variance_region_loss`'s slot count S,
+    the most labels a sample has, is the same in both graphs: the experts
+    share the labels here, and every sample has fewer than 8.
     """
     C, d, L, batch, D = 4, 8, 4, 4, 4
     rng = derive_rng(seed, "gradcheck")
@@ -51,54 +49,44 @@ def composed_objective_problem(seed):
     model = Model(cfg, seed=seed)
     for _, a in per_expert_arrays(model):  # the checkpoint order fixes where each draw lands
         a += rng.uniform(-0.05, 0.05, size=a.shape)
-    for head in model.heads.values():
-        head.gamma = rng.uniform(0.01, 1.0, size=C)
-    eps = np.stack([rng.standard_normal((batch, d)) for _ in cfg.experts])
     E = len(cfg.experts)
+    gamma = rng.uniform(0.01, 1.0, size=(E, C))
+    eps = np.stack([rng.standard_normal((batch, d)) for _ in cfg.experts])
     X = np.broadcast_to(X, (E,) + X.shape)
     labels = np.broadcast_to(labels, (E,) + labels.shape)
     weights = LossWeights(0.8, 1.0, 0.4)
+    params = model.parameters()
 
     def objective():
-        return composed_objective(model, X, labels, eps, weights)[0]
+        return composed_objective({**model.trunk, **model.stacked_heads}, X, labels, eps,
+                                  gamma, weights, cfg.temporal_attention)[0]
 
-    def run(sub, values, e=slice(None)):
-        """sub's loss and terms at the parameter stacks `values`, on the batch's experts e."""
+    def terms(values, e):
+        """The (K, experts e) loss terms at the parameter stacks `values`."""
         W, b, *heads = values
-        params = {"trunk.W": Tensor(W[:, None]), "trunk.b": Tensor(b[:, None, None, None])}
-        params.update((role, Tensor(v)) for role, v in zip(sub.stacked_heads, heads))
-        return composed_objective(sub, X[None, e], np.broadcast_to(
-            labels[e], (len(heads[0]),) + labels[e].shape), eps[e], weights, params=params)
+        stacks = {"trunk.W": Tensor(W[:, None]), "trunk.b": Tensor(b[:, None, None, None])}
+        stacks.update((role, Tensor(v[:, e])) for role, v in zip(model.stacked_heads, heads))
+        return composed_objective(stacks, X[None, e], labels[None, e], eps[e], gamma[e],
+                                  weights, cfg.temporal_attention)[1]
 
-    def all_experts(values):
-        return run(model, values)[0].data
-
-    params = model.parameters()
     with ag.no_tape():
-        base = [t.data for t in run(model, [p.data[None] for p in params])[1]]  # (1, E) each
+        base = [t.data for t in terms([p.data[None] for p in params], slice(None))]
 
-    def one_expert(e, kind):
-        sub = Model(replace(cfg, experts=(kind,)))
-        sub.heads[kind].gamma = model.heads[kind].gamma
+    def moving(e):
+        """The objective of values whose probes move the terms of experts e alone."""
+        def spliced(values):
+            full = [np.repeat(unperturbed, len(values[0]), axis=0) for unperturbed in base]
+            for whole, t in zip(full, terms(values, e)):
+                whole[:, e] = t.data
+            return total_loss([Tensor(t) for t in full], weights).data
+        return spliced
 
-        def only_expert_e(values):
-            W, b, *heads = values
-            _, terms = run(sub, [W[:1], b[:1]] + [v[:, e:e + 1] for v in heads],
-                           slice(e, e + 1))
-            spliced = []
-            for t, unperturbed in zip(terms, base):
-                full = np.repeat(unperturbed, len(W), axis=0)
-                full[:, e:e + 1] = t.data
-                spliced.append(Tensor(full))
-            return total_loss(spliced, weights).data
-
-        return only_expert_e
-
-    by_expert = [one_expert(e, kind) for e, kind in enumerate(cfg.experts)]
+    every = moving(slice(None))
+    by_expert = [moving(slice(e, e + 1)) for e in range(E)]
 
     def probe(j, i):
         if j < len(model.trunk):
-            return all_experts
+            return every
         return by_expert[i // (params[j].data.size // E)]  # the expert axis leads a head role
 
     return objective, probe, params

@@ -159,6 +159,46 @@ def test_env_seed_that_is_not_an_integer_is_named(tmp_path, monkeypatch, capsys)
     assert "MEDC_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("batch_size", 0), ("checkpoint_every", -1), ("d", 0),
+                                       ("d_trunk", -1), ("hidden", 0)])
+def test_a_dimension_or_schedule_setting_below_its_minimum_is_named(workspace, capsys,
+                                                                   key, value):
+    tmp_path, _, data = workspace
+    cfg = write_config(tmp_path / "bad.json", train={key: value})
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be >= ")
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config", "gradcheck"])
+def test_a_negative_seed_is_named(workspace, monkeypatch, capsys, source):
+    tmp_path, cfg, data = workspace
+    argv = ["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "run")]
+    if source == "flag":
+        argv, value = argv + ["--seed", "-1"], -1
+    elif source == "env":
+        monkeypatch.setenv("MEDC_SEED", "-3")
+        value = -3
+    elif source == "config":
+        argv[2], value = str(write_config(tmp_path / "neg.json", seed=-5)), -5
+    else:
+        argv, value = ["gradcheck", "--seed", "-1"], -1
+    assert main(argv) == 1
+    assert f"seed must be a non-negative integer, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["ablate", "--seeds", "0,x"], "--seeds item 'x'"),
+    (["sweep", "--lambda1", "0.8,y", "--lambda3", "0.4"], "--lambda1 item 'y'"),
+    (["sweep", "--lambda1", "0.8", "--lambda3", "z"], "--lambda3 item 'z'"),
+], ids=["seeds", "lambda1", "lambda3"])
+def test_a_bad_item_of_a_list_flag_is_named(tmp_path, capsys, argv, named):
+    paths = ["--config", str(tmp_path / "run.json"), "--data", str(tmp_path / "train.medc"),
+             "--out", str(tmp_path / "out")]
+    assert main(argv + paths) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_ablate_subset_and_csv(workspace):
     tmp_path, cfg, data = workspace
     cfg1 = write_config(tmp_path / "fast.json", train={"epochs": 1})

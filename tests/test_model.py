@@ -325,9 +325,11 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     (lambda m: m["gamma"]["uniform"].append(0.5), "'gamma' of 'uniform'"),
     (lambda m: m["config"].update(d="6"), "'d'"),
     (lambda m: m["config"].update(experts=[]), "at least one expert"),
+    (lambda m: m["config"].update(hidden=0), "hidden must be >= 1, got 0"),
 ], ids=["no-seed", "no-config", "no-gamma", "no-params", "no-extra", "no-version",
         "unknown-config-field", "missing-config-field", "version-99", "version-0",
-        "unknown-gamma-kind", "gamma-wrong-length", "config-field-wrong-type", "no-experts"])
+        "unknown-gamma-kind", "gamma-wrong-length", "config-field-wrong-type", "no-experts",
+        "config-dimension-below-one"])
 def test_checkpoint_manifest_is_validated_by_name(tmp_path, change, named):
     path = tmp_path / "model.bin"
     save_checkpoint(path, Model(tiny_cfg(), seed=13), extra={"epoch": 1})

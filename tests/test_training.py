@@ -5,7 +5,7 @@ import pytest
 
 from medc import autograd as ag
 from medc import verify
-from medc.autograd import Parameter
+from medc.autograd import Parameter, Tensor
 from medc.data import SyntheticConfig, generate_synthetic
 from medc.losses import (LossWeights, classification_loss, mean_contrastive_loss,
                          total_loss, variance_region_loss)
@@ -342,9 +342,9 @@ def test_head_probes_run_their_own_expert_alone(monkeypatch):
 
     seen = []
 
-    def spy(model, X, *args, **kwargs):
-        seen.append((len(model.cfg.experts), X.shape[1]))
-        return composed_objective(model, X, *args, **kwargs)
+    def spy(params, X, Y, eps, gamma, *args):
+        seen.append((len(gamma), X.shape[1]))
+        return composed_objective(params, X, Y, eps, gamma, *args)
 
     monkeypatch.setattr(verify, "composed_objective", spy)
     batched = verify._probe_values(f, params, probes, probe)
@@ -407,8 +407,7 @@ def test_batched_objective_matches_per_head_reference(E, attention):
     model = Model(ModelConfig(D=D, C=C, d_trunk=5, hidden=4, d=d, experts=kinds,
                               temporal_attention=attention), seed=E)
     rng = derive_rng(E, "batched")
-    for kind in kinds:
-        model.heads[kind].gamma = rng.uniform(0.01, 1.0, size=C)
+    gamma = rng.uniform(0.01, 1.0, size=(E, C))
     X = rng.uniform(-1.0, 1.0, size=(E, B, L, D))
     Y = np.zeros((E, B, C), dtype=np.uint8)
     Y[np.arange(E)[:, None], np.arange(B), rng.integers(0, C, size=(E, B))] = 1
@@ -423,14 +422,15 @@ def test_batched_objective_matches_per_head_reference(E, attention):
         return [p.grad.copy() for p in params]
 
     eps = np.stack([derive_rng(E, "eps", kind).standard_normal((B, d)) for kind in kinds])
-    loss, terms = composed_objective(model, X, Y, eps, weights)
+    loss, terms = composed_objective({**model.trunk, **model.stacked_heads}, X, Y, eps, gamma,
+                                     weights, attention)
     batched = gradients(loss)
 
     per_head = []
     for e, kind in enumerate(kinds):
         mu, sigma, p = expert_forward(model, X[e], kind, eps[e])
         per_head.append((mean_contrastive_loss(mu, Y[e]), classification_loss(p, Y[e]),
-                         variance_region_loss(sigma, Y[e], model.heads[kind].gamma)))
+                         variance_region_loss(sigma, Y[e], gamma[e])))
     ref_loss = functools.reduce(ag.add, [total_loss(t, weights) for t in per_head])
     reference = gradients(ref_loss)
 
@@ -441,6 +441,14 @@ def test_batched_objective_matches_per_head_reference(E, attention):
     assert loss.item() == pytest.approx(ref_loss.item(), rel=1e-12, abs=1e-12)
     for p, g, r in zip(params, batched, reference):
         np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12, err_msg=p.name)
+    # the gradient check's splice: each expert's terms computed on its own slices alone
+    # are bit for bit its column of the E-expert terms
+    for e in range(E):
+        alone = {role: Tensor(p.data[e:e + 1]) for role, p in model.stacked_heads.items()}
+        _, own = composed_objective({**model.trunk, **alone}, X[e:e + 1], Y[e:e + 1],
+                                    eps[e:e + 1], gamma[e:e + 1], weights, attention)
+        for t, column in zip(own, terms):
+            np.testing.assert_array_equal(t.data, column.data[e:e + 1])
 
 
 def _tape_nodes(out):
@@ -463,6 +471,8 @@ def test_training_step_tape_node_count_is_pinned():
     rng = derive_rng(0, "tape")
     Y = np.zeros((E, B, C), dtype=np.uint8)
     Y[np.arange(E)[:, None], np.arange(B), rng.integers(0, C, size=(E, B))] = 1
-    loss, _ = composed_objective(model, rng.uniform(-1.0, 1.0, size=(E, B, L, D)), Y,
-                                 rng.standard_normal((E, B, d)), LossWeights())
+    loss, _ = composed_objective({**model.trunk, **model.stacked_heads},
+                                 rng.uniform(-1.0, 1.0, size=(E, B, L, D)), Y,
+                                 rng.standard_normal((E, B, d)), np.full((E, C), 0.5),
+                                 LossWeights(), True)
     assert _tape_nodes(loss) == 63
