@@ -143,8 +143,13 @@ class no_tape:
         _taping = self._was
 
 
+def _records(parents):
+    """Whether an op on these inputs goes on the tape: taping, and a gradient can reach one."""
+    return _taping and any(p.requires_grad or p._parents for p in parents)
+
+
 def _track(out, parents, backward):
-    if _taping and any(p.requires_grad or p._parents for p in parents):
+    if _records(parents):
         out._parents = parents
         out._backward = backward
     return out
@@ -295,22 +300,6 @@ def mean_along(x, axis=None, keepdims=False):
     return mul(sum_along(x, axis, keepdims), 1.0 / n)
 
 
-def softmax_along(x, axis):
-    """Numerically stabilized softmax along `axis` (max subtraction)."""
-    x = _as_tensor(x)
-    if x.data.shape[axis] == 0:
-        raise ShapeError(f"softmax over empty axis {axis} of shape {x.data.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
-
-    def backward(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-
-    return _track(out, (x,), backward)
-
-
 def reshape(x, shape):
     x = _as_tensor(x)
     out = Tensor(x.data.reshape(shape))
@@ -339,16 +328,24 @@ def take(x, idx):
 
 # -- fused layers -----------------------------------------------------------
 # Each is one tape node. The forward works in place on the array its own
-# matmul allocated, running the numpy operations of the separate ops in
-# their order, so the values equal theirs; the backward is written by hand
-# and computes no gradient for a data input.
+# matmul allocated; the backward is written by hand and computes no gradient
+# for a data input.
 
-def _add_into(y, b):
-    """y + b, written into y when b broadcasts within y's shape."""
+def _into(op, y, b):
+    """op(y, b), written into y when b broadcasts within y's shape."""
     if np.broadcast_shapes(y.shape, b.shape) == y.shape:
-        y += b
-        return y
-    return y + b
+        return op(y, b, out=y)
+    return op(y, b)
+
+
+def _centred(a):
+    """a less its mean over the last axis."""
+    return a - a.mean(axis=-1, keepdims=True)
+
+
+def _row_dot(a, b):
+    """The dot products of a's and b's rows along the last axis, kept as an axis of 1."""
+    return np.einsum("...i,...i->...", a, b)[..., None]
 
 
 def linear(x, W, b, relu=False):
@@ -356,7 +353,7 @@ def linear(x, W, b, relu=False):
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     y, x2 = _matmul_forward(x.data, W.data)
     prod_shape = y.shape
-    out = _add_into(y, b.data)
+    out = _into(np.add, y, b.data)
     if relu:
         np.maximum(out, 0.0, out=out)
 
@@ -375,38 +372,103 @@ def affine_norm_relu(x, W, b, scale, shift):
 
     a = x @ W + b; mean and std run over the feature (last) axis of each
     row, and the 1e-5 guard keeps the all-equal-features row finite. The
-    backward keeps x_hat = (a - mean(a)) / denom, std, denom = std + 1e-5
-    and the output.
+    centring goes through the weights: a - mean(a) = x @ Wc + bc, where Wc
+    and bc are W and b less their means over that axis, so the GEMM gives
+    centred rows and no pass over the activations centres them. The values
+    equal those of centring a itself up to roundoff. The backward keeps
+    x_hat = (a - mean(a)) / denom, std, denom = std + 1e-5 and the output,
+    and centres the small gradients of W and b in place of the activations'.
     """
-    x, W, b, scale, shift = (_as_tensor(t) for t in (x, W, b, scale, shift))
-    y, x2 = _matmul_forward(x.data, W.data)
-    prod_shape = y.shape
-    x_hat = _add_into(y, b.data)
-    n = x_hat.shape[-1]
-    if n == 0:
+    x, W, b, scale, shift = parents = tuple(_as_tensor(t) for t in (x, W, b, scale, shift))
+    if 0 in (W.data.shape[-1:] + b.data.shape[-1:]):
         raise ShapeError("affine_norm_relu on empty feature axis")
-    x_hat -= x_hat.mean(axis=-1, keepdims=True)
-    std = np.sqrt((x_hat * x_hat).mean(axis=-1, keepdims=True) + 1e-12)
+    Wc = _centred(W.data)
+    y, x2 = _matmul_forward(x.data, Wc)
+    prod_shape = y.shape
+    x_hat = _into(np.add, y, _centred(b.data))
+    n = x_hat.shape[-1]
+    std = np.sqrt(_row_dot(x_hat, x_hat) / n + 1e-12)
     denom = std + 1e-5
     x_hat /= denom
-    out = _add_into(scale.data * x_hat, shift.data)
+    # off the tape nothing reads x_hat again, so the output may take its memory
+    out = scale.data * x_hat if _records(parents) else _into(np.multiply, x_hat, scale.data)
+    out = _into(np.add, out, shift.data)
     np.maximum(out, 0.0, out=out)
 
     def backward(g):
         g = g * (out > 0.0)
         g_hat = _unbroadcast(g * scale.data, x_hat.shape)
         # the feature-norm gradient with a - mean(a) = x_hat * denom substituted:
-        # g_hat / denom - x_hat * sum(g_hat * x_hat) / (n * std), then centered
-        coef = (g_hat * x_hat).sum(axis=-1, keepdims=True) / (n * std)
+        # g_hat / denom - x_hat * sum(g_hat * x_hat) / (n * std); its centring
+        # is the projection through Wc and bc
+        coef = _row_dot(g_hat, x_hat) / (n * std)
         g_hat /= denom
         g_hat -= x_hat * coef
-        g_hat -= g_hat.mean(axis=-1, keepdims=True)
-        gx, gW = _matmul_backward(_unbroadcast(g_hat, prod_shape), x.data, x2, W.data,
+        gx, gW = _matmul_backward(_unbroadcast(g_hat, prod_shape), x.data, x2, Wc,
                                   _needs_grad(x), _needs_grad(W))
-        return (gx, gW, _unbroadcast(g_hat, b.data.shape),
+        return (gx, None if gW is None else _centred(gW),
+                _centred(_unbroadcast(g_hat, b.data.shape)),
                 _unbroadcast(g * x_hat, scale.data.shape), _unbroadcast(g, shift.data.shape))
 
-    return _track(Tensor(out), (x, W, b, scale, shift), backward)
+    return _track(Tensor(out), parents, backward)
+
+
+def attention_pool(delta, Wq, bq, Wk, bk):
+    """Frames pooled by self-attention: sum_l alpha_l * delta_l over the frame axis.
+
+    delta is (..., L, d), one row per frame. The scores are
+    s_l = q_l . k_l / sqrt(d) with q = delta @ Wq + bq and k = delta @ Wk + bk,
+    both from one GEMM on the two weights side by side, and alpha is their
+    softmax over the L frames, taken after subtracting the largest score so
+    that large scores stay finite. The result is (..., 1, d): the pooled
+    frame axis is kept, as `mean_along(keepdims=True)` keeps it, so that a
+    stacked (E, 1, 1, n) bias added next broadcasts over it. The backward
+    keeps q, k and alpha, and computes no gradient for a data delta.
+    """
+    delta, Wq, bq, Wk, bk = parents = tuple(_as_tensor(t) for t in (delta, Wq, bq, Wk, bk))
+    if delta.data.ndim < 2 or delta.data.shape[-2] == 0:
+        raise ShapeError("attention_pool needs frames (..., L, d) with L >= 1, "
+                         f"got shape {delta.data.shape}")
+    m = Wq.data.shape[-1]
+    # a weight's batch axes line up with delta's first ones, so the weight with
+    # fewer of them gets its padding after them, not in front
+    nd = max(Wq.data.ndim, Wk.data.ndim)
+    wq, wk = (w.reshape(w.shape[:-2] + (1,) * (nd - w.ndim) + w.shape[-2:])
+              for w in (Wq.data, Wk.data))
+    W = np.concatenate(np.broadcast_arrays(wq, wk), axis=-1)
+    b = np.concatenate(np.broadcast_arrays(bq.data, bk.data), axis=-1)
+    y, d2 = _matmul_forward(delta.data, W)
+    prod_shape = y.shape
+    y = _into(np.add, y, b)
+    q, k = y[..., :m], y[..., m:]
+    c = 1.0 / np.sqrt(delta.data.shape[-1])
+    s = _row_dot(q, k)                                   # (..., L, 1)
+    s *= c
+    s -= s.max(axis=-2, keepdims=True)
+    alpha = np.exp(s, out=s)
+    alpha /= alpha.sum(axis=-2, keepdims=True)
+    out = np.matmul(np.swapaxes(alpha, -1, -2), delta.data)
+
+    def backward(g):
+        # through alpha: d out / d alpha_l = delta_l, then the softmax's and the scores'
+        g_alpha = np.matmul(delta.data, np.swapaxes(g, -1, -2))
+        g_s = alpha * (g_alpha - (alpha * g_alpha).sum(axis=-2, keepdims=True))
+        g_s *= c
+        g_y = np.empty_like(y)
+        np.multiply(k, g_s, out=g_y[..., :m])
+        np.multiply(q, g_s, out=g_y[..., m:])
+        g_delta, gW = _matmul_backward(_unbroadcast(g_y, prod_shape), delta.data, d2, W,
+                                       _needs_grad(delta), True)
+        if g_delta is not None:   # and each frame's own share of the pool
+            g_delta += _unbroadcast(alpha * g, delta.data.shape)
+        gb = _unbroadcast(g_y, b.shape)
+        return (g_delta,
+                _unbroadcast(gW[..., :m], wq.shape).reshape(Wq.data.shape),
+                _unbroadcast(gb[..., :m], bq.data.shape),
+                _unbroadcast(gW[..., m:], wk.shape).reshape(Wk.data.shape),
+                _unbroadcast(gb[..., m:], bk.data.shape))
+
+    return _track(Tensor(out), parents, backward)
 
 
 # -- composite layers -------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import struct
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,17 @@ def fits_type(value, kind):
     if kind is float:
         kind = (int, float)
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def require_finite(obj):
+    """Raise ValueError naming the first float field of the dataclass `obj` that is NaN or infinite.
+
+    JSON configs can spell NaN and Infinity, and `json.load` parses them.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type is float and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 class FeatureFileError(ValueError):
@@ -82,8 +93,12 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.C < 2:
             raise ValueError(f"need at least 2 classes, got C={self.C}")
+        for name in ("D", "L"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(self.counts) != self.C:
             raise ValueError(f"counts has {len(self.counts)} entries for C={self.C} classes")
         if any(n <= 0 for n in self.counts):

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .data import require_finite
 from .sampling import INVERSE, LONG_TAILED, UNIFORM, reversed_frequencies
 
 GAMMA_LOW, GAMMA_HIGH, GAMMA_UNIFORM = 0.01, 1.0, 0.5
@@ -32,6 +33,7 @@ class LossWeights:
     lambda3: float = 0.4
 
     def __post_init__(self):
+        require_finite(self)
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:
             raise ValueError("loss weights must be non-negative")
         if self.lambda1 == self.lambda2 == self.lambda3 == 0:

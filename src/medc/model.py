@@ -175,26 +175,25 @@ def estimate_mean(H0, head):
 def estimate_variance(H0, mu, head, temporal_attention=True):
     """Variance of the per-video Gaussian from frame deviations.
 
-    delta_l = phi_var(H0)_l - mu. With temporal attention, per-frame scores
-    s_l = f_q(delta_l) . f_k(delta_l) / sqrt(d) are softmaxed over frames
-    and weight the value projections; without it, value projections are
-    mean-pooled. Softplus keeps sigma non-negative.
+    delta_l = phi_var(H0)_l - mu. With temporal attention the frames are
+    pooled by `ag.attention_pool`, whose scores
+    s_l = f_q(delta_l) . f_k(delta_l) / sqrt(d) are softmaxed over frames;
+    without it they are mean-pooled. Either way the pooling weights sum to
+    1, so the affine value projection f_v commutes with the pooling, as
+    phi_mu's output layer does in `estimate_mean`: it runs once per video on
+    the pooled deviation, not once per frame. Softplus keeps sigma
+    non-negative.
     """
     h = _linear(head, "phi_var.out", _hidden(head, "phi_var", H0))   # (..., L, d)
     mu_b = ag.reshape(mu, mu.shape[:-1] + (1,) + mu.shape[-1:])
     delta = ag.sub(h, mu_b)
-    v = _linear(head, "f_v", delta)
     if temporal_attention:
-        q = _linear(head, "f_q", delta)
-        k = _linear(head, "f_k", delta)
-        d = delta.shape[-1]
-        scores = ag.mul(ag.sum_along(ag.mul(q, k), axis=-1), 1.0 / np.sqrt(d))
-        alpha = ag.softmax_along(scores, axis=-1)            # (..., L)
-        alpha_b = ag.reshape(alpha, alpha.shape + (1,))
-        raw = ag.sum_along(ag.mul(alpha_b, v), axis=-2)
+        pooled = ag.attention_pool(delta, *(head[role] for role in
+                                            ("f_q.W", "f_q.b", "f_k.W", "f_k.b")))
     else:
-        raw = ag.mean_along(v, axis=-2)
-    return ag.softplus(raw)
+        pooled = ag.mean_along(delta, axis=-2, keepdims=True)
+    raw = _linear(head, "f_v", pooled)                                # (..., 1, d)
+    return ag.softplus(ag.reshape(raw, raw.shape[:-2] + raw.shape[-1:]))
 
 
 def reparameterize(mu, sigma, eps):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import sampling
-from .data import HEAD_THRESHOLD, MEDIUM_THRESHOLD, compute_label_stats
+from .data import HEAD_THRESHOLD, MEDIUM_THRESHOLD, compute_label_stats, require_finite
 from .losses import (LossWeights, classification_loss, gamma_targets,
                      mean_contrastive_loss, total_loss, variance_region_loss)
 from .model import (Model, ModelConfig, classify, estimate_mean, estimate_variance,
@@ -46,6 +46,7 @@ class TrainConfig:
     checkpoint_every: int = 10
 
     def __post_init__(self):
+        require_finite(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.epochs < 0:

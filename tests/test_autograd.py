@@ -50,32 +50,49 @@ def test_matmul_shape_mismatch_names_both_shapes():
         ag.matmul(Tensor(np.zeros(2)), Tensor(np.zeros((2, 2))))
 
 
-def test_softmax_symmetry():
-    assert ag.softmax_along(Tensor([0.0, 0.0, 0.0]), 0).data == pytest.approx([1 / 3] * 3)
-
-
-def test_softmax_stabilized_no_overflow():
-    out = ag.softmax_along(Tensor([1000.0, 1000.0]), 0)
-    assert np.isfinite(out.data).all()
-    assert out.data == pytest.approx([0.5, 0.5])
-
-
-def test_softmax_hand_case():
-    out = ag.softmax_along(Tensor([0.0, np.log(3.0)]), 0)
-    assert out.data == pytest.approx([0.25, 0.75])
-
-
-def test_softmax_sums_to_one_and_nonnegative():
+def test_attention_pool_equal_scores_pool_to_the_frame_mean():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.uniform(-50, 50, size=(4, 7)))
-    out = ag.softmax_along(x, 1)
-    assert (out.data >= 0).all()
-    np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
+    delta = rng.standard_normal((2, 3, 4))
+    out = ag.attention_pool(delta, np.zeros((4, 4)), np.zeros(4), rng.standard_normal((4, 4)),
+                            rng.standard_normal(4))   # q = 0, so every score is 0
+    assert out.shape == (2, 1, 4)
+    np.testing.assert_allclose(out.data, delta.mean(axis=-2, keepdims=True), atol=1e-15)
 
 
-def test_softmax_empty_axis_errors():
-    with pytest.raises(ShapeError):
-        ag.softmax_along(Tensor(np.zeros((3, 0))), 1)
+# one feature, q = delta and k = 1, so each frame's score is its own value
+IDENTITY_SCORES = (np.ones((1, 1)), np.zeros(1), np.zeros((1, 1)), np.ones(1))
+
+
+def test_attention_pool_hand_case():
+    out = ag.attention_pool(np.array([[0.0], [np.log(3.0)]]), *IDENTITY_SCORES)
+    # the weights are softmax(0, log 3) = (1/4, 3/4)
+    assert out.data.ravel() == pytest.approx([0.75 * np.log(3.0)])
+
+
+def test_attention_pool_scores_near_1000_stay_finite():
+    delta = Parameter(np.array([[1000.0], [1000.0 + np.log(3.0)]]), "delta")
+    weights = [Parameter(v, f"w{i}") for i, v in enumerate(IDENTITY_SCORES)]
+    out = ag.attention_pool(delta, *weights)
+    assert out.data.ravel() == pytest.approx([1000.0 + 0.75 * np.log(3.0)])
+    ag.sum_along(out).backward()
+    for p in [delta, *weights]:
+        assert np.isfinite(p.grad).all(), p.name
+
+
+def test_attention_pool_is_a_convex_combination_of_the_frames():
+    rng = np.random.default_rng(0)
+    delta = rng.uniform(-1.0, 1.0, size=(4, 7, 3))
+    weights = [rng.uniform(-50, 50, size=shape) for shape in ((3, 3), 3, (3, 3), 3)]
+    out = ag.attention_pool(delta, *weights).data
+    assert np.isfinite(out).all()
+    assert (out >= delta.min(axis=-2, keepdims=True) - 1e-12).all()
+    assert (out <= delta.max(axis=-2, keepdims=True) + 1e-12).all()
+
+
+def test_attention_pool_empty_frame_axis_errors():
+    with pytest.raises(ShapeError, match=r"\(3, 0, 4\)"):
+        ag.attention_pool(np.zeros((3, 0, 4)), np.zeros((4, 4)), np.zeros(4),
+                          np.zeros((4, 4)), np.zeros(4))
 
 
 def test_mean_pool_hand_case():
@@ -191,7 +208,8 @@ def _rand(rng, *shape):
     ("exp", lambda p, q: ag.exp(p)),
     ("log", lambda p, q: ag.log(ag.add(ag.square(p), 0.5))),
     ("square", lambda p, q: ag.square(p)),
-    ("softmax", lambda p, q: ag.mul(ag.softmax_along(p, 1), q)),
+    ("attention_pool", lambda p, q: ag.attention_pool(ag.reshape(p, (2, 2, 4)), q, p[0],
+                                                      ag.transpose(q), q[1])),
     ("mean", lambda p, q: ag.mean_along(ag.mul(p, q), axis=0)),
     ("slice", lambda p, q: p[1:3, :2]),
     ("take_fancy", lambda p, q: p[np.array([0, 2, 2]), np.array([1, 0, 3])]),
@@ -243,13 +261,39 @@ def _feature_norm(x):
     return ag._track(Tensor(centered / denom), (x,), backward)
 
 
+def _centre(x):
+    """x less its mean over the last axis, as its own tape node."""
+    out = Tensor(x.data - x.data.mean(axis=-1, keepdims=True))
+    return ag._track(out, (x,), lambda g: (g - g.mean(axis=-1, keepdims=True),))
+
+
+def _centred_feature_scale(c):
+    """c / (std + 1e-5) over the last axis of rows c that are already centred, as one node."""
+    n = c.data.shape[-1]
+    std = np.sqrt(np.einsum("...i,...i->...", c.data, c.data)[..., None] / n + 1e-12)
+    denom = std + 1e-5
+
+    def backward(g):
+        return (g / denom - c.data * ((g * c.data).sum(axis=-1, keepdims=True)
+                                      / (n * std * denom * denom)),)
+
+    return ag._track(Tensor(c.data / denom), (c,), backward)
+
+
 def _unfused_linear(x, W, b, relu=False):
     out = ag.add(ag.matmul(x, W), b)
     return _relu(out) if relu else out
 
 
 def _unfused_affine_norm_relu(x, W, b, scale, shift):
+    """The layer as first written: the affine map, then the rows centred and scaled."""
     return _relu(ag.add(ag.mul(scale, _feature_norm(ag.add(ag.matmul(x, W), b))), shift))
+
+
+def _weight_centred_affine_norm_relu(x, W, b, scale, shift):
+    """The fused op's arithmetic as separate ops: W and b centred, so the GEMM's rows are."""
+    return _relu(ag.add(ag.mul(scale, _centred_feature_scale(
+        ag.add(ag.matmul(x, _centre(W)), _centre(b)))), shift))
 
 
 # (x, W, b-like) shapes: no expert axis, a single expert's slice of the stacked
@@ -264,53 +308,73 @@ FUSED_SHAPES = {
     "probe_trunk": ((1, 2, 3, 4, 4), (3, 1, 4, 5), (3, 1, 1, 1, 5)),
     "bias_beyond": ((4, 4), (4, 5), (1, 1, 5)),
 }
+# op: (the fused op, its arithmetic as separate ops, and for a fused op whose
+# arithmetic differs from the layer as first written, that layer's separate ops)
 FUSED_OPS = {
     "linear": (lambda x, W, b, s, t: ag.linear(x, W, b),
-               lambda x, W, b, s, t: _unfused_linear(x, W, b)),
+               lambda x, W, b, s, t: _unfused_linear(x, W, b), None),
     "linear_relu": (lambda x, W, b, s, t: ag.linear(x, W, b, relu=True),
-                    lambda x, W, b, s, t: _unfused_linear(x, W, b, relu=True)),
-    "affine_norm_relu": (ag.affine_norm_relu, _unfused_affine_norm_relu),
+                    lambda x, W, b, s, t: _unfused_linear(x, W, b, relu=True), None),
+    "affine_norm_relu": (ag.affine_norm_relu, _weight_centred_affine_norm_relu,
+                         _unfused_affine_norm_relu),
 }
 
 
 @pytest.mark.parametrize("shapes", FUSED_SHAPES.values(), ids=FUSED_SHAPES)
 @pytest.mark.parametrize("op", FUSED_OPS, ids=FUSED_OPS)
 def test_fused_op_equals_the_separate_ops(op, shapes):
-    fused, unfused = FUSED_OPS[op]
+    fused, unfused, first_written = FUSED_OPS[op]
     rng = np.random.default_rng(zlib.crc32(f"{op}{shapes}".encode()))
     x_shape, w_shape, v_shape = shapes
     values = [rng.standard_normal(x_shape), rng.standard_normal(w_shape)]
     values += [rng.standard_normal(v_shape) for _ in range(3)]
-    results = []
-    for build in (fused, unfused):
+
+    def run(build):
         params = [Parameter(v.copy(), f"p{i}") for i, v in enumerate(values)]
         out = build(*params)
         weights = derive_rng(0, "weights").standard_normal(out.shape)
         ag.sum_along(ag.mul(out, weights)).backward()
-        results.append((out.data, [p.grad for p in params]))
-    (out_f, grads_f), (out_u, grads_u) = results
+        return out.data, [p.grad for p in params]
+
+    out_f, grads_f = run(fused)
+    out_u, grads_u = run(unfused)
     assert np.array_equal(out_f, out_u)
     for g_f, g_u in zip(grads_f, grads_u):
         np.testing.assert_allclose(g_f, g_u, rtol=0, atol=1e-12)
+    with ag.no_tape():   # off the tape the output may reuse a buffer, with the same values
+        assert np.array_equal(fused(*(Tensor(v) for v in values)).data, out_f)
+    if first_written is not None:
+        out_r, grads_r = run(first_written)
+        np.testing.assert_allclose(out_f, out_r, rtol=1e-12)
+        for g_f, g_r in zip(grads_f, grads_r):
+            np.testing.assert_allclose(g_f, g_r, rtol=1e-12)
 
 
-@pytest.mark.parametrize("op", FUSED_OPS, ids=FUSED_OPS)
+@pytest.mark.parametrize("op", [*FUSED_OPS, "attention_pool"])
 def test_fused_op_computes_no_gradient_for_a_data_input(op):
     rng = np.random.default_rng(5)
     X = Tensor(rng.standard_normal((3, 4, 4)))  # data: no gradient, no parents
-    params = [Parameter(rng.standard_normal(shape)) for shape in ((4, 5), (5,), (5,), (5,))]
-    out = FUSED_OPS[op][0](X, *params)
+    if op == "attention_pool":
+        fused, shapes = ag.attention_pool, ((4, 5), (5,), (4, 5), (5,))
+    else:
+        fused, shapes = FUSED_OPS[op][0], ((4, 5), (5,), (5,), (5,))
+    params = [Parameter(rng.standard_normal(shape)) for shape in shapes]
+    out = fused(X, *params)
     grads = out._backward(np.ones(out.shape))
     assert grads[0] is None
     assert all(g is not None for g in grads[1:])
     x = Parameter(X.data)
-    assert FUSED_OPS[op][0](x, *params)._backward(np.ones(out.shape))[0] is not None
+    assert fused(x, *params)._backward(np.ones(out.shape))[0] is not None
 
 
 # -- the ops over random broadcast shapes ------------------------------------------
 # x is (*lead, n, k) with 0-2 leading axes. A weight's leading axes are a prefix of
 # lead and a vector's are all of lead or none, as the model's stacked roles are; each
 # leading axis of an operand has lead's size or 1.
+
+# each op's operands in order: x the input, w a (k, m) weight, v an m-vector
+OPERANDS = {"linear": "xwv", "affine_norm_relu": "xwvvv", "attention_pool": "xwvwv",
+            "l2_normalize": "x", "take": "x"}
 
 @st.composite
 def broadcast_operands(draw, op):
@@ -323,10 +387,13 @@ def broadcast_operands(draw, op):
     def leading(depth):
         return tuple(draw(st.sampled_from((a, 1))) for a in lead[:depth])
 
-    shapes = [leading(len(lead)) + (n, k)]
-    if op in ("linear", "affine_norm_relu"):
-        shapes.append(leading(draw(st.integers(0, len(lead)))) + (k, m))
-        for _ in range(1 if op == "linear" else 3):
+    shapes = []
+    for kind in OPERANDS[op]:
+        if kind == "x":
+            shapes.append(leading(len(lead)) + (n, k))
+        elif kind == "w":
+            shapes.append(leading(draw(st.integers(0, len(lead)))) + (k, m))
+        else:
             shapes.append(leading(len(lead)) + (1, m) if draw(st.booleans()) else (m,))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = [rng.uniform(-1.0, 1.0, size=shape) for shape in shapes]
@@ -340,6 +407,7 @@ def broadcast_operands(draw, op):
 BROADCAST_OPS = {
     "linear": lambda args, relu: ag.linear(*args, relu=relu),
     "affine_norm_relu": lambda args, _: ag.affine_norm_relu(*args),
+    "attention_pool": lambda args, _: ag.attention_pool(*args),
     "l2_normalize": lambda args, _: ag.l2_normalize(args[0], axis=-1),
     "take": lambda args, idx: ag.take(args[0], idx),
 }
@@ -358,7 +426,7 @@ def test_op_over_leading_axes_equals_the_op_at_each_index(op, data):
     values, extra = data.draw(broadcast_operands(op))
     run = BROADCAST_OPS[op]
     out = run([Tensor(v) for v in values], extra).data
-    cores = [2, 2] + [1] * (len(values) - 2)
+    cores = [2 if kind in "xw" else 1 for kind in OPERANDS[op]]
     for idx in np.ndindex(out.shape[:-2]):
         alone = run([Tensor(_at(v, idx, c)) for v, c in zip(values, cores)], extra).data
         np.testing.assert_allclose(out[idx], alone, rtol=1e-12)

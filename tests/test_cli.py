@@ -170,6 +170,34 @@ def test_a_dimension_or_schedule_setting_below_its_minimum_is_named(workspace, c
     assert capsys.readouterr().err.startswith(f"error: {key} must be >= ")
 
 
+@pytest.mark.parametrize("key", ["D", "L"])
+def test_a_data_dimension_below_one_is_named(tmp_path, capsys, key):
+    cfg = write_config(tmp_path / "run.json", data={key: 0})
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.medc")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be >= 1, got 0")
+    assert "record" not in err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "learning_rate", float("nan")),
+    ("train", "lambda3", float("inf")),
+    ("data", "class_sep", float("inf")),
+    ("data", "noise", float("nan")),
+], ids=["learning_rate-NaN", "lambda3-Infinity", "class_sep-Infinity", "noise-NaN"])
+def test_a_non_finite_setting_is_named(workspace, capsys, section, key, value):
+    tmp_path, _, data = workspace
+    cfg = write_config(tmp_path / "bad.json", **{section: {key: value}})
+    assert ("NaN" if value != value else "Infinity") in cfg.read_text()   # as json.load reads it
+    if section == "data":
+        argv = ["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.medc")]
+    else:
+        argv = ["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be finite, got {value}")
+
+
 @pytest.mark.parametrize("source", ["flag", "env", "config", "gradcheck"])
 def test_a_negative_seed_is_named(workspace, monkeypatch, capsys, source):
     tmp_path, cfg, data = workspace

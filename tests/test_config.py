@@ -66,3 +66,17 @@ def test_a_fixed_loss_constant_is_an_unknown_train_key(key):
 def test_out_dir_is_an_unknown_key():
     with pytest.raises(ConfigError, match="unknown key 'out_dir'"):
         RunConfig(dict(raw_config(), out_dir="run/"))
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda v: TrainConfig(learning_rate=v), "learning_rate"),
+    (lambda v: LossWeights(lambda1=v), "lambda1"),
+    (lambda v: SyntheticConfig(C=3, D=4, L=2, counts=[3, 2, 1], temporal_jitter=v),
+     "temporal_jitter"),
+    (lambda v: SyntheticConfig(C=3, D=4, L=2, counts=[3, 2, 1], multilabel_prob=v),
+     "multilabel_prob"),
+], ids=["TrainConfig", "LossWeights", "SyntheticConfig-jitter", "SyntheticConfig-multilabel"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_library_caller_with_a_non_finite_float_is_refused_by_name(make, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        make(value)

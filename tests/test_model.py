@@ -87,6 +87,50 @@ def test_pooled_estimate_mean_matches_per_frame_output_layer(depth):
         np.testing.assert_allclose(mu.data, reference.data, rtol=0, atol=1e-12)
 
 
+def _softmax_over_frames(s):
+    """Softmax over the last axis as its own tape node, with max subtraction."""
+    e = np.exp(s.data - s.data.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return ag._track(Tensor(y), (s,), lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
+
+
+def _per_frame_variance(H0, mu, head, temporal_attention):
+    """estimate_variance with f_v applied to every frame and the attention as separate ops."""
+    h = _linear(head, "phi_var.out", _hidden(head, "phi_var", H0))
+    delta = ag.sub(h, ag.reshape(mu, mu.shape[:-1] + (1,) + mu.shape[-1:]))
+    v = _linear(head, "f_v", delta)
+    if not temporal_attention:
+        return ag.softplus(ag.mean_along(v, axis=-2))
+    q, k = _linear(head, "f_q", delta), _linear(head, "f_k", delta)
+    scores = ag.mul(ag.sum_along(ag.mul(q, k), axis=-1), 1.0 / np.sqrt(delta.shape[-1]))
+    alpha = _softmax_over_frames(scores)
+    return ag.softplus(ag.sum_along(ag.mul(ag.reshape(alpha, alpha.shape + (1,)), v), axis=-2))
+
+
+@pytest.mark.parametrize("attention", [True, False])
+def test_value_projection_after_pooling_matches_per_frame(attention):
+    # the pooling weights sum to 1, so the affine f_v commutes with the pooling
+    model = Model(tiny_cfg(), seed=8)
+    rng = derive_rng(8, "perturb")
+    for p in model.parameters():   # every bias and shift away from 0
+        p.data += 0.5 * rng.standard_normal(p.data.shape)
+    X = derive_rng(8, "x").uniform(-1, 1, size=(5, 4, 3))
+    w = derive_rng(8, "w").standard_normal((3, 5, 6))
+    results = []
+    for variance in (estimate_variance, _per_frame_variance):
+        model.zero_grad()
+        H0 = trunk_forward(X, model.trunk)
+        H = ag.reshape(H0, (1,) + H0.shape)
+        sigma = variance(H, estimate_mean(H, model.stacked_heads), model.stacked_heads, attention)
+        ag.sum_along(ag.mul(sigma, w)).backward()
+        results.append((sigma.data, [p.grad.copy() for p in model.parameters()]))
+    (sigma, grads), (reference, reference_grads) = results
+    assert sigma.shape == reference.shape == (3, 5, 6)
+    np.testing.assert_allclose(sigma, reference, rtol=0, atol=1e-12)
+    for p, g, r in zip(model.parameters(), grads, reference_grads):
+        np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=p.name)
+
+
 def test_sigma_is_softplus_zero_when_values_vanish():
     model = Model(tiny_cfg(), seed=1)
     zero_linear(model, "long_tailed", "f_v")
