@@ -100,9 +100,6 @@ class Tensor:
                 # no in-place accumulation: pg may alias g or be a readonly view
                 grads[id(parent)] = pg if acc is None else acc + pg
 
-    def __getitem__(self, idx):
-        return take(self, idx)
-
 
 class Parameter(Tensor):
     """A named trainable tensor; grad is always allocated."""
@@ -311,19 +308,6 @@ def transpose(x, axes=None):
     out = Tensor(x.data.transpose(axes))
     inv = None if axes is None else np.argsort(axes)
     return _track(out, (x,), lambda g: (g.transpose(inv),))
-
-
-def take(x, idx):
-    """Indexing/slicing; backward scatter-adds into the source positions."""
-    x = _as_tensor(x)
-    out = Tensor(x.data[idx])
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _track(out, (x,), backward)
 
 
 # -- fused layers -----------------------------------------------------------

@@ -143,6 +143,8 @@ def _select_variants(names):
         if name not in by_name:
             raise ValueError(f"unknown ablation variant {name!r}; "
                              f"known: {sorted(by_name)}")
+        if by_name[name] in chosen:
+            raise ValueError(f"--experts names the variant {name!r} twice")
         chosen.append(by_name[name])
     return tuple(chosen)
 

@@ -64,10 +64,10 @@ def gamma_targets(stats, expert_kind):
     return GAMMA_LOW + (GAMMA_HIGH - GAMMA_LOW) * (w - lo) / (hi - lo)
 
 
-def _mean_weights(mask, axis=-1):
-    """mask / max(count, 1) over axis: a sum of values times these is their mean
-    over the true entries of mask, and 0 at a leading index with none."""
-    return mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1)
+def _mean_weights(counts):
+    """counts / max(total, 1) over the last axis: a sum of values times these is their
+    mean weighted by counts, and 0 at a leading index whose counts are all 0."""
+    return counts / np.maximum(counts.sum(axis=-1, keepdims=True), 1)
 
 
 def mean_contrastive_loss(mus, labels):
@@ -125,23 +125,20 @@ def variance_region_loss(sigmas, labels, gamma):
     (sigma_j^2 - gamma_c)^2. With a leading expert axis (sigmas (E, B, d),
     labels (E, B, C), gamma (E, C)) the mean is per expert, giving (E,);
     gamma broadcasts over any further leading axes of the labels.
+
+    Over a sample's n positive classes, whose targets have mean m and
+    variance v, the mean of (sigma_j^2 - gamma_c)^2 is (sigma_j^2 - m)^2 + v,
+    and the sample weighs n / (the labels in its batch). Every reduction runs
+    along one row, so no leading index depends on another.
     """
-    labels = np.asarray(labels)
-    # S slots per sample, its positive classes first; S is the most labels a sample has
-    S = max(int(np.count_nonzero(labels, axis=-1).max()), 1)
-    cls = np.argsort(labels == 0, axis=-1, kind="stable")[..., :S]
-    gamma = np.broadcast_to(np.asarray(gamma)[..., None, :], labels.shape)
-    # the slot axis leads, so it broadcasts against sigmas (..., B, d) with no reshape
-    held = np.moveaxis(np.take_along_axis(labels, cls, axis=-1) != 0, -1, 0)  # (S, ..., B)
-    targets = np.moveaxis(np.take_along_axis(gamma, cls, axis=-1), -1, 0)
-    sq = ag.square(sigmas)
-    dev = ag.sum_along(ag.square(ag.sub(sq, Tensor(targets[..., None]))), axis=-1)
-    # Summed on their own, the slots add an empty trailing slot as an exact 0. numpy sums
-    # fewer than 8 terms in order, so below 8 labels a sample the value does not depend
-    # on S, which other leading indices may set; from 8 on, its last bit can move with S.
-    w = Tensor(_mean_weights(held, axis=(0, -1)))
-    per_sample = ag.sum_along(ag.mul(dev, w), axis=0)                           # (..., B)
-    return ag.mul(ag.sum_along(per_sample, axis=-1), 1.0 / sq.shape[-1])
+    held = np.asarray(labels) != 0
+    n = held.sum(axis=-1)                                                       # (..., B)
+    gamma = np.asarray(gamma)[..., None, :]
+    m = (held * gamma).sum(axis=-1) / np.maximum(n, 1)
+    v = (held * np.square(gamma - m[..., None])).sum(axis=-1) / np.maximum(n, 1)
+    dev = ag.mean_along(ag.square(ag.sub(ag.square(sigmas), Tensor(m[..., None]))), axis=-1)
+    per_sample = ag.mul(ag.add(dev, Tensor(v)), Tensor(_mean_weights(n)))
+    return ag.sum_along(per_sample, axis=-1)
 
 
 def total_loss(terms, weights):

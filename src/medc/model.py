@@ -32,7 +32,7 @@ from .sampling import EXPERT_KINDS
 from .seeding import derive_rng
 
 CHECKPOINT_MAGIC = b"MEDCCKP1"
-CHECKPOINT_VERSIONS = (1, 2, 3)
+CHECKPOINT_VERSIONS = (3,)
 
 
 @dataclass
@@ -50,9 +50,11 @@ class ModelConfig:
         self.experts = tuple(self.experts)
         if not self.experts:
             raise ValueError("need at least one expert")
-        for k in self.experts:
+        for i, k in enumerate(self.experts):
             if k not in EXPERT_KINDS:
                 raise ValueError(f"unknown expert kind {k!r}")
+            if k in self.experts[:i]:
+                raise ValueError(f"experts names the kind {k!r} twice")
         for name in ("D", "C", "d_trunk", "hidden", "d", "phi_depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -307,7 +309,7 @@ def read_checkpoint_manifest(path):
     manifest = json.loads(reader.read(mlen, "manifest").decode("utf-8"))
     if not isinstance(manifest, dict):
         raise ValueError(f"checkpoint manifest is not a JSON object: {manifest!r:.40}")
-    missing = [k for k in ("version", "config", "seed", "gamma", "params", "extra")
+    missing = [k for k in ("version", "config", "seed", "gamma", "params", "arrays", "extra")
                if k not in manifest]
     if missing:
         raise ValueError(f"checkpoint manifest lacks the key {missing[0]!r}")
@@ -356,6 +358,6 @@ def load_checkpoint(path):
                              f"parameter {name!r} of shape {shape}")
         a[...] = _read_f8(reader, a.shape, f"parameter {name}")
     arrays = [_read_f8(reader, tuple(shape), f"array {i}").astype(np.float64)
-              for i, shape in enumerate(manifest.get("arrays", []))]
+              for i, shape in enumerate(manifest["arrays"])]
     reader.finish()
     return model, _restore_arrays(manifest["extra"], arrays)

@@ -58,6 +58,8 @@ class TrainConfig:
         self.active_experts = tuple(self.active_experts)
         if not self.active_experts:
             raise ValueError("active_experts must be non-empty")
+        if len(set(self.active_experts)) < len(self.active_experts):
+            raise ValueError(f"active_experts names a kind twice: {list(self.active_experts)}")
 
 
 class Adam:
@@ -102,8 +104,7 @@ class Adam:
         names = [p.name for p in self.params]
         if state.get("params") != names:
             raise ValueError(f"Adam state holds moments for parameters {state.get('params')}, "
-                             f"not {names}: checkpoints of version 2 or older hold them "
-                             "per head, in another order, and cannot be resumed")
+                             f"not {names}")
         self.t = state["t"]
         self.m = state["m"].astype(np.float64)
         self.v = state["v"].astype(np.float64)

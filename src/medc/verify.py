@@ -33,9 +33,7 @@ def composed_objective_problem(seed):
     (K, E) or (K, 1), are spliced into the unperturbed (1, E) terms, and
     `total_loss` sums them as the three-expert graph does. The values are bit-identical
     to the three-expert graph's because each expert's terms are computed
-    on its own slices, and because `variance_region_loss`'s slot count S,
-    the most labels a sample has, is the same in both graphs: the experts
-    share the labels here, and every sample has fewer than 8.
+    on its own slices, and each loss reduces every leading index on its own.
     """
     C, d, L, batch, D = 4, 8, 4, 4, 4
     rng = derive_rng(seed, "gradcheck")

@@ -27,6 +27,7 @@ from medc.training import Adam, TrainConfig, train
 from medc.verify import composed_objective_gradcheck
 
 from test_evaluation import reference_ap
+from test_model import expert_slice
 from test_sampling import make_records, record_labels, stats_for
 
 
@@ -100,7 +101,7 @@ def test_criterion_4_variance_calibration(capsys):
     for _ in range(500):
         for p in params:
             p.zero_grad()
-        head = {role: p[0] for role, p in model.stacked_heads.items()}
+        head = expert_slice(model, "long_tailed")
         H0 = trunk_forward(X, model.trunk)
         mu = estimate_mean(H0, head)
         sigma = estimate_variance(H0, mu, head)

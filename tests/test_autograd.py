@@ -208,15 +208,16 @@ def _rand(rng, *shape):
     ("exp", lambda p, q: ag.exp(p)),
     ("log", lambda p, q: ag.log(ag.add(ag.square(p), 0.5))),
     ("square", lambda p, q: ag.square(p)),
-    ("attention_pool", lambda p, q: ag.attention_pool(ag.reshape(p, (2, 2, 4)), q, p[0],
-                                                      ag.transpose(q), q[1])),
+    ("attention_pool", lambda p, q: ag.attention_pool(ag.reshape(p, (2, 2, 4)), q,
+                                                      ag.mean_along(p, axis=0),
+                                                      ag.transpose(q), ag.sum_along(q, axis=0))),
     ("mean", lambda p, q: ag.mean_along(ag.mul(p, q), axis=0)),
-    ("slice", lambda p, q: p[1:3, :2]),
-    ("take_fancy", lambda p, q: p[np.array([0, 2, 2]), np.array([1, 0, 3])]),
-    ("linear", lambda p, q: ag.linear(p, q, q[0])),
-    ("linear_relu", lambda p, q: ag.linear(p, q, q[0], relu=True)),
-    ("affine_norm_relu", lambda p, q: ag.affine_norm_relu(ag.mul(p, 2.0), q, q[0], p[1],
-                                                          ag.add(q[2], 1.0))),
+    ("linear", lambda p, q: ag.linear(p, q, ag.mean_along(q, axis=0))),
+    ("linear_relu", lambda p, q: ag.linear(p, q, ag.mean_along(q, axis=0), relu=True)),
+    ("affine_norm_relu", lambda p, q: ag.affine_norm_relu(ag.mul(p, 2.0), q,
+                                                          ag.mean_along(q, axis=0),
+                                                          ag.sum_along(p, axis=0),
+                                                          ag.add(ag.mean_along(q, axis=1), 1.0))),
     ("l2_normalize", lambda p, q: ag.mul(ag.l2_normalize(p, axis=1), q)),
     ("clamp", lambda p, q: ag.clamp(ag.mul(p, 0.4), -0.5, 0.5)),
 ])
@@ -374,7 +375,7 @@ def test_fused_op_computes_no_gradient_for_a_data_input(op):
 
 # each op's operands in order: x the input, w a (k, m) weight, v an m-vector
 OPERANDS = {"linear": "xwv", "affine_norm_relu": "xwvvv", "attention_pool": "xwvwv",
-            "l2_normalize": "x", "take": "x"}
+            "l2_normalize": "x"}
 
 @st.composite
 def broadcast_operands(draw, op):
@@ -397,10 +398,6 @@ def broadcast_operands(draw, op):
             shapes.append(leading(len(lead)) + (1, m) if draw(st.booleans()) else (m,))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = [rng.uniform(-1.0, 1.0, size=shape) for shape in shapes]
-    if op == "take":
-        lo = draw(st.integers(0, n - 1))
-        cols = np.array(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=4)))
-        return values, (Ellipsis, slice(lo, n), cols)  # repeated columns accumulate
     return values, draw(st.booleans())  # linear's relu flag
 
 
@@ -409,7 +406,6 @@ BROADCAST_OPS = {
     "affine_norm_relu": lambda args, _: ag.affine_norm_relu(*args),
     "attention_pool": lambda args, _: ag.attention_pool(*args),
     "l2_normalize": lambda args, _: ag.l2_normalize(args[0], axis=-1),
-    "take": lambda args, idx: ag.take(args[0], idx),
 }
 
 

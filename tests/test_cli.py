@@ -5,7 +5,8 @@ import pytest
 
 from medc.cli import main
 from medc.config import ConfigError, load_config
-from medc.data import read_feature_file
+from medc.data import read_feature_file, write_feature_file
+from test_model import rewrite_manifest
 
 
 def write_config(path, **over):
@@ -107,6 +108,66 @@ def test_eval_rejects_class_count_mismatch(workspace, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "C=3" in err and "C=4" in err
+
+
+def test_eval_rejects_feature_dim_mismatch(workspace, tmp_path, capsys):
+    ws, cfg, data = workspace
+    run_dir = ws / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run_dir)]) == 0
+    other_data = tmp_path / "other.medc"
+    assert main(["gen-data", "--config", str(write_config(tmp_path / "other.json", data={"D": 5})),
+                 "--out", str(other_data)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint_final.bin"),
+                 "--data", str(other_data), "--out", str(tmp_path / "e")]) == 1
+    assert ("error: feature dim mismatch: checkpoint has D=4, data file has D=5"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_empty_feature_file_is_refused(workspace, capsys, command):
+    tmp_path, cfg, data = workspace
+    empty = tmp_path / "empty.medc"
+    write_feature_file(empty, [])
+    if command == "train":
+        argv = ["train", "--config", str(cfg), "--data", str(empty), "--out", str(tmp_path / "r")]
+    else:
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "run")]) == 0
+        argv = ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint_final.bin"),
+                "--data", str(empty), "--out", str(tmp_path / "e")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert f"error: data file {empty} contains no records" in capsys.readouterr().err
+
+
+def test_a_repeated_expert_kind_is_refused_in_training(workspace, capsys):
+    tmp_path, _, data = workspace
+    cfg = write_config(tmp_path / "twice.json", train={"active_experts": ["uniform", "uniform"]})
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith("error: active_experts names a kind twice")
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_checkpoint_with_a_repeated_expert_kind_is_refused(workspace, capsys):
+    tmp_path, cfg, data = workspace
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 0
+    ckpt = tmp_path / "run" / "checkpoint_final.bin"
+    rewrite_manifest(ckpt, lambda m: m["config"].update(experts=["uniform", "uniform"]))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err.startswith("error: experts names the kind 'uniform' twice")
+
+
+def test_ablate_rejects_a_repeated_variant(workspace, capsys):
+    tmp_path, cfg, data = workspace
+    assert main(["ablate", "--config", str(cfg), "--data", str(data),
+                 "--experts", "E1,E1", "--out", str(tmp_path / "abl")]) == 1
+    assert "--experts names the variant 'E1' twice" in capsys.readouterr().err
+    assert not (tmp_path / "abl").exists()
 
 
 def test_unknown_config_key_is_named(tmp_path, capsys):

@@ -248,18 +248,20 @@ def reference_variance(sigmas, labels, gamma):
 
 @st.composite
 def per_index_batches(draw):
-    """A (K, E) grid of batches, each with its own labels of 1-3 positives per sample.
+    """A (K, E) grid of batches, each with its own labels of 1-9 positives per sample.
 
-    Batch (0, 0) puts class 0 on every sample, so no anchor has a negative;
+    Batch (0, 0) puts class 0 on every sample, so no anchor has a negative, and 9
+    labels on its first, so the batches differ in the most labels a sample has;
     batch (K-1, E-1) has no positive label at all.
     """
     K, E, B, C = (draw(st.integers(1, 3)), draw(st.integers(2, 3)),
-                  draw(st.integers(2, 6)), draw(st.integers(2, 5)))
+                  draw(st.integers(2, 6)), draw(st.integers(9, 12)))
     labels = np.zeros((K, E, B, C), dtype=np.uint8)
     for idx in np.ndindex(K, E, B):
         labels[idx + (sorted(draw(st.sets(st.integers(0, C - 1), min_size=1,
-                                          max_size=min(3, C)))),)] = 1
+                                          max_size=9))),)] = 1
     labels[0, 0, :, 0] = 1
+    labels[0, 0, 0, :9] = 1
     labels[-1, -1] = 0
     return labels, draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 32 - 1))
 

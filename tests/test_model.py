@@ -24,9 +24,14 @@ def tiny_cfg(**over):
 
 
 def expert_slice(model, kind):
-    """One expert's head as the forward functions take it: its slice of every stored role."""
-    e = model.cfg.experts.index(kind)
-    return {role: p[e] for role, p in model.stacked_heads.items()}
+    """One expert's head as the forward functions take it: its slice of every stored role.
+
+    The slice is a one-hot weighted sum over the expert axis, exact in value and
+    gradient, so a loss of the slice backpropagates into the stack.
+    """
+    onehot = np.array(model.cfg.experts) == kind
+    return {role: ag.sum_along(ag.mul(p, onehot.reshape((-1,) + (1,) * (p.ndim - 1))), axis=0)
+            for role, p in model.stacked_heads.items()}
 
 
 def expert_forward(model, X, kind, eps):
@@ -360,20 +365,22 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     (lambda m: m.pop("gamma"), "'gamma'"),
     (lambda m: m.pop("params"), "'params'"),
     (lambda m: m.pop("extra"), "'extra'"),
+    (lambda m: m.pop("arrays"), "'arrays'"),
     (lambda m: m.pop("version"), "'version'"),
     (lambda m: m["config"].update(width=3), "'width'"),
     (lambda m: m["config"].pop("D"), "'D'"),
     (lambda m: m.update(version=99), "version 99"),
     (lambda m: m.update(version=0), "version 0"),
+    (lambda m: m.update(version=2), "version 2"),
     (lambda m: m["gamma"].update(sideways=m["gamma"].pop("uniform")), "'gamma'.*sideways"),
     (lambda m: m["gamma"]["uniform"].append(0.5), "'gamma' of 'uniform'"),
     (lambda m: m["config"].update(d="6"), "'d'"),
     (lambda m: m["config"].update(experts=[]), "at least one expert"),
     (lambda m: m["config"].update(hidden=0), "hidden must be >= 1, got 0"),
-], ids=["no-seed", "no-config", "no-gamma", "no-params", "no-extra", "no-version",
+], ids=["no-seed", "no-config", "no-gamma", "no-params", "no-extra", "no-arrays", "no-version",
         "unknown-config-field", "missing-config-field", "version-99", "version-0",
-        "unknown-gamma-kind", "gamma-wrong-length", "config-field-wrong-type", "no-experts",
-        "config-dimension-below-one"])
+        "version-2", "unknown-gamma-kind", "gamma-wrong-length", "config-field-wrong-type",
+        "no-experts", "config-dimension-below-one"])
 def test_checkpoint_manifest_is_validated_by_name(tmp_path, change, named):
     path = tmp_path / "model.bin"
     save_checkpoint(path, Model(tiny_cfg(), seed=13), extra={"epoch": 1})

@@ -237,23 +237,6 @@ def test_resume_refuses_a_checkpoint_past_the_runs_end(tmp_path):
     assert path.read_bytes() == before
 
 
-def test_version_2_checkpoint_loads_but_is_not_resumed(tmp_path):
-    records = small_dataset()
-    model, _ = train(small_train_cfg(epochs=1), records, out_dir=str(tmp_path))
-    path = tmp_path / "checkpoint_final.bin"
-
-    def as_version_2(manifest):
-        manifest["version"] = 2
-        del manifest["extra"]["adam"]["params"]  # version 2 kept no parameter order
-
-    rewrite_manifest(path, as_version_2)
-    loaded, _ = load_checkpoint(path)
-    for p, q in zip(model.parameters(), loaded.parameters()):
-        assert np.array_equal(p.data, q.data)
-    with pytest.raises(ValueError, match="version 2"):
-        train(small_train_cfg(epochs=2), records, resume_from=str(path))
-
-
 def test_resume_refuses_a_setting_this_run_does_not_have(tmp_path):
     records = small_dataset()
     train(small_train_cfg(epochs=1), records, out_dir=str(tmp_path))
