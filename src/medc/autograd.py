@@ -140,9 +140,14 @@ class no_tape:
         _taping = self._was
 
 
+def _needs_grad(t):
+    """Whether a gradient can reach anything through t: a data input has none to give."""
+    return t.requires_grad or bool(t._parents)
+
+
 def _records(parents):
     """Whether an op on these inputs goes on the tape: taping, and a gradient can reach one."""
-    return _taping and any(p.requires_grad or p._parents for p in parents)
+    return _taping and any(map(_needs_grad, parents))
 
 
 def _track(out, parents, backward):
@@ -214,11 +219,6 @@ def _matmul_backward(g, a, a2, b, need_a, need_b):
     return ga, gb
 
 
-def _needs_grad(t):
-    """Whether a gradient can reach anything through t: a data input has none to give."""
-    return t.requires_grad or bool(t._parents)
-
-
 def matmul(a, b):
     """Matrix product over the last two axes, folding as `_matmul_forward` says."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -275,26 +275,26 @@ def clamp(x, lo, hi):
 
 # -- reductions and shape ---------------------------------------------------
 
-def sum_along(x, axis=None, keepdims=False):
+def sum_along(x, axis=None):
     x = _as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+    out = Tensor(x.data.sum(axis=axis))
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape),)
 
     return _track(out, (x,), backward)
 
 
-def mean_along(x, axis=None, keepdims=False):
+def mean_along(x, axis=None):
     """Mean over `axis`: None for all axes, an int, or a tuple of ints."""
     x = _as_tensor(x)
     axes = range(x.data.ndim) if axis is None else np.atleast_1d(axis)
     n = int(np.prod([x.data.shape[a] for a in axes]))
     if n == 0:
         raise ShapeError(f"mean over empty axis {axis} of shape {x.data.shape}")
-    return mul(sum_along(x, axis, keepdims), 1.0 / n)
+    return mul(sum_along(x, axis), 1.0 / n)
 
 
 def reshape(x, shape):
@@ -313,7 +313,18 @@ def transpose(x, axes=None):
 # -- fused layers -----------------------------------------------------------
 # Each is one tape node. The forward works in place on the array its own
 # matmul allocated; the backward is written by hand and computes no gradient
-# for a data input.
+# for a data input. A vector (bias, scale or shift) has its weight's batch axes,
+# as (E, n) in an expert stack, and `_lift` lines them up as a weight's are.
+
+def _lift(v, ndim):
+    """v with axes of 1 before its last, to `ndim` axes, so that it broadcasts by its leading ones."""
+    return v.reshape(v.shape[:-1] + (1,) * (ndim - v.ndim) + v.shape[-1:])
+
+
+def _sum_to(g, v, ndim):
+    """g summed to the shape of the vector v lifted to `ndim` axes, then given v's shape."""
+    return _unbroadcast(g, _lift(v, ndim).shape).reshape(v.shape)
+
 
 def _into(op, y, b):
     """op(y, b), written into y when b broadcasts within y's shape."""
@@ -337,7 +348,7 @@ def linear(x, W, b, relu=False):
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     y, x2 = _matmul_forward(x.data, W.data)
     prod_shape = y.shape
-    out = _into(np.add, y, b.data)
+    out = _into(np.add, y, _lift(b.data, y.ndim))
     if relu:
         np.maximum(out, 0.0, out=out)
 
@@ -346,7 +357,7 @@ def linear(x, W, b, relu=False):
             g = g * (out > 0.0)
         gx, gW = _matmul_backward(_unbroadcast(g, prod_shape), x.data, x2, W.data,
                                   _needs_grad(x), _needs_grad(W))
-        return gx, gW, _unbroadcast(g, b.data.shape)
+        return gx, gW, _sum_to(g, b.data, len(prod_shape))
 
     return _track(Tensor(out), (x, W, b), backward)
 
@@ -368,20 +379,21 @@ def affine_norm_relu(x, W, b, scale, shift):
         raise ShapeError("affine_norm_relu on empty feature axis")
     Wc = _centred(W.data)
     y, x2 = _matmul_forward(x.data, Wc)
-    prod_shape = y.shape
-    x_hat = _into(np.add, y, _centred(b.data))
+    prod_shape, nd = y.shape, y.ndim
+    x_hat = _into(np.add, y, _lift(_centred(b.data), nd))
     n = x_hat.shape[-1]
     std = np.sqrt(_row_dot(x_hat, x_hat) / n + 1e-12)
     denom = std + 1e-5
     x_hat /= denom
+    s = _lift(scale.data, nd)
     # off the tape nothing reads x_hat again, so the output may take its memory
-    out = scale.data * x_hat if _records(parents) else _into(np.multiply, x_hat, scale.data)
-    out = _into(np.add, out, shift.data)
+    out = s * x_hat if _records(parents) else _into(np.multiply, x_hat, s)
+    out = _into(np.add, out, _lift(shift.data, nd))
     np.maximum(out, 0.0, out=out)
 
     def backward(g):
         g = g * (out > 0.0)
-        g_hat = _unbroadcast(g * scale.data, x_hat.shape)
+        g_hat = _unbroadcast(g * s, x_hat.shape)
         # the feature-norm gradient with a - mean(a) = x_hat * denom substituted:
         # g_hat / denom - x_hat * sum(g_hat * x_hat) / (n * std); its centring
         # is the projection through Wc and bc
@@ -390,9 +402,8 @@ def affine_norm_relu(x, W, b, scale, shift):
         g_hat -= x_hat * coef
         gx, gW = _matmul_backward(_unbroadcast(g_hat, prod_shape), x.data, x2, Wc,
                                   _needs_grad(x), _needs_grad(W))
-        return (gx, None if gW is None else _centred(gW),
-                _centred(_unbroadcast(g_hat, b.data.shape)),
-                _unbroadcast(g * x_hat, scale.data.shape), _unbroadcast(g, shift.data.shape))
+        return (gx, None if gW is None else _centred(gW), _centred(_sum_to(g_hat, b.data, nd)),
+                _sum_to(g * x_hat, scale.data, nd), _sum_to(g, shift.data, nd))
 
     return _track(Tensor(out), parents, backward)
 
@@ -402,28 +413,25 @@ def attention_pool(delta, Wq, bq, Wk, bk):
 
     delta is (..., L, d), one row per frame. The scores are
     s_l = q_l . k_l / sqrt(d) with q = delta @ Wq + bq and k = delta @ Wk + bk,
-    both from one GEMM on the two weights side by side, and alpha is their
-    softmax over the L frames, taken after subtracting the largest score so
-    that large scores stay finite. The result is (..., 1, d): the pooled
-    frame axis is kept, as `mean_along(keepdims=True)` keeps it, so that a
-    stacked (E, 1, 1, n) bias added next broadcasts over it. The backward
-    keeps q, k and alpha, and computes no gradient for a data delta.
+    both from one GEMM on the two weights side by side, so f_q and f_k must
+    have one shape. alpha is the scores' softmax over the L frames, taken
+    after subtracting the largest score so that large scores stay finite.
+    The result is (..., d). The backward keeps q, k and alpha, and computes
+    no gradient for a data delta.
     """
     delta, Wq, bq, Wk, bk = parents = tuple(_as_tensor(t) for t in (delta, Wq, bq, Wk, bk))
     if delta.data.ndim < 2 or delta.data.shape[-2] == 0:
         raise ShapeError("attention_pool needs frames (..., L, d) with L >= 1, "
                          f"got shape {delta.data.shape}")
+    if (Wq.data.shape, bq.data.shape) != (Wk.data.shape, bk.data.shape):
+        raise ShapeError(f"attention_pool needs f_q and f_k of one shape, got W {Wq.data.shape} "
+                         f"and b {bq.data.shape} against W {Wk.data.shape} and b {bk.data.shape}")
     m = Wq.data.shape[-1]
-    # a weight's batch axes line up with delta's first ones, so the weight with
-    # fewer of them gets its padding after them, not in front
-    nd = max(Wq.data.ndim, Wk.data.ndim)
-    wq, wk = (w.reshape(w.shape[:-2] + (1,) * (nd - w.ndim) + w.shape[-2:])
-              for w in (Wq.data, Wk.data))
-    W = np.concatenate(np.broadcast_arrays(wq, wk), axis=-1)
-    b = np.concatenate(np.broadcast_arrays(bq.data, bk.data), axis=-1)
+    W = np.concatenate((Wq.data, Wk.data), axis=-1)
+    b = np.concatenate((bq.data, bk.data), axis=-1)
     y, d2 = _matmul_forward(delta.data, W)
     prod_shape = y.shape
-    y = _into(np.add, y, b)
+    y = _into(np.add, y, _lift(b, y.ndim))
     q, k = y[..., :m], y[..., m:]
     c = 1.0 / np.sqrt(delta.data.shape[-1])
     s = _row_dot(q, k)                                   # (..., L, 1)
@@ -431,9 +439,10 @@ def attention_pool(delta, Wq, bq, Wk, bk):
     s -= s.max(axis=-2, keepdims=True)
     alpha = np.exp(s, out=s)
     alpha /= alpha.sum(axis=-2, keepdims=True)
-    out = np.matmul(np.swapaxes(alpha, -1, -2), delta.data)
+    out = np.matmul(np.swapaxes(alpha, -1, -2), delta.data)[..., 0, :]
 
     def backward(g):
+        g = np.expand_dims(g, -2)
         # through alpha: d out / d alpha_l = delta_l, then the softmax's and the scores'
         g_alpha = np.matmul(delta.data, np.swapaxes(g, -1, -2))
         g_s = alpha * (g_alpha - (alpha * g_alpha).sum(axis=-2, keepdims=True))
@@ -445,12 +454,8 @@ def attention_pool(delta, Wq, bq, Wk, bk):
                                        _needs_grad(delta), True)
         if g_delta is not None:   # and each frame's own share of the pool
             g_delta += _unbroadcast(alpha * g, delta.data.shape)
-        gb = _unbroadcast(g_y, b.shape)
-        return (g_delta,
-                _unbroadcast(gW[..., :m], wq.shape).reshape(Wq.data.shape),
-                _unbroadcast(gb[..., :m], bq.data.shape),
-                _unbroadcast(gW[..., m:], wk.shape).reshape(Wk.data.shape),
-                _unbroadcast(gb[..., m:], bk.data.shape))
+        gb = _sum_to(g_y, b, len(prod_shape))
+        return g_delta, gW[..., :m], gb[..., :m], gW[..., m:], gb[..., m:]
 
     return _track(Tensor(out), parents, backward)
 

@@ -75,7 +75,6 @@ class FeatureRecord:
 @dataclass
 class LabelStats:
     counts: np.ndarray       # per-class positive-label occurrences
-    total: int
     frequencies: np.ndarray  # omega, sums to 1
     groups: list             # per-class tag in {head, medium, tail}
 
@@ -163,11 +162,10 @@ def compute_label_stats(records, head_threshold=HEAD_THRESHOLD,
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise ValueError(f"classes with zero positive labels: {empty.tolist()}")
-    total = int(counts.sum())
-    freqs = counts / total
+    freqs = counts / counts.sum()
     groups = [HEAD if n > head_threshold else MEDIUM if n > medium_threshold else TAIL
               for n in counts]
-    return LabelStats(counts=counts, total=total, frequencies=freqs, groups=groups)
+    return LabelStats(counts=counts, frequencies=freqs, groups=groups)
 
 
 def split_records(records, test_fraction, seed):

@@ -9,13 +9,13 @@ probability vectors.
 
 Every head has the same parameter roles, declared once in `_head_roles`.
 The model holds each role once: `Model.stacked_heads` maps it to one
-Parameter with a leading expert axis E. The forward functions index roles
-by name, so they run unchanged on that stack, with E in front of every
-activation, and on one expert's slice of it
-`{role: p[e] for role, p in model.stacked_heads.items()}`, whose gradients
-flow back into the stack. Training and inference run all experts as one
-batched graph on the stack, which `Model.parameters()` returns; only the
-checkpoint file lays it out per expert, through `per_expert_arrays`.
+Parameter of shape (E,) + the role's shape, E the expert axis. The forward
+functions index roles by name, so they run unchanged on that stack, with E
+in front of every activation, and on a slice of it; the fused ops line up a
+vector's leading axes as a weight's, so no role stores a broadcast axis.
+Training and inference run all experts as one batched graph on the stack,
+which `Model.parameters()` returns; only the checkpoint file lays it out
+per expert, through `per_expert_arrays`.
 """
 
 import json
@@ -103,10 +103,10 @@ class Model:
     """The trunk and the expert heads, each parameter role held once.
 
     `trunk` and `stacked_heads` map role names to Parameters. A head role is
-    stacked along a leading expert axis in `cfg.experts` order; its vectors
-    get singleton axes after E to broadcast over the batch axes: (E, 1, 1, n)
-    per frame, (E, 1, n) in the classifier. `heads[kind].gamma` holds the
-    expert's per-class variance targets.
+    stacked along a leading expert axis in `cfg.experts` order, as
+    (E,) + its shape in the role table: (E, n) for a vector, (E, n, m) for
+    a weight. `heads[kind].gamma` holds the expert's per-class variance
+    targets.
     """
 
     def __init__(self, cfg, seed=0):
@@ -119,13 +119,8 @@ class Model:
         roles = _head_roles(cfg)
         drawn = [[_initial_value(rng, role, shape) for role, shape in roles]
                  for _ in cfg.experts]
-        self.stacked_heads = {}
-        for (role, shape), values in zip(roles, zip(*drawn)):
-            data = np.stack(values)
-            if len(shape) == 1:
-                frame_axes = 1 if role.startswith("cls.") else 2
-                data = data.reshape(data.shape[:1] + (1,) * frame_axes + shape)
-            self.stacked_heads[role] = Parameter(data, f"expert.*.{role}")
+        self.stacked_heads = {role: Parameter(np.stack(values), f"expert.*.{role}")
+                              for (role, _), values in zip(roles, zip(*drawn))}
         self.heads = {kind: SimpleNamespace(gamma=np.full(cfg.C, 0.5)) for kind in cfg.experts}
 
     def parameters(self):
@@ -157,7 +152,7 @@ def _hidden(params, name, x):
 
 
 def trunk_forward(X, trunk):
-    """Per-frame trunk application; X is (B, L, D), (L, D), (E, B, L, D) or (1, E, B, L, D)."""
+    """Per-frame trunk application to X (..., L, D), such as (E or 1, B, L, D)."""
     return ag.linear(X, trunk["trunk.W"], trunk["trunk.b"], relu=True)
 
 
@@ -166,12 +161,11 @@ def estimate_mean(H0, head):
 
     phi_mu's output layer is affine, so pooling commutes with it: the
     hidden layers' output is pooled first, and the output layer runs once
-    per video instead of once per frame. The pooled frame axis is kept
-    while the stacked (E, 1, 1, d) bias broadcasts, then dropped.
+    per video instead of once per frame. H0 is (..., L, d_trunk) and the
+    result (..., d).
     """
-    pooled = ag.mean_along(_hidden(head, "phi_mu", H0), axis=-2, keepdims=True)
-    mu = _linear(head, "phi_mu.out", pooled)
-    return ag.l2_normalize(ag.reshape(mu, mu.shape[:-2] + mu.shape[-1:]), axis=-1)
+    pooled = ag.mean_along(_hidden(head, "phi_mu", H0), axis=-2)
+    return ag.l2_normalize(_linear(head, "phi_mu.out", pooled), axis=-1)
 
 
 def estimate_variance(H0, mu, head, temporal_attention=True):
@@ -193,9 +187,8 @@ def estimate_variance(H0, mu, head, temporal_attention=True):
         pooled = ag.attention_pool(delta, *(head[role] for role in
                                             ("f_q.W", "f_q.b", "f_k.W", "f_k.b")))
     else:
-        pooled = ag.mean_along(delta, axis=-2, keepdims=True)
-    raw = _linear(head, "f_v", pooled)                                # (..., 1, d)
-    return ag.softplus(ag.reshape(raw, raw.shape[:-2] + raw.shape[-1:]))
+        pooled = ag.mean_along(delta, axis=-2)
+    return ag.softplus(_linear(head, "f_v", pooled))
 
 
 def reparameterize(mu, sigma, eps):
@@ -217,8 +210,7 @@ def forward_inference(X, model):
     so the variance branch is not run.
     """
     with ag.no_tape():
-        H0 = trunk_forward(X, model.trunk)
-        mu = estimate_mean(ag.reshape(H0, (1,) + H0.shape), model.stacked_heads)
+        mu = estimate_mean(trunk_forward(X[None], model.trunk), model.stacked_heads)
         return ag.mean_along(classify(mu, model.stacked_heads), axis=0)
 
 
@@ -253,7 +245,10 @@ def _restore_arrays(obj, arrays):
 
 def _read_f8(reader, shape, what):
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    return np.frombuffer(reader.read(8 * count, what), dtype="<f8").reshape(shape)
+    a = np.frombuffer(reader.read(8 * count, what), dtype="<f8").reshape(shape)
+    if not np.isfinite(a).all():
+        raise ValueError(f"checkpoint {what} holds a non-finite value")
+    return a
 
 
 def per_expert_arrays(model):
@@ -263,10 +258,8 @@ def per_expert_arrays(model):
     `expert.<kind>.<role>`, in the role table's order and shape.
     """
     named = [(p.name, p.data) for p in model.trunk.values()]
-    roles = _head_roles(model.cfg)
     for e, kind in enumerate(model.cfg.experts):
-        named += [(f"expert.{kind}.{role}", model.stacked_heads[role].data[e].reshape(shape))
-                  for role, shape in roles]
+        named += [(f"expert.{kind}.{role}", p.data[e]) for role, p in model.stacked_heads.items()]
     return named
 
 
@@ -327,8 +320,8 @@ def load_checkpoint(path):
     with the byte offset. A manifest of another version, or one that lacks
     a key, whose model config has an unknown or missing field or one of the
     wrong JSON type, whose gamma targets are not one vector of C per
-    expert, or whose parameter list or payload references do not fit the
-    model, raises ValueError naming it.
+    expert, whose parameter list or payload references do not fit the model,
+    or that holds a NaN or an infinity, raises ValueError naming it.
     """
     manifest, reader = read_checkpoint_manifest(path)
     try:
@@ -346,6 +339,8 @@ def load_checkpoint(path):
         if g.shape != (cfg.C,):
             raise ValueError(f"checkpoint 'gamma' of {kind!r} has shape {g.shape}, "
                              f"the model's C={cfg.C} classes need ({cfg.C},)")
+        if not np.isfinite(g).all():
+            raise ValueError(f"checkpoint 'gamma' of {kind!r} holds a non-finite value")
         model.heads[kind].gamma = g
     named = per_expert_arrays(model)
     if len(named) != len(manifest["params"]):

@@ -129,14 +129,14 @@ def composed_objective(params, X, Y, eps, gamma, weights, temporal_attention):
     """The training objective of E experts as one batched graph.
 
     `params` maps every stored role name to its tensor: the trunk's, and
-    each head role stacked along the expert axis. Expert e sees its own
-    batch X[e] (E, B, L, D) with labels Y[e] (E, B, C), noise eps[e]
+    each head role stacked as (E,) + its role-table shape. Expert e sees its
+    own batch X[e] (E, B, L, D) with labels Y[e] (E, B, C), noise eps[e]
     (E, B, d) and variance targets gamma[e] (E, C). Returns the scalar loss
     and the (E,) vectors (L_mu, L_cls, L_sigma).
 
     A probe axis K in front evaluates K parameter sets at once: the head
     roles are then (K, E, ...), the trunk's (K, 1, D, d_trunk) and
-    (K, 1, 1, 1, d_trunk), X is (1, E, B, L, D) and Y (1 or K, E, B, C),
+    (K, 1, d_trunk), X is (1, E, B, L, D) and Y (1 or K, E, B, C),
     one set of labels for every probe or one per probe; the loss is (K,)
     and the terms are (K, E).
     """

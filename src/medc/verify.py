@@ -62,7 +62,7 @@ def composed_objective_problem(seed):
     def terms(values, e):
         """The (K, experts e) loss terms at the parameter stacks `values`."""
         W, b, *heads = values
-        stacks = {"trunk.W": Tensor(W[:, None]), "trunk.b": Tensor(b[:, None, None, None])}
+        stacks = {"trunk.W": Tensor(W[:, None]), "trunk.b": Tensor(b[:, None])}
         stacks.update((role, Tensor(v[:, e])) for role, v in zip(model.stacked_heads, heads))
         return composed_objective(stacks, X[None, e], labels[None, e], eps[e], gamma[e],
                                   weights, cfg.temporal_attention)[1]

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 import zlib
 
@@ -55,8 +56,8 @@ def test_attention_pool_equal_scores_pool_to_the_frame_mean():
     delta = rng.standard_normal((2, 3, 4))
     out = ag.attention_pool(delta, np.zeros((4, 4)), np.zeros(4), rng.standard_normal((4, 4)),
                             rng.standard_normal(4))   # q = 0, so every score is 0
-    assert out.shape == (2, 1, 4)
-    np.testing.assert_allclose(out.data, delta.mean(axis=-2, keepdims=True), atol=1e-15)
+    assert out.shape == (2, 4)
+    np.testing.assert_allclose(out.data, delta.mean(axis=-2), atol=1e-15)
 
 
 # one feature, q = delta and k = 1, so each frame's score is its own value
@@ -85,14 +86,23 @@ def test_attention_pool_is_a_convex_combination_of_the_frames():
     weights = [rng.uniform(-50, 50, size=shape) for shape in ((3, 3), 3, (3, 3), 3)]
     out = ag.attention_pool(delta, *weights).data
     assert np.isfinite(out).all()
-    assert (out >= delta.min(axis=-2, keepdims=True) - 1e-12).all()
-    assert (out <= delta.max(axis=-2, keepdims=True) + 1e-12).all()
+    assert out.shape == (4, 3)
+    assert (out >= delta.min(axis=-2) - 1e-12).all()
+    assert (out <= delta.max(axis=-2) + 1e-12).all()
 
 
 def test_attention_pool_empty_frame_axis_errors():
     with pytest.raises(ShapeError, match=r"\(3, 0, 4\)"):
         ag.attention_pool(np.zeros((3, 0, 4)), np.zeros((4, 4)), np.zeros(4),
                           np.zeros((4, 4)), np.zeros(4))
+
+
+@pytest.mark.parametrize("Wk,bk", [((2, 4, 4), (2, 4)), ((4, 4), (1, 1, 4))])
+def test_attention_pool_refuses_f_q_and_f_k_of_two_shapes(Wk, bk):
+    both = [re.escape(str(shape)) for shape in ((4, 4), (4,), Wk, bk)]
+    with pytest.raises(ShapeError, match=".*".join(both)):
+        ag.attention_pool(np.zeros((2, 3, 4)), np.zeros((4, 4)), np.zeros(4),
+                          np.zeros(Wk), np.zeros(bk))
 
 
 def test_mean_pool_hand_case():
@@ -297,10 +307,11 @@ def _weight_centred_affine_norm_relu(x, W, b, scale, shift):
         ag.add(ag.matmul(x, _centre(W)), _centre(b)))), shift))
 
 
-# (x, W, b-like) shapes: no expert axis, a single expert's slice of the stacked
-# (E, 1, 1, n) vectors, the expert axis, the gradient check's probe axis in front
+# (x, W, b-like) shapes: no expert axis, a single expert's slice with its vectors
+# given the product's axes, the expert axis, the gradient check's probe axis in front
 # of it (heads (K, E, ...), trunk (K, 1, ...) over a shared (1, E, ...) input), and
-# a bias that broadcasts beyond the product's shape
+# a bias that broadcasts beyond the product's shape; then the last three with each
+# vector stored as the model stores a role, with its weight's leading axes only
 FUSED_SHAPES = {
     "plain": ((6, 4), (4, 5), (5,)),
     "expert_slice": ((3, 4, 4), (4, 5), (1, 1, 5)),
@@ -308,6 +319,9 @@ FUSED_SHAPES = {
     "probe_axis": ((3, 2, 3, 4, 4), (3, 2, 4, 5), (3, 2, 1, 1, 5)),
     "probe_trunk": ((1, 2, 3, 4, 4), (3, 1, 4, 5), (3, 1, 1, 1, 5)),
     "bias_beyond": ((4, 4), (4, 5), (1, 1, 5)),
+    "expert_role": ((2, 3, 4, 4), (2, 4, 5), (2, 5)),
+    "probe_role": ((3, 2, 3, 4, 4), (3, 2, 4, 5), (3, 2, 5)),
+    "probe_trunk_role": ((1, 2, 3, 4, 4), (3, 1, 4, 5), (3, 1, 5)),
 }
 # op: (the fused op, its arithmetic as separate ops, and for a fused op whose
 # arithmetic differs from the layer as first written, that layer's separate ops)
@@ -329,10 +343,16 @@ def test_fused_op_equals_the_separate_ops(op, shapes):
     x_shape, w_shape, v_shape = shapes
     values = [rng.standard_normal(x_shape), rng.standard_normal(w_shape)]
     values += [rng.standard_normal(v_shape) for _ in range(3)]
+    # the separate ops broadcast by numpy's rule, so they see each vector with axes of 1
+    # inserted before its features, up to the product's axes
+    nd = max(len(x_shape), len(w_shape))
+    lifted = v_shape[:-1] + (1,) * (nd - len(v_shape)) + v_shape[-1:]
 
     def run(build):
         params = [Parameter(v.copy(), f"p{i}") for i, v in enumerate(values)]
-        out = build(*params)
+        args = params if build is fused else params[:2] + [ag.reshape(p, lifted)
+                                                           for p in params[2:]]
+        out = build(*args)
         weights = derive_rng(0, "weights").standard_normal(out.shape)
         ag.sum_along(ag.mul(out, weights)).backward()
         return out.data, [p.grad for p in params]
@@ -370,8 +390,9 @@ def test_fused_op_computes_no_gradient_for_a_data_input(op):
 
 # -- the ops over random broadcast shapes ------------------------------------------
 # x is (*lead, n, k) with 0-2 leading axes. A weight's leading axes are a prefix of
-# lead and a vector's are all of lead or none, as the model's stacked roles are; each
-# leading axis of an operand has lead's size or 1.
+# lead. A vector has none, its weight's, as the model's stacked roles do, or all of
+# lead and an axis of 1. Each leading axis of an operand has lead's size or 1, and
+# attention_pool's f_k has f_q's shapes.
 
 # each op's operands in order: x the input, w a (k, m) weight, v an m-vector
 OPERANDS = {"linear": "xwv", "affine_norm_relu": "xwvvv", "attention_pool": "xwvwv",
@@ -393,9 +414,13 @@ def broadcast_operands(draw, op):
         if kind == "x":
             shapes.append(leading(len(lead)) + (n, k))
         elif kind == "w":
-            shapes.append(leading(draw(st.integers(0, len(lead)))) + (k, m))
+            w_lead = leading(draw(st.integers(0, len(lead))))
+            shapes.append(w_lead + (k, m))
         else:
-            shapes.append(leading(len(lead)) + (1, m) if draw(st.booleans()) else (m,))
+            shapes.append(draw(st.sampled_from(((m,), w_lead + (m,),
+                                                leading(len(lead)) + (1, m)))))
+    if op == "attention_pool":
+        shapes[3:] = shapes[1:3]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = [rng.uniform(-1.0, 1.0, size=shape) for shape in shapes]
     return values, draw(st.booleans())  # linear's relu flag
@@ -423,7 +448,7 @@ def test_op_over_leading_axes_equals_the_op_at_each_index(op, data):
     run = BROADCAST_OPS[op]
     out = run([Tensor(v) for v in values], extra).data
     cores = [2 if kind in "xw" else 1 for kind in OPERANDS[op]]
-    for idx in np.ndindex(out.shape[:-2]):
+    for idx in np.ndindex(out.shape[:values[0].ndim - 2]):   # x's leading axes
         alone = run([Tensor(_at(v, idx, c)) for v, c in zip(values, cores)], extra).data
         np.testing.assert_allclose(out[idx], alone, rtol=1e-12)
 
@@ -433,6 +458,33 @@ def test_op_over_leading_axes_equals_the_op_at_each_index(op, data):
     err = gradient_check(lambda: ag.sum_along(ag.mul(ag.square(run(params, extra)), w)),
                          params)
     assert err < 1e-4
+
+
+# an affine_norm_relu example with a row 4.9e-4 from its sign flip (x's third row under
+# W[0, 0]): with two features the 1e-5 guard makes the layer a step smoothed over about
+# that width, so a central difference is accurate only at steps well below it
+NEAR_FLIP = [np.array([[[[-0.12028323], [0.20733838], [0.29330843]]]]),
+             np.array([[[[0.08328584, -0.36848433]], [[-0.61173144, 0.29431552]],
+                        [[0.33230699, 0.38554033]]]]),
+             np.array([-0.30022504, -0.16673746]), np.array([-0.88932599, -0.44871969]),
+             np.array([0.61667041, 0.49291081])]
+
+
+def _near_flip_error(**kw):
+    w = np.random.default_rng(0).uniform(0.5, 1.5, size=(1, 3, 3, 2))
+    params = [Parameter(v.copy(), f"p{i}") for i, v in enumerate(NEAR_FLIP)]
+    return gradient_check(lambda: ag.sum_along(ag.mul(ag.square(ag.affine_norm_relu(*params)),
+                                                      w)), params, **kw)
+
+
+def test_affine_norm_relu_gradient_near_a_two_feature_sign_flip():
+    assert _near_flip_error(h=1e-5) < 1e-4
+
+
+@pytest.mark.xfail(strict=True, reason="the checker's h/4 retry still spans the smoothed "
+                                       "step; a deeper retry ladder would resolve it")
+def test_gradient_check_at_its_default_step_judges_a_row_near_its_sign_flip():
+    assert _near_flip_error() < 1e-4
 
 
 def _masked_sigmoid(x):

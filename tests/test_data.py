@@ -75,7 +75,7 @@ def test_label_stats_frequencies():
             labels[c] = 1
             records.append(FeatureRecord(f"{c}-{j}", np.ones((1, 2)), labels))
     stats = compute_label_stats(records)
-    assert stats.total == 610
+    assert stats.counts.tolist() == [500, 100, 10]
     assert stats.frequencies == pytest.approx([500 / 610, 100 / 610, 10 / 610])
     assert abs(stats.frequencies.sum() - 1.0) < 1e-12
 

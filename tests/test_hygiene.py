@@ -1,12 +1,15 @@
 """Source hygiene, read with ast: no unused import, no parameter its function never
-reads, and no public function that nothing in the package calls.
+reads, no public function that nothing in the package calls, and no default that
+no caller overrides.
 
 An option that no caller sets tends to end as a parameter with a default
 that the body has stopped reading; the second check finds it. An op or
 helper whose last caller was replaced tends to stay behind; the third check
-finds it. The first two checks cover src/medc but its __init__.py, which
-imports to re-export, and the import check covers tests/ too. The third
-counts a name that __init__.py re-exports as referenced.
+finds it. An option whose last setter went tends to keep its default and
+its branch; the fourth check finds it, counting the calls in the package,
+the demos and the benchmark. The first two checks cover src/medc but its
+__init__.py, which imports to re-export, and the import check covers tests/
+too. The third counts a name that __init__.py re-exports as referenced.
 """
 
 import ast
@@ -18,6 +21,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "medc").glob("*.py"))
 PACKAGE = [p for p in SOURCES if p.name != "__init__.py"]
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+CALLERS = SOURCES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+# the console script's entry point, whose argv the command line fills in
+NEVER_PASSED = {"cli.main(argv)"}
 
 
 def _tree(path):
@@ -80,6 +86,45 @@ def uncalled_functions(trees):
             and stmt.name not in referenced]
 
 
+def _public_defs(tree):
+    """(def, whether it is a method) for each public module-level function and public
+    method of a module-level class."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            yield from ((d, True) for d in stmt.body if isinstance(d, ast.FunctionDef)
+                        and not d.name.startswith("_"))
+        elif isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            yield stmt, False
+
+
+def unpassed_defaults(trees, callers):
+    """'module.function(parameter)' for each defaulted parameter of a public function of
+    the {module: tree} map that no call in the `callers` trees passes, by keyword or by
+    position. A call is matched by the called name alone; a method's first parameter is
+    its object, and a call that unpacks *args or **kwargs passes every parameter."""
+    calls = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = getattr(node.func, "id", None) or node.func.attr
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for module, tree in trees.items():
+        for fn, method in _public_defs(tree):
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            defaulted = list(zip(positional[len(positional) - len(a.defaults):],
+                                 range(len(positional) - len(a.defaults), len(positional))))
+            defaulted += [(p, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            for param, index in defaulted:
+                if not any(any(isinstance(x, ast.Starred) for x in call.args)
+                           or any(k.arg in (None, param.arg) for k in call.keywords)
+                           or index is not None and len(call.args) > index - method
+                           for call in calls.get(fn.name, ())):
+                    unpassed.append(f"{module}.{fn.name}({param.arg})")
+    return unpassed
+
+
 def test_the_checks_find_what_they_look_for():
     tree = ast.parse("import os\nfrom a import b as c\n\n"
                      "def f(x, y=1, *rest):\n    return x\n")
@@ -90,6 +135,11 @@ def test_the_checks_find_what_they_look_for():
                             "def _p():\n    return 2\n"),
              "n": ast.parse("from m import f\n")}
     assert uncalled_functions(trees) == ["m.g", "m.k"]  # g only calls itself; k is g's parameter
+    trees = {"m": ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+                            "class K:\n    def go(self, x=0, y=1):\n        pass\n\n"
+                            "def g(p=0, q=1):\n    pass\n")}
+    callers = [ast.parse("f(0, 1, e=2)\nK().go(5)\nm.g(*args)\n")]
+    assert unpassed_defaults(trees, callers) == ["m.f(c)", "m.f(d)", "m.go(y)"]
 
 
 @pytest.mark.parametrize("path", PACKAGE + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -104,3 +154,8 @@ def test_every_parameter_is_read(path):
 
 def test_every_public_function_is_referenced():
     assert uncalled_functions({p.stem: _tree(p) for p in SOURCES}) == []
+
+
+def test_every_default_is_overridden_by_some_caller():
+    found = unpassed_defaults({p.stem: _tree(p) for p in PACKAGE}, [_tree(p) for p in CALLERS])
+    assert [name for name in found if name not in NEVER_PASSED] == []

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from medc import autograd as ag
 from medc.autograd import Tensor
-from medc.model import (CHECKPOINT_MAGIC, EXPERT_KINDS, Model, ModelConfig, _hidden,
-                        _linear, classify, estimate_mean, estimate_variance,
+from medc.model import (CHECKPOINT_MAGIC, EXPERT_KINDS, Model, ModelConfig, _head_roles,
+                        _hidden, _linear, classify, estimate_mean, estimate_variance,
                         forward_inference, load_checkpoint, per_expert_arrays,
                         reparameterize, save_checkpoint, trunk_forward)
 from medc.seeding import derive_rng
@@ -47,6 +47,18 @@ def zero_linear(model, kind, name):
     e = model.cfg.experts.index(kind)
     model.stacked_heads[f"{name}.W"].data[e] = 0.0
     model.stacked_heads[f"{name}.b"].data[e] = 0.0
+
+
+@pytest.mark.parametrize("experts", [("uniform",), EXPERT_KINDS])
+def test_every_stacked_role_is_the_expert_axis_then_its_role_shape(experts):
+    cfg = tiny_cfg(phi_depth=3, experts=experts)
+    model = Model(cfg, seed=0)
+    roles = _head_roles(cfg)
+    assert list(model.stacked_heads) == [role for role, _ in roles]
+    for role, shape in roles:
+        assert model.stacked_heads[role].shape == (len(experts),) + shape, role
+    named = per_expert_arrays(model)[len(model.trunk):]
+    assert [a.shape for _, a in named] == [shape for _ in experts for _, shape in roles]
 
 
 def test_trunk_identity_weights_give_relu():
@@ -425,6 +437,36 @@ def test_checkpoint_reader_is_bounds_checked(tmp_path):
     path.write_bytes(blob)
     rewrite_manifest(path, lambda m: m.update(arrays=[[-5]]))
     with pytest.raises(ValueError, match="negative length -40 for array 0 at byte offset"):
+        load_checkpoint(path)
+
+
+def _overwrite_f8(path, offset, value):
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(blob))
+
+
+# the checkpoint ends with its last parameter, then Adam's two 3-moment arrays
+NON_FINITE = {
+    "nan-gamma": (lambda path: rewrite_manifest(
+        path, lambda m: m["gamma"]["uniform"].__setitem__(2, float("nan"))),
+        "'gamma' of 'uniform' holds a non-finite value"),
+    "inf-parameter": (lambda path: _overwrite_f8(path, path.stat().st_size - 56, np.inf),
+                      "parameter expert.inverse.cls.b holds a non-finite value"),
+    "nan-adam-moment": (lambda path: _overwrite_f8(path, path.stat().st_size - 8, np.nan),
+                        "array 1 holds a non-finite value"),
+}
+
+
+@pytest.mark.parametrize("damage", NON_FINITE.values(), ids=NON_FINITE)
+def test_checkpoint_refuses_a_non_finite_value_by_name(tmp_path, damage):
+    write, named = damage
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, Model(tiny_cfg(), seed=13),
+                    extra={"adam": {"t": 1, "m": np.zeros(3), "v": np.ones(3)}})
+    load_checkpoint(path)
+    write(path)
+    with pytest.raises(ValueError, match=named):
         load_checkpoint(path)
 
 
