@@ -83,17 +83,18 @@ def cmd_gen_data(args):
                    f"wrote {len(records)} records to {args.out}")
 
 
-def _load_train_inputs(args, cfg, seed):
-    records = read_feature_file(args.data)
+def _read_records(path):
+    """The records of the feature file at path; a file with no records is refused."""
+    records = read_feature_file(path)
     if not records:
-        raise ValueError(f"data file {args.data} contains no records")
-    return records, cfg.train_config(seed=seed)
+        raise ValueError(f"data file {path} contains no records")
+    return records
 
 
 def cmd_train(args):
     cfg = load_config(args.config)
     seed = _resolve_seed(args, cfg)
-    records, tcfg = _load_train_inputs(args, cfg, seed)
+    records, tcfg = _read_records(args.data), cfg.train_config(seed=seed)
     # read before train(), which may overwrite the checkpoint it resumes from
     resumed = read_checkpoint_manifest(args.resume)[0]["extra"] if args.resume else {}
     _, history = train(tcfg, records, out_dir=args.out, resume_from=args.resume)
@@ -107,9 +108,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model, _ = load_checkpoint(args.checkpoint)
-    records = read_feature_file(args.data)
-    if not records:
-        raise ValueError(f"data file {args.data} contains no records")
+    records = _read_records(args.data)
     data_C = len(records[0].labels)
     if data_C != model.cfg.C:
         raise ValueError(f"class count mismatch: checkpoint has C={model.cfg.C}, "
@@ -158,7 +157,7 @@ def _experiment(args, name, header, run):
     """
     cfg = load_config(args.config)
     seed = _resolve_seed(args, cfg)
-    records, tcfg = _load_train_inputs(args, cfg, seed)
+    records, tcfg = _read_records(args.data), cfg.train_config(seed=seed)
     train_recs, test_recs = split_records(records, cfg.test_fraction, seed)
     stats = compute_label_stats(train_recs, cfg.head_threshold, cfg.medium_threshold)
     rows = run((tcfg, train_recs, test_recs, stats))

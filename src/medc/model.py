@@ -14,13 +14,15 @@ functions index roles by name, so they run unchanged on that stack, with E
 in front of every activation, and on a slice of it; the fused ops line up a
 vector's leading axes as a weight's, so no role stores a broadcast axis.
 Training and inference run all experts as one batched graph on the stack,
-which `Model.parameters()` returns; only the checkpoint file lays it out
-per expert, through `per_expert_arrays`.
+which `Model.parameters()` returns, and a checkpoint writes each stack
+under its name as it is held, beside gamma as one (E, C) array.
 """
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +34,7 @@ from .sampling import EXPERT_KINDS
 from .seeding import derive_rng
 
 CHECKPOINT_MAGIC = b"MEDCCKP1"
-CHECKPOINT_VERSIONS = (3,)
+CHECKPOINT_VERSIONS = (4,)
 
 
 @dataclass
@@ -216,81 +218,56 @@ def forward_inference(X, model):
 
 # -- checkpoints ---------------------------------------------------------------
 # single file: magic, u64 manifest length, JSON manifest, then little-endian
-# f64 payloads: the parameters in manifest order, then the arrays of `extra`.
-
-_PAYLOAD = "f8_payload"
-
-
-def _lift_arrays(obj, arrays):
-    """Copy of the dict tree `obj` with each ndarray moved to `arrays`."""
-    if isinstance(obj, np.ndarray):
-        arrays.append(obj)
-        return {_PAYLOAD: len(arrays) - 1}
-    if isinstance(obj, dict):
-        return {k: _lift_arrays(v, arrays) for k, v in obj.items()}
-    return obj
+# f64 payloads, each listed by name and shape in the manifest's `arrays`:
+# every stored parameter under its name, gamma as one (E, C) array, then each
+# ndarray at the top level of `extra` under its key.
 
 
-def _restore_arrays(obj, arrays):
-    if isinstance(obj, dict):
-        if set(obj) == {_PAYLOAD}:
-            index = obj[_PAYLOAD]
-            if type(index) is not int or not 0 <= index < len(arrays):
-                raise ValueError(f"checkpoint extra refers to payload array {index!r}, "
-                                 f"but the checkpoint holds {len(arrays)}")
-            return arrays[index]
-        return {k: _restore_arrays(v, arrays) for k, v in obj.items()}
-    return obj
-
-
-def _read_f8(reader, shape, what):
+def _read_f8(reader, shape, name):
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    a = np.frombuffer(reader.read(8 * count, what), dtype="<f8").reshape(shape)
+    a = np.frombuffer(reader.read(8 * count, f"array {name!r}"), dtype="<f8").reshape(shape)
     if not np.isfinite(a).all():
-        raise ValueError(f"checkpoint {what} holds a non-finite value")
+        raise ValueError(f"checkpoint array {name!r} holds a non-finite value")
     return a
 
 
-def per_expert_arrays(model):
-    """(name, array) of every parameter in checkpoint order, each a view of the stored value.
-
-    The trunk's come first, then each expert's slice of every head role as
-    `expert.<kind>.<role>`, in the role table's order and shape.
-    """
-    named = [(p.name, p.data) for p in model.trunk.values()]
-    for e, kind in enumerate(model.cfg.experts):
-        named += [(f"expert.{kind}.{role}", p.data[e]) for role, p in model.stacked_heads.items()]
-    return named
-
-
 def save_checkpoint(path, model, extra=None):
-    """Write model and `extra`; float64 arrays in `extra`'s dicts go as binary."""
-    named = per_expert_arrays(model)
-    arrays = []
-    extra = _lift_arrays(extra if extra is not None else {}, arrays)
+    """Write model and `extra`, atomically; an ndarray at the top level of `extra` goes as binary.
+
+    The file is written beside `path`, synced, and then renamed over it, so
+    an interrupted save leaves any earlier file at `path` as it was.
+    """
+    extra = extra if extra is not None else {}
+    named = ([(p.name, p.data) for p in model.parameters()]
+             + [("gamma", np.stack([model.heads[kind].gamma for kind in model.cfg.experts]))]
+             + [(k, v) for k, v in extra.items() if isinstance(v, np.ndarray)])
     manifest = {
         "version": CHECKPOINT_VERSIONS[-1],
         "config": model.cfg.to_dict(),
         "seed": model.seed,
-        "gamma": {kind: model.heads[kind].gamma.tolist() for kind in model.cfg.experts},
-        "params": [{"name": name, "shape": list(a.shape)} for name, a in named],
-        "arrays": [list(a.shape) for a in arrays],
-        "extra": extra,
+        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in named],
+        "extra": {k: v for k, v in extra.items() if not isinstance(v, np.ndarray)},
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for a in [a for _, a in named] + arrays:
-            f.write(a.astype("<f8").tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob)
+            f.writelines(a.astype("<f8").tobytes() for _, a in named)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint_manifest(path):
     """The JSON manifest of a checkpoint file and a reader at its first payload.
 
     Bad magic, a truncated manifest, a manifest that is not a JSON object,
-    a lacking key or another version raise ValueError; the parameters are
+    a lacking key or another version raise ValueError; the payloads are
     not read.
     """
     with open(path, "rb") as f:
@@ -302,8 +279,7 @@ def read_checkpoint_manifest(path):
     manifest = json.loads(reader.read(mlen, "manifest").decode("utf-8"))
     if not isinstance(manifest, dict):
         raise ValueError(f"checkpoint manifest is not a JSON object: {manifest!r:.40}")
-    missing = [k for k in ("version", "config", "seed", "gamma", "params", "arrays", "extra")
-               if k not in manifest]
+    missing = [k for k in ("version", "config", "seed", "arrays", "extra") if k not in manifest]
     if missing:
         raise ValueError(f"checkpoint manifest lacks the key {missing[0]!r}")
     if manifest["version"] not in CHECKPOINT_VERSIONS:
@@ -315,44 +291,38 @@ def read_checkpoint_manifest(path):
 def load_checkpoint(path):
     """Rebuild a Model from a checkpoint file; returns (model, extra).
 
-    The parameter values are written into the new model through `per_expert_arrays`.
-    A truncated file, or bytes after the last payload, raise ValueError
-    with the byte offset. A manifest of another version, or one that lacks
-    a key, whose model config has an unknown or missing field or one of the
-    wrong JSON type, whose gamma targets are not one vector of C per
-    expert, whose parameter list or payload references do not fit the model,
-    or that holds a NaN or an infinity, raises ValueError naming it.
+    The payloads are read in place into the new model's stored parameters
+    and gamma; the arrays after them join `extra` under their names. A
+    truncated file, or bytes after the last payload, raise ValueError with
+    the byte offset. A manifest of another version, or one that lacks a
+    key, whose model config has an unknown or missing field or one of the
+    wrong JSON type, whose array list does not fit the model, or that
+    holds a NaN or an infinity, raises ValueError naming it.
     """
     manifest, reader = read_checkpoint_manifest(path)
     try:
         cfg = ModelConfig.from_dict(manifest["config"])
     except TypeError as e:  # the message names the unknown or missing field
         raise ValueError(f"checkpoint config does not fit the model: {e}") from None
-    gamma = manifest["gamma"]
-    kinds = sorted(gamma) if isinstance(gamma, dict) else None
-    if kinds != sorted(cfg.experts):
-        raise ValueError(f"checkpoint 'gamma' is given for the kinds {kinds}, "
-                         f"not for the model's experts {sorted(cfg.experts)}")
     model = Model(cfg, seed=manifest["seed"])
-    for kind, g in gamma.items():
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != (cfg.C,):
-            raise ValueError(f"checkpoint 'gamma' of {kind!r} has shape {g.shape}, "
-                             f"the model's C={cfg.C} classes need ({cfg.C},)")
-        if not np.isfinite(g).all():
-            raise ValueError(f"checkpoint 'gamma' of {kind!r} holds a non-finite value")
-        model.heads[kind].gamma = g
-    named = per_expert_arrays(model)
-    if len(named) != len(manifest["params"]):
-        raise ValueError(f"checkpoint lists {len(manifest['params'])} parameters, "
-                         f"model has {len(named)}")
-    for (name, a), meta in zip(named, manifest["params"]):
-        shape = list(a.shape)
-        if not isinstance(meta, dict) or meta.get("name") != name or meta.get("shape") != shape:
-            raise ValueError(f"checkpoint params entry {meta!r} does not match the model's "
-                             f"parameter {name!r} of shape {shape}")
-        a[...] = _read_f8(reader, a.shape, f"parameter {name}")
-    arrays = [_read_f8(reader, tuple(shape), f"array {i}").astype(np.float64)
-              for i, shape in enumerate(manifest["arrays"])]
+    gamma = np.empty((len(cfg.experts), cfg.C))
+    held = [(p.name, p.data) for p in model.parameters()] + [("gamma", gamma)]
+    listed, extra = manifest["arrays"], manifest["extra"]
+    if not isinstance(extra, dict):
+        raise ValueError(f"checkpoint 'extra' is not a JSON object: {extra!r:.40}")
+    if not isinstance(listed, list):
+        raise ValueError(f"checkpoint 'arrays' is not a list: {listed!r:.40}")
+    for (name, a), meta in zip_longest(held, listed[:len(held)]):  # a lacking entry is None
+        if meta != {"name": name, "shape": list(a.shape)}:
+            raise ValueError(f"checkpoint arrays entry {meta!r} does not match the model's "
+                             f"{name!r} of shape {list(a.shape)}")
+        a[...] = _read_f8(reader, a.shape, name)
+    for meta in listed[len(held):]:
+        if not (isinstance(meta, dict) and isinstance(meta.get("name"), str)
+                and fits_type(meta.get("shape"), list[int])):
+            raise ValueError(f"checkpoint arrays entry {meta!r} is not a name and a shape")
+        extra[meta["name"]] = _read_f8(reader, tuple(meta["shape"]), meta["name"]).astype(float)
     reader.finish()
-    return model, _restore_arrays(manifest["extra"], arrays)
+    for kind, g in zip(cfg.experts, gamma):
+        model.heads[kind].gamma = g
+    return model, extra

@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import sampling
-from .data import HEAD_THRESHOLD, MEDIUM_THRESHOLD, compute_label_stats, require_finite
+from .data import (HEAD_THRESHOLD, MEDIUM_THRESHOLD, compute_label_stats, fits_type,
+                   require_finite)
 from .losses import (LossWeights, classification_loss, gamma_targets,
                      mean_contrastive_loss, total_loss, variance_region_loss)
 from .model import (Model, ModelConfig, classify, estimate_mean, estimate_variance,
@@ -66,7 +67,8 @@ class Adam:
     """Adam over a parameter list, with the moments in one flat vector each.
 
     Updates are written into each parameter's array in place, so a view of
-    it, such as one of `model.per_expert_arrays`, sees them.
+    it sees them. The state is one level of named entries, `adam.t`, `adam.m`,
+    `adam.v` and `adam.params`, that a checkpoint's run record holds as its own.
     """
 
     def __init__(self, params):
@@ -93,21 +95,20 @@ class Adam:
             p.data -= update[lo:hi].reshape(p.data.shape)
 
     def state_dict(self):
-        return {"t": self.t, "m": self.m, "v": self.v, "params": [p.name for p in self.params]}
+        return {"adam.t": self.t, "adam.m": self.m, "adam.v": self.v,
+                "adam.params": [p.name for p in self.params]}
 
     def load_state_dict(self, state):
-        for name in ("m", "v"):
-            moment = state[name]
-            if not isinstance(moment, np.ndarray) or moment.shape != self.m.shape:
-                raise ValueError(f"Adam state {name!r} is not an array of the "
-                                 f"{self.m.size} moments these parameters need")
-        names = [p.name for p in self.params]
-        if state.get("params") != names:
-            raise ValueError(f"Adam state holds moments for parameters {state.get('params')}, "
-                             f"not {names}")
-        self.t = state["t"]
-        self.m = state["m"].astype(np.float64)
-        self.v = state["v"].astype(np.float64)
+        """Take a `state_dict`; a lacking or malformed entry raises ValueError naming it."""
+        t, m, v, names = (state.get(f"adam.{k}") for k in ("t", "m", "v", "params"))
+        for key, fits in (("adam.t", type(t) is int and t >= 0),
+                          ("adam.m", isinstance(m, np.ndarray) and m.shape == self.m.shape),
+                          ("adam.v", isinstance(v, np.ndarray) and v.shape == self.m.shape),
+                          ("adam.params", names == [p.name for p in self.params])):
+            if not fits:
+                raise ValueError(f"Adam state {key!r} is lacking or does not fit the {self.m.size} "
+                                 f"moments of these parameters: {state.get(key)!r:.60}")
+        self.t, self.m, self.v = t, m.astype(np.float64), v.astype(np.float64)
 
 
 def build_samplers(records, stats, kinds):
@@ -177,8 +178,7 @@ TERM_NAMES = ("mean_contrastive", "classification", "variance_region")
 
 
 # TrainConfig fields a run may change on resume: the schedule, and the eval thresholds,
-# whose head/medium/tail groups training never reads. Checkpoints written before the
-# thresholds left the record still hold them; a resume ignores them there.
+# whose head/medium/tail groups training never reads.
 _NOT_RECORDED = ("epochs", "checkpoint_every", "head_threshold", "medium_threshold")
 
 
@@ -199,6 +199,28 @@ def _refuse_other_settings(path, holder, saved, run):
                     else "a setting this run lacks")
             raise ValueError(f"cannot resume from {path}: {holder} {key}={saved.get(key)!r}, "
                              f"{need}")
+
+
+def _resume_point(path, extra, cfg):
+    """(epoch, history) of the run record `extra`; ValueError names a key this run cannot take."""
+    def refuse(why):
+        raise ValueError(f"cannot resume from {path}: {why}")
+
+    if not isinstance(extra.get("run"), dict):
+        refuse("it has no 'run' record of the settings it was trained with")
+    _refuse_other_settings(path, "it was trained with", extra["run"], _run_record(cfg))
+    epoch, history = extra.get("epoch"), extra.get("history")
+    if type(epoch) is not int or epoch < 0:
+        refuse(f"its 'epoch' must be an epoch count >= 0, got {epoch!r}")
+    if epoch > cfg.epochs:
+        refuse(f"it holds {epoch} epochs, past this run's epochs={cfg.epochs}")
+    keys = [[e, k, t] for e in range(epoch) for k in cfg.active_experts for t in TERM_NAMES]
+    if not (isinstance(history, list) and len(history) == len(keys) and all(
+            isinstance(row, list) and len(row) == 4 and row[:3] == key and type(row[0]) is int
+            and fits_type(row[3], float) for row, key in zip(history, keys))):
+        refuse(f"its 'history' is not the loss rows [epoch, expert, term, value] of its "
+               f"{epoch} epochs: {history!r:.60}")
+    return epoch, [tuple(row) for row in history]
 
 
 def checkpoint_names(cfg, start_epoch):
@@ -222,7 +244,8 @@ def train(cfg, records, out_dir=None, resume_from=None):
     naming the field, when the checkpoint's model or recorded cfg differs
     from this run's in anything but epochs, checkpoint_every and the
     head/medium thresholds, or records a setting this run does not have, or
-    holds more epochs than this run's.
+    holds more epochs than this run's, or lacks a run-record or Adam key or
+    holds a malformed one.
     """
     stats = compute_label_stats(records, cfg.head_threshold, cfg.medium_threshold)
     feats = np.stack([r.features for r in records])
@@ -235,26 +258,16 @@ def train(cfg, records, out_dir=None, resume_from=None):
     if resume_from is not None:
         model, extra = load_checkpoint(resume_from)
         _refuse_other_settings(resume_from, "its model has", model.cfg.to_dict(), mcfg.to_dict())
-        if "run" not in extra:
-            raise ValueError(f"cannot resume from {resume_from}: it has no 'run' record of "
-                             "the settings it was trained with")
-        saved = {k: v for k, v in extra["run"].items() if k not in _NOT_RECORDED}
-        _refuse_other_settings(resume_from, "it was trained with", saved, _run_record(cfg))
-        start_epoch = extra["epoch"]
-        if start_epoch > cfg.epochs:
-            raise ValueError(f"cannot resume from {resume_from}: it holds {start_epoch} "
-                             f"epochs, past this run's epochs={cfg.epochs}")
-        history = [tuple(row) for row in extra.get("history", [])]
+        start_epoch, history = _resume_point(resume_from, extra, cfg)
+        adam = Adam(model.parameters())
+        adam.load_state_dict(extra)
     else:
         model = Model(mcfg, seed=cfg.seed)
         for kind in cfg.active_experts:
             model.heads[kind].gamma = gamma_targets(stats, kind)
         start_epoch = 0
         history = []
-
-    adam = Adam(model.parameters())
-    if resume_from is not None and "adam" in extra:
-        adam.load_state_dict(extra["adam"])
+        adam = Adam(model.parameters())
 
     due = checkpoint_names(cfg, start_epoch)
 
@@ -262,7 +275,7 @@ def train(cfg, records, out_dir=None, resume_from=None):
         if out_dir is None:
             return
         os.makedirs(out_dir, exist_ok=True)
-        extra = {"epoch": epoch, "adam": adam.state_dict(), "history": history,
+        extra = {"epoch": epoch, **adam.state_dict(), "history": history,
                  "run": _run_record(cfg)}
         save_checkpoint(os.path.join(out_dir, due[epoch]), model, extra)
 

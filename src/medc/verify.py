@@ -5,7 +5,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .losses import LossWeights, total_loss
-from .model import Model, ModelConfig, per_expert_arrays
+from .model import Model, ModelConfig
 from .seeding import derive_rng
 from .training import composed_objective
 
@@ -45,9 +45,11 @@ def composed_objective_problem(seed):
 
     cfg = ModelConfig(D=D, C=C, d_trunk=3, hidden=3, d=d)
     model = Model(cfg, seed=seed)
-    for _, a in per_expert_arrays(model):  # the checkpoint order fixes where each draw lands
-        a += rng.uniform(-0.05, 0.05, size=a.shape)
     E = len(cfg.experts)
+    # the draw order, the trunk then expert by expert, fixes the point criterion 1 checks
+    for a in ([p.data for p in model.trunk.values()]
+              + [p.data[e] for e in range(E) for p in model.stacked_heads.values()]):
+        a += rng.uniform(-0.05, 0.05, size=a.shape)
     gamma = rng.uniform(0.01, 1.0, size=(E, C))
     eps = np.stack([rng.standard_normal((batch, d)) for _ in cfg.experts])
     X = np.broadcast_to(X, (E,) + X.shape)

@@ -6,6 +6,7 @@ import pytest
 from medc.cli import main
 from medc.config import ConfigError, load_config
 from medc.data import read_feature_file, write_feature_file
+from medc.model import load_checkpoint, save_checkpoint
 from test_model import rewrite_manifest
 
 
@@ -354,6 +355,30 @@ def test_a_refused_resume_leaves_no_output_directory(workspace, capsys, train_ov
                  "--resume", str(full / "checkpoint_final.bin")]) == 1
     assert reason in capsys.readouterr().err
     assert not new.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("epoch", "1"), ("epoch", -3), ("adam.t", "x"), ("adam.t", -1), ("history", [[1]]),
+    ("history", 5), ("run", []), ("adam.m", None),
+], ids=["epoch-string", "epoch-negative", "adam-t-string", "adam-t-negative", "history-short-row",
+        "history-number", "run-list", "no-adam-moment"])
+def test_resume_refuses_a_damaged_run_record_by_name(workspace, capsys, key, value):
+    tmp_path, _, data = workspace
+    cfg = write_config(tmp_path / "c2.json", train={"epochs": 2, "checkpoint_every": 1})
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]) == 0
+    path = run / "checkpoint_epoch0001.bin"
+    model, extra = load_checkpoint(path)
+    extra[key] = value
+    if value is None:  # the entry is lacking
+        del extra[key]
+    save_checkpoint(path, model, extra)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "new"),
+                 "--resume", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err, err
+    assert not (tmp_path / "new").exists()
 
 
 def test_train_manifest_lists_only_this_runs_checkpoints(workspace):

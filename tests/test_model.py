@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -11,7 +12,7 @@ from medc import autograd as ag
 from medc.autograd import Tensor
 from medc.model import (CHECKPOINT_MAGIC, EXPERT_KINDS, Model, ModelConfig, _head_roles,
                         _hidden, _linear, classify, estimate_mean, estimate_variance,
-                        forward_inference, load_checkpoint, per_expert_arrays,
+                        forward_inference, load_checkpoint, read_checkpoint_manifest,
                         reparameterize, save_checkpoint, trunk_forward)
 from medc.seeding import derive_rng
 from medc.verify import composed_objective_gradcheck
@@ -57,8 +58,6 @@ def test_every_stacked_role_is_the_expert_axis_then_its_role_shape(experts):
     assert list(model.stacked_heads) == [role for role, _ in roles]
     for role, shape in roles:
         assert model.stacked_heads[role].shape == (len(experts),) + shape, role
-    named = per_expert_arrays(model)[len(model.trunk):]
-    assert [a.shape for _, a in named] == [shape for _ in experts for _, shape in roles]
 
 
 def test_trunk_identity_weights_give_relu():
@@ -241,9 +240,11 @@ def test_expert_slice_forward_shapes_and_determinism():
 
 def copy_parameters(dst, src):
     """Write src's trunk and, by expert kind, its heads into dst's stored values."""
-    named = dict(per_expert_arrays(src))
-    for name, a in per_expert_arrays(dst):
-        a[...] = named[name]
+    for role, p in dst.trunk.items():
+        p.data[...] = src.trunk[role].data
+    for e, kind in enumerate(dst.cfg.experts):
+        for role, p in dst.stacked_heads.items():
+            p.data[e] = src.stacked_heads[role].data[src.cfg.experts.index(kind)]
 
 
 def test_inference_average_of_identical_experts_is_idempotent():
@@ -308,11 +309,13 @@ def test_checkpoint_stores_extra_arrays_as_binary(tmp_path):
     model = Model(tiny_cfg(), seed=12)
     moments = derive_rng(12, "m").standard_normal(50)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, model, extra={"epoch": 3, "adam": {"t": 4, "m": moments}})
-    assert b"f8_payload" in path.read_bytes()
+    save_checkpoint(path, model, extra={"epoch": 3, "adam.t": 4, "adam.m": moments})
+    manifest, _ = read_checkpoint_manifest(path)
+    assert manifest["arrays"][-1] == {"name": "adam.m", "shape": [50]}
+    assert manifest["extra"] == {"epoch": 3, "adam.t": 4}
     _, extra = load_checkpoint(path)
-    assert extra["epoch"] == 3 and extra["adam"]["t"] == 4
-    assert np.array_equal(extra["adam"]["m"], moments)
+    assert extra["epoch"] == 3 and extra["adam.t"] == 4
+    assert np.array_equal(extra["adam.m"], moments)
 
 
 def rewrite_manifest(path, change):
@@ -328,9 +331,9 @@ def rewrite_manifest(path, change):
 # sha256 of the checkpoint of Model(tiny_cfg(**over), seed=12): the role table's
 # order, its names and its RNG draw order are pinned to these bytes
 GOLDEN_CHECKPOINTS = [
-    (dict(phi_depth=1), "c5b1ac7a0031879dcff350ac5b11a1018194f149f58cbe8ab05a5871862dba2f"),
+    (dict(phi_depth=1), "5cef2fc5b4e02185d9178113d205a7aa55b2d140346fee5e336a28e3b119dbae"),
     (dict(phi_depth=3, experts=("inverse", "uniform")),
-     "bb0b5176a6d6e4e6003a6987558c712799734d91d7264e7e743f3353a864331f"),
+     "3bbd7ca5533e5d4ab8ab0865ac633c28f42d22db5f8bbb5e2985e4f5d25cad79"),
 ]
 
 
@@ -366,7 +369,7 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     model = Model(tiny_cfg(), seed=13)
     path = tmp_path / "model.bin"
     save_checkpoint(path, model)
-    rewrite_manifest(path, lambda m: m["params"][0].update(shape=[99, 99]))
+    rewrite_manifest(path, lambda m: m["arrays"][0].update(shape=[99, 99]))
     with pytest.raises(ValueError, match="99"):
         load_checkpoint(path)
 
@@ -374,8 +377,8 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
 @pytest.mark.parametrize("change,named", [
     (lambda m: m.pop("seed"), "'seed'"),
     (lambda m: m.pop("config"), "'config'"),
-    (lambda m: m.pop("gamma"), "'gamma'"),
-    (lambda m: m.pop("params"), "'params'"),
+    (lambda m: m["arrays"].pop(), "None does not match the model's 'gamma'"),
+    (lambda m: m["arrays"].clear(), "None does not match the model's 'trunk.W'"),
     (lambda m: m.pop("extra"), "'extra'"),
     (lambda m: m.pop("arrays"), "'arrays'"),
     (lambda m: m.pop("version"), "'version'"),
@@ -384,21 +387,43 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     (lambda m: m.update(version=99), "version 99"),
     (lambda m: m.update(version=0), "version 0"),
     (lambda m: m.update(version=2), "version 2"),
-    (lambda m: m["gamma"].update(sideways=m["gamma"].pop("uniform")), "'gamma'.*sideways"),
-    (lambda m: m["gamma"]["uniform"].append(0.5), "'gamma' of 'uniform'"),
+    (lambda m: m.update(version=3), "version 3"),
+    (lambda m: m["arrays"][-1].update(name="sideways"), "sideways.*the model's 'gamma'"),
+    (lambda m: m["arrays"][-1].update(shape=[3, 5]), r"the model's 'gamma' of shape \[3, 4\]"),
     (lambda m: m["config"].update(d="6"), "'d'"),
     (lambda m: m["config"].update(experts=[]), "at least one expert"),
     (lambda m: m["config"].update(hidden=0), "hidden must be >= 1, got 0"),
 ], ids=["no-seed", "no-config", "no-gamma", "no-params", "no-extra", "no-arrays", "no-version",
         "unknown-config-field", "missing-config-field", "version-99", "version-0",
-        "version-2", "unknown-gamma-kind", "gamma-wrong-length", "config-field-wrong-type",
-        "no-experts", "config-dimension-below-one"])
+        "version-2", "version-3", "unknown-gamma-kind", "gamma-wrong-length",
+        "config-field-wrong-type", "no-experts", "config-dimension-below-one"])
 def test_checkpoint_manifest_is_validated_by_name(tmp_path, change, named):
     path = tmp_path / "model.bin"
     save_checkpoint(path, Model(tiny_cfg(), seed=13), extra={"epoch": 1})
     rewrite_manifest(path, change)
     with pytest.raises(ValueError, match=named):
         load_checkpoint(path)
+
+
+def _raise(*args):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("extra,patch,error", [
+    ({"moments": np.array(["x"], dtype=object)}, None, ValueError),  # a payload that fails
+    ({}, (os, "fsync", _raise), OSError),
+], ids=["mid-payload", "at-fsync"])
+def test_an_interrupted_checkpoint_write_leaves_the_old_file(tmp_path, monkeypatch, extra, patch,
+                                                            error):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, Model(tiny_cfg(), seed=13))
+    before = path.read_bytes()
+    if patch:
+        monkeypatch.setattr(*patch)
+    with pytest.raises(error):
+        save_checkpoint(path, Model(tiny_cfg(), seed=14), extra)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("manifest", [5, None, "x", []], ids=["number", "null", "string", "list"])
@@ -426,17 +451,17 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 def test_checkpoint_reader_is_bounds_checked(tmp_path):
     model = Model(tiny_cfg(), seed=13)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, model, extra={"adam": {"m": np.zeros(5)}})
+    save_checkpoint(path, model, extra={"adam.m": np.zeros(5)})
     blob = path.read_bytes()
     path.write_bytes(blob[:-3])
-    with pytest.raises(ValueError, match=f"array 0 at byte offset {len(blob) - 40}"):
+    with pytest.raises(ValueError, match=f"array 'adam.m' at byte offset {len(blob) - 40}"):
         load_checkpoint(path)
     path.write_bytes(blob + b"\x00")
     with pytest.raises(ValueError, match=f"trailing garbage at byte offset {len(blob)}"):
         load_checkpoint(path)
     path.write_bytes(blob)
-    rewrite_manifest(path, lambda m: m.update(arrays=[[-5]]))
-    with pytest.raises(ValueError, match="negative length -40 for array 0 at byte offset"):
+    rewrite_manifest(path, lambda m: m["arrays"][-1].update(shape=[-5]))
+    with pytest.raises(ValueError, match="negative length -40 for array 'adam.m' at byte offset"):
         load_checkpoint(path)
 
 
@@ -446,15 +471,15 @@ def _overwrite_f8(path, offset, value):
     path.write_bytes(bytes(blob))
 
 
-# the checkpoint ends with its last parameter, then Adam's two 3-moment arrays
+# the checkpoint ends with the (3, 4) stack of cls.b, the (3, 4) gamma, then Adam's two
+# 3-moment arrays
 NON_FINITE = {
-    "nan-gamma": (lambda path: rewrite_manifest(
-        path, lambda m: m["gamma"]["uniform"].__setitem__(2, float("nan"))),
-        "'gamma' of 'uniform' holds a non-finite value"),
-    "inf-parameter": (lambda path: _overwrite_f8(path, path.stat().st_size - 56, np.inf),
-                      "parameter expert.inverse.cls.b holds a non-finite value"),
+    "nan-gamma": (lambda path: _overwrite_f8(path, path.stat().st_size - 56, np.nan),
+                  "array 'gamma' holds a non-finite value"),
+    "inf-parameter": (lambda path: _overwrite_f8(path, path.stat().st_size - 152, np.inf),
+                      r"array 'expert\.\*\.cls\.b' holds a non-finite value"),
     "nan-adam-moment": (lambda path: _overwrite_f8(path, path.stat().st_size - 8, np.nan),
-                        "array 1 holds a non-finite value"),
+                        "array 'adam.v' holds a non-finite value"),
 }
 
 
@@ -463,7 +488,7 @@ def test_checkpoint_refuses_a_non_finite_value_by_name(tmp_path, damage):
     write, named = damage
     path = tmp_path / "model.bin"
     save_checkpoint(path, Model(tiny_cfg(), seed=13),
-                    extra={"adam": {"t": 1, "m": np.zeros(3), "v": np.ones(3)}})
+                    extra={"adam.t": 1, "adam.m": np.zeros(3), "adam.v": np.ones(3)})
     load_checkpoint(path)
     write(path)
     with pytest.raises(ValueError, match=named):

@@ -10,7 +10,7 @@ from medc.data import SyntheticConfig, generate_synthetic
 from medc.losses import (LossWeights, classification_loss, mean_contrastive_loss,
                          total_loss, variance_region_loss)
 from medc.model import (EXPERT_KINDS, Model, ModelConfig, _head_roles, forward_inference,
-                        load_checkpoint, per_expert_arrays, save_checkpoint)
+                        load_checkpoint, save_checkpoint)
 from medc.seeding import derive_rng
 from medc.training import (TERM_NAMES, Adam, TrainConfig, composed_objective,
                            train)
@@ -117,8 +117,8 @@ def test_adam_fused_update_matches_per_tensor_loop():
 
 def test_adam_load_state_rejects_wrong_moment_length():
     adam = Adam([Parameter(np.zeros(3), "p")])
-    state = {"t": 1, "m": np.zeros(2), "v": np.zeros(3)}
-    with pytest.raises(ValueError, match="'m'"):
+    state = {"adam.t": 1, "adam.m": np.zeros(2), "adam.v": np.zeros(3), "adam.params": ["p"]}
+    with pytest.raises(ValueError, match="'adam.m'"):
         adam.load_state_dict(state)
 
 
@@ -205,19 +205,13 @@ def test_resume_ignores_the_eval_thresholds(tmp_path):
     m_full, h_full = train(small_train_cfg(epochs=4, checkpoint_every=2), records)
     train(small_train_cfg(epochs=4, checkpoint_every=2), records, out_dir=str(tmp_path))
     fresh = tmp_path / "checkpoint_epoch0002.bin"
-    old = tmp_path / "old.bin"  # a record written while the thresholds were run settings
-    old.write_bytes(fresh.read_bytes())
-    rewrite_manifest(old, lambda m: m["extra"]["run"].update(head_threshold=30,
-                                                             medium_threshold=6))
     other = dict(epochs=4, checkpoint_every=2, head_threshold=31, medium_threshold=5)
-    for path in (fresh, old):
-        m_res, h_res = train(small_train_cfg(**other), records, resume_from=str(path))
-        assert h_res == h_full
-        for p, q in zip(m_full.parameters(), m_res.parameters(), strict=True):
-            assert p.data.tobytes() == q.data.tobytes(), p.name
-        with pytest.raises(ValueError, match="learning_rate="):
-            train(small_train_cfg(**other, learning_rate=2e-3), records,
-                  resume_from=str(path))
+    m_res, h_res = train(small_train_cfg(**other), records, resume_from=str(fresh))
+    assert h_res == h_full
+    for p, q in zip(m_full.parameters(), m_res.parameters(), strict=True):
+        assert p.data.tobytes() == q.data.tobytes(), p.name
+    with pytest.raises(ValueError, match="learning_rate="):
+        train(small_train_cfg(**other, learning_rate=2e-3), records, resume_from=str(fresh))
 
 
 def test_resume_refuses_data_of_another_shape(tmp_path):
@@ -264,10 +258,6 @@ def _assert_parameters_are_the_stored_tensors(model):
     assert all(p is q for p, q in zip(params, stored, strict=True))
     assert [p.name for p in params] == (["trunk.W", "trunk.b"] +
                                         [f"expert.*.{role}" for role, _ in _head_roles(model.cfg)])
-    for name, a in per_expert_arrays(model)[len(model.trunk):]:
-        _, kind, role = name.split(".", 2)
-        e = model.cfg.experts.index(kind)
-        assert np.shares_memory(a, model.stacked_heads[role].data[e]), name
 
 
 def test_parameters_are_the_trunk_then_the_stacked_roles(tmp_path, monkeypatch):
