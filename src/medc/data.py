@@ -198,16 +198,19 @@ def split_records(records, test_fraction, seed):
 # per record: id_len u16 + UTF-8 id, n_labels u16 + n_labels x u32 indices,
 # L*D x f32 row-major features.
 
+def record_shape(records):
+    """(L, D, C) of the first record; ValueError names the first record of another shape."""
+    L, D = records[0].features.shape
+    C = len(records[0].labels)
+    for r in records:
+        if len(r.labels) != C or r.features.shape != (L, D):
+            raise ValueError(f"record {r.id}: shape {r.features.shape}/C={len(r.labels)} "
+                             f"differs from dataset shape ({L},{D})/C={C}")
+    return L, D, C
+
+
 def write_feature_file(path, records):
-    if records:
-        C = len(records[0].labels)
-        L, D = records[0].features.shape
-        for r in records:
-            if len(r.labels) != C or r.features.shape != (L, D):
-                raise ValueError(f"record {r.id}: shape {r.features.shape}/C={len(r.labels)} "
-                                 f"differs from dataset shape ({L},{D})/C={C}")
-    else:
-        C = L = D = 0
+    L, D, C = record_shape(records) if records else (0, 0, 0)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<IQIII", FORMAT_VERSION, len(records), C, L, D))
@@ -229,12 +232,22 @@ class ByteReader:
         self.offset = 0
         self.error = error
 
-    def read(self, n, what):
+    def _check(self, offset, n, what):
         if n < 0:
-            raise self.error(f"negative length {n} for {what} at byte offset {self.offset}")
-        if self.offset + n > len(self.blob):
+            raise self.error(f"negative length {n} for {what} at byte offset {offset}")
+        if offset + n > len(self.blob):
             raise self.error(f"truncated file: needed {n} bytes for {what} "
-                             f"at byte offset {self.offset}")
+                             f"at byte offset {offset}")
+
+    def require(self, parts):
+        """Raise what reading each (n, what) of `parts` in turn would raise, reading nothing."""
+        offset = self.offset
+        for n, what in parts:
+            self._check(offset, n, what)
+            offset += n
+
+    def read(self, n, what):
+        self._check(self.offset, n, what)
         out = self.blob[self.offset:self.offset + n]
         self.offset += n
         return out

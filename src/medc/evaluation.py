@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import HEAD, MEDIUM, TAIL
+from .data import HEAD, MEDIUM, TAIL, record_shape
 from .model import forward_inference
 from .sampling import EXPERT_KINDS, INVERSE, LONG_TAILED, UNIFORM
 from .training import train
@@ -61,8 +61,12 @@ class MetricsReport:
 
 
 def score_records(model, records):
-    """Eval-mode averaged-expert scores of the records sorted by id, SCORE_CHUNK at a time."""
+    """Eval-mode averaged-expert scores of the records sorted by id, SCORE_CHUNK at a time.
+
+    Records of more than one shape raise ValueError naming the first that differs.
+    """
     recs = sorted(records, key=lambda r: r.id)
+    record_shape(recs)
     feats = np.stack([r.features for r in recs])
     labels = np.stack([r.labels for r in recs])
     parts = []

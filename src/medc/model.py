@@ -19,6 +19,7 @@ under its name as it is held, beside gamma as one (E, C) array.
 """
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -94,6 +95,18 @@ def _head_roles(cfg):
     return roles
 
 
+def _trunk_roles(cfg):
+    return [("trunk.W", (cfg.D, cfg.d_trunk)), ("trunk.b", (cfg.d_trunk,))]
+
+
+def _stored_arrays(cfg):
+    """(name, shape) of every stored parameter, then gamma: a checkpoint's arrays before `extra`."""
+    E = len(cfg.experts)
+    return (_trunk_roles(cfg)
+            + [(f"expert.*.{role}", (E,) + shape) for role, shape in _head_roles(cfg)]
+            + [("gamma", (E, cfg.C))])
+
+
 def _initial_value(rng, role, shape):
     """A weight is drawn uniform in +-1/sqrt(fan_in); a scale is 1, the rest 0."""
     if role.endswith(".W"):
@@ -116,8 +129,7 @@ class Model:
         self.seed = seed
         rng = derive_rng(seed, "init")
         self.trunk = {role: Parameter(_initial_value(rng, role, shape), role)
-                      for role, shape in (("trunk.W", (cfg.D, cfg.d_trunk)),
-                                          ("trunk.b", (cfg.d_trunk,)))}
+                      for role, shape in _trunk_roles(cfg)}
         roles = _head_roles(cfg)
         drawn = [[_initial_value(rng, role, shape) for role, shape in roles]
                  for _ in cfg.experts]
@@ -224,8 +236,8 @@ def forward_inference(X, model):
 
 
 def _read_f8(reader, shape, name):
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    a = np.frombuffer(reader.read(8 * count, f"array {name!r}"), dtype="<f8").reshape(shape)
+    a = np.frombuffer(reader.read(8 * math.prod(shape), f"array {name!r}"),
+                      dtype="<f8").reshape(shape)
     if not np.isfinite(a).all():
         raise ValueError(f"checkpoint array {name!r} holds a non-finite value")
     return a
@@ -297,31 +309,39 @@ def load_checkpoint(path):
     the byte offset. A manifest of another version, or one that lacks a
     key, whose model config has an unknown or missing field or one of the
     wrong JSON type, whose array list does not fit the model, or that
-    holds a NaN or an infinity, raises ValueError naming it.
+    holds a NaN or an infinity, raises ValueError naming it. The array list
+    and the bytes its payloads need are checked before the model is built,
+    so a damaged manifest cannot make the reader allocate what the file
+    does not hold.
     """
     manifest, reader = read_checkpoint_manifest(path)
     try:
         cfg = ModelConfig.from_dict(manifest["config"])
     except TypeError as e:  # the message names the unknown or missing field
         raise ValueError(f"checkpoint config does not fit the model: {e}") from None
-    model = Model(cfg, seed=manifest["seed"])
-    gamma = np.empty((len(cfg.experts), cfg.C))
-    held = [(p.name, p.data) for p in model.parameters()] + [("gamma", gamma)]
     listed, extra = manifest["arrays"], manifest["extra"]
     if not isinstance(extra, dict):
         raise ValueError(f"checkpoint 'extra' is not a JSON object: {extra!r:.40}")
     if not isinstance(listed, list):
         raise ValueError(f"checkpoint 'arrays' is not a list: {listed!r:.40}")
-    for (name, a), meta in zip_longest(held, listed[:len(held)]):  # a lacking entry is None
-        if meta != {"name": name, "shape": list(a.shape)}:
+    held = _stored_arrays(cfg)
+    for (name, shape), meta in zip_longest(held, listed[:len(held)]):  # a lacking entry is None
+        if meta != {"name": name, "shape": list(shape)}:
             raise ValueError(f"checkpoint arrays entry {meta!r} does not match the model's "
-                             f"{name!r} of shape {list(a.shape)}")
-        a[...] = _read_f8(reader, a.shape, name)
+                             f"{name!r} of shape {list(shape)}")
     for meta in listed[len(held):]:
         if not (isinstance(meta, dict) and isinstance(meta.get("name"), str)
                 and fits_type(meta.get("shape"), list[int])):
             raise ValueError(f"checkpoint arrays entry {meta!r} is not a name and a shape")
-        extra[meta["name"]] = _read_f8(reader, tuple(meta["shape"]), meta["name"]).astype(float)
+    arrays = [(meta["name"], tuple(meta["shape"])) for meta in listed]
+    reader.require([(8 * math.prod(shape), f"array {name!r}") for name, shape in arrays])
+
+    model = Model(cfg, seed=manifest["seed"])
+    gamma = np.empty((len(cfg.experts), cfg.C))
+    for a, (name, shape) in zip([p.data for p in model.parameters()] + [gamma], arrays):
+        a[...] = _read_f8(reader, shape, name)
+    for name, shape in arrays[len(held):]:
+        extra[name] = _read_f8(reader, shape, name).astype(float)
     reader.finish()
     for kind, g in zip(cfg.experts, gamma):
         model.heads[kind].gamma = g

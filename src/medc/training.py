@@ -18,7 +18,7 @@ import numpy as np
 
 from . import sampling
 from .data import (HEAD_THRESHOLD, MEDIUM_THRESHOLD, compute_label_stats, fits_type,
-                   require_finite)
+                   record_shape, require_finite)
 from .losses import (LossWeights, classification_loss, gamma_targets,
                      mean_contrastive_loss, total_loss, variance_region_loss)
 from .model import (Model, ModelConfig, classify, estimate_mean, estimate_variance,
@@ -111,12 +111,12 @@ class Adam:
         self.t, self.m, self.v = t, m.astype(np.float64), v.astype(np.float64)
 
 
-def build_samplers(records, stats, kinds):
-    labels = [r.labels for r in records]
+def build_samplers(labels, stats, kinds):
+    """{kind: SamplerSpec} over the records whose labels are the rows of `labels` (N, C)."""
     built = {}
     for kind in kinds:
         if kind == LONG_TAILED:
-            built[kind] = sampling.original_weights(len(records))
+            built[kind] = sampling.original_weights(len(labels))
         elif kind == UNIFORM:
             built[kind] = sampling.uniform_class_weights(stats, labels)
         elif kind == INVERSE:
@@ -151,21 +151,27 @@ def composed_objective(params, X, Y, eps, gamma, weights, temporal_attention):
 
 
 def train_epoch(model, feats, labels, samplers, cfg, epoch, adam):
-    """One pass of ceil(N/batch) steps; returns mean loss terms per expert."""
+    """One pass of ceil(N/batch) steps; returns mean loss terms per expert.
+
+    `feats` is the list of the N records' (L, D) feature arrays and `labels`
+    their (N, C) label rows. Each step copies its drawn records' arrays into
+    one (E, B, L, D) batch buffer, so no stack of the whole dataset is made.
+    """
     kinds = cfg.active_experts
-    n = feats.shape[0]
-    steps = -(-n // cfg.batch_size)
+    steps = -(-len(feats) // cfg.batch_size)
     sampler_rngs = [derive_rng(cfg.seed, "sampler", k, epoch) for k in kinds]
     eps_rngs = [derive_rng(cfg.seed, "eps", k, epoch) for k in kinds]
 
     params = {**model.trunk, **model.stacked_heads}
     gamma = np.stack([model.heads[kind].gamma for kind in kinds])
     sums = np.zeros((len(kinds), 3))
+    X = np.empty((len(kinds), cfg.batch_size) + feats[0].shape)
     for _ in range(steps):
         idx = np.stack([sampling.sample_batch(samplers[k], cfg.batch_size, rng)
                         for k, rng in zip(kinds, sampler_rngs)])
+        np.concatenate([feats[i] for i in idx.ravel()], out=X.reshape(-1, X.shape[-1]))
         eps = np.stack([rng.standard_normal((cfg.batch_size, model.cfg.d)) for rng in eps_rngs])
-        loss, terms = composed_objective(params, feats[idx], labels[idx], eps, gamma,
+        loss, terms = composed_objective(params, X, labels[idx], eps, gamma,
                                          cfg.weights, model.cfg.temporal_attention)
         sums += np.stack([t.data for t in terms], axis=1)
         model.zero_grad()
@@ -246,15 +252,20 @@ def train(cfg, records, out_dir=None, resume_from=None):
     head/medium thresholds, or records a setting this run does not have, or
     holds more epochs than this run's, or lacks a run-record or Adam key or
     holds a malformed one.
-    """
-    stats = compute_label_stats(records, cfg.head_threshold, cfg.medium_threshold)
-    feats = np.stack([r.features for r in records])
-    labels = np.stack([r.labels for r in records])
-    samplers = build_samplers(records, stats, cfg.active_experts)
 
-    mcfg = ModelConfig(D=feats.shape[2], C=labels.shape[1], d_trunk=cfg.d_trunk,
-                       hidden=cfg.hidden, d=cfg.d, phi_depth=cfg.phi_depth,
-                       experts=cfg.active_experts, temporal_attention=cfg.temporal_attention)
+    The features are read from the records' own arrays, batch by batch, so
+    the caller's records are the only copy of them. Records of more than one
+    shape raise ValueError naming the first that differs.
+    """
+    _, D, C = record_shape(records)
+    stats = compute_label_stats(records, cfg.head_threshold, cfg.medium_threshold)
+    feats = [r.features for r in records]
+    labels = np.stack([r.labels for r in records])
+    samplers = build_samplers(labels, stats, cfg.active_experts)
+
+    mcfg = ModelConfig(D=D, C=C, d_trunk=cfg.d_trunk, hidden=cfg.hidden, d=cfg.d,
+                       phi_depth=cfg.phi_depth, experts=cfg.active_experts,
+                       temporal_attention=cfg.temporal_attention)
     if resume_from is not None:
         model, extra = load_checkpoint(resume_from)
         _refuse_other_settings(resume_from, "its model has", model.cfg.to_dict(), mcfg.to_dict())

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from medc.data import (HEAD, MEDIUM, TAIL, SyntheticConfig, compute_label_stats,
-                       generate_synthetic, split_records)
+from medc.data import (HEAD, MEDIUM, TAIL, FeatureRecord, SyntheticConfig,
+                       compute_label_stats, generate_synthetic, split_records)
 from medc.evaluation import (METRIC_COLUMNS, ablate, average_precision, evaluate,
                              lambda_sweep, metrics_from_scores, score_records, write_csv)
 from medc.model import Model, ModelConfig
@@ -180,6 +180,14 @@ def test_evaluate_rejects_empty_test_set():
     _, stats, model = tiny_setup()
     with pytest.raises(ValueError):
         evaluate(model, [], stats)
+
+
+def test_evaluate_refuses_a_ragged_record_by_id():
+    records, stats, model = tiny_setup()
+    odd = records[7]
+    records[7] = FeatureRecord(odd.id, np.ones((3, 4)), odd.labels)
+    with pytest.raises(ValueError, match=f"record {odd.id}: shape"):
+        evaluate(model, records, stats)
 
 
 def test_metrics_csv_is_byte_deterministic(tmp_path):

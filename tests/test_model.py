@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,6 +434,21 @@ def test_checkpoint_manifest_that_is_not_an_object_is_refused(tmp_path, manifest
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob)
     with pytest.raises(ValueError, match="checkpoint manifest is not a JSON object"):
         load_checkpoint(path)
+
+
+def test_a_manifest_claiming_a_larger_model_is_refused_before_allocating(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, Model(tiny_cfg(), seed=13), extra={"epoch": 1})
+    rewrite_manifest(path, lambda m: m["config"].update(d=1500))  # 54 MB a (3, 1500, 1500) role
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"the model's 'expert\.\*\.phi_mu\.out\.W' of "
+                                             r"shape \[3, 5, 1500\]"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
 
 
 def test_model_config_dict_round_trip():

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from medc import autograd as ag
 from medc import verify
 from medc.autograd import Parameter, Tensor
-from medc.data import SyntheticConfig, generate_synthetic
+from medc.data import FeatureRecord, SyntheticConfig, generate_synthetic
 from medc.losses import (LossWeights, classification_loss, mean_contrastive_loss,
                          total_loss, variance_region_loss)
 from medc.model import (EXPERT_KINDS, Model, ModelConfig, _head_roles, forward_inference,
@@ -162,6 +163,39 @@ def test_history_shape_and_terms():
     assert len(history) == 3 * 3 * 3  # epochs x experts x terms
     assert {t for (_, _, t, _) in history} == set(TERM_NAMES)
     assert all(np.isfinite(v) for (_, _, _, v) in history)
+
+
+@pytest.mark.parametrize("features,labels", [((4, 5), 3), ((3, 6), 3), ((3, 5), 4)],
+                         ids=["frames", "features", "classes"])
+def test_train_refuses_a_ragged_record_by_id(features, labels):
+    records = small_dataset()
+    odd = records[17]
+    records[17] = FeatureRecord(odd.id, np.ones(features), np.eye(labels)[0])
+    with pytest.raises(ValueError, match=f"record {odd.id}: shape"):
+        train(small_train_cfg(epochs=1), records)
+
+
+def _traced_peak_of_one_epoch(records):
+    cfg = small_train_cfg(epochs=1, checkpoint_every=0)
+    tracemalloc.start()
+    try:
+        train(cfg, records)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_holds_no_second_copy_of_the_features():
+    # 4 KB of features a record, against some 100 B of labels and sampler weights
+    def records(n):
+        cfg = SyntheticConfig(C=3, D=32, L=16, counts=[n, n, n], seed=2)
+        return generate_synthetic(cfg)[0]
+
+    small, large = records(8), records(32)
+    added = sum(r.features.nbytes for r in large) - sum(r.features.nbytes for r in small)
+    _traced_peak_of_one_epoch(small)  # the first train() in a process allocates once for good
+    growth = _traced_peak_of_one_epoch(large) - _traced_peak_of_one_epoch(small)
+    assert growth < added / 4, (growth, added)
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
