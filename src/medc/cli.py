@@ -109,13 +109,6 @@ def cmd_train(args):
 def cmd_eval(args):
     model, _ = load_checkpoint(args.checkpoint)
     records = _read_records(args.data)
-    data_C = len(records[0].labels)
-    if data_C != model.cfg.C:
-        raise ValueError(f"class count mismatch: checkpoint has C={model.cfg.C}, "
-                         f"data file has C={data_C}")
-    if records[0].features.shape[1] != model.cfg.D:
-        raise ValueError(f"feature dim mismatch: checkpoint has D={model.cfg.D}, "
-                         f"data file has D={records[0].features.shape[1]}")
     if args.config:
         cfg = load_config(args.config)
         stats = compute_label_stats(records, cfg.head_threshold, cfg.medium_threshold)

@@ -150,12 +150,13 @@ def compute_label_stats(records, head_threshold=HEAD_THRESHOLD,
 
     A class is head if count > head_threshold, medium if
     medium_threshold < count <= head_threshold, tail otherwise. Every
-    positive label occurrence contributes one count.
+    positive label occurrence contributes one count. No records, or records
+    of more than one shape, raise ValueError as in `record_shape`.
     """
     if head_threshold <= medium_threshold or medium_threshold <= 0:
         raise ValueError(f"need head_threshold > medium_threshold > 0, "
                          f"got ({head_threshold}, {medium_threshold})")
-    C = len(records[0].labels)
+    _, _, C = record_shape(records)
     counts = np.zeros(C, dtype=np.int64)
     for r in records:
         counts += r.labels
@@ -199,7 +200,9 @@ def split_records(records, test_fraction, seed):
 # L*D x f32 row-major features.
 
 def record_shape(records):
-    """(L, D, C) of the first record; ValueError names the first record of another shape."""
+    """(L, D, C) of the first record; ValueError names no records or the first of another shape."""
+    if not records:
+        raise ValueError("no records: a dataset shape needs at least one record")
     L, D = records[0].features.shape
     C = len(records[0].labels)
     for r in records:

@@ -63,10 +63,15 @@ class MetricsReport:
 def score_records(model, records):
     """Eval-mode averaged-expert scores of the records sorted by id, SCORE_CHUNK at a time.
 
-    Records of more than one shape raise ValueError naming the first that differs.
+    No records, records of more than one shape, or records whose feature
+    dimension D or class count C is not the model's raise ValueError naming
+    the values.
     """
     recs = sorted(records, key=lambda r: r.id)
-    record_shape(recs)
+    _, D, C = record_shape(recs)
+    if (D, C) != (model.cfg.D, model.cfg.C):
+        raise ValueError(f"records of D={D}, C={C} do not fit the model's "
+                         f"D={model.cfg.D}, C={model.cfg.C}")
     feats = np.stack([r.features for r in recs])
     labels = np.stack([r.labels for r in recs])
     parts = []
@@ -85,9 +90,13 @@ def metrics_from_scores(scores, labels, groups):
     """MetricsReport of scores (N, C) against 0/1 labels (N, C).
 
     Classes without a positive label are skipped. Raises ValueError when
-    every class is skipped or a score is not finite.
+    scores and labels differ in shape, groups does not hold one group per
+    class, every class is skipped or a score is not finite.
     """
     n, C = scores.shape
+    if labels.shape != scores.shape or len(groups) != C:
+        raise ValueError(f"scores of shape {scores.shape}, labels of shape {labels.shape} and "
+                         f"{len(groups)} groups do not share one (N, C)")
     if not np.isfinite(scores).all():
         bad = np.argwhere(~np.isfinite(scores))[0]
         raise ValueError(f"non-finite score {scores[tuple(bad)]!r} at sample {bad[0]}, "
@@ -121,8 +130,6 @@ def metrics_from_scores(scores, labels, groups):
 
 def evaluate(model, records, stats):
     """MetricsReport for a test set under averaged-expert inference."""
-    if not records:
-        raise ValueError("test set is empty")
     scores, labels = score_records(model, records)
     return metrics_from_scores(scores, labels, stats.groups)
 

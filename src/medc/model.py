@@ -1,11 +1,12 @@
 """The multi-expert network.
 
 A shared per-frame MLP trunk feeds three expert heads. Each head estimates
-a Gaussian embedding per video: the mean comes from an MLP plus mean
-pooling over frames, the variance from a temporal self-attention module
-over frame deviations, and the stochastic embedding z = mu + eps * sigma
-goes through a per-class sigmoid classifier. Inference averages the expert
-probability vectors.
+a Gaussian embedding per video with two branches, phi_mu and phi_var, each
+one normalized ReLU layer and a linear output layer: the mean is phi_mu's
+output mean-pooled over frames, the variance comes from a temporal
+self-attention module over phi_var's frame deviations, and the stochastic
+embedding z = mu + eps * sigma goes through a per-class sigmoid classifier.
+Inference averages the expert probability vectors.
 
 Every head has the same parameter roles, declared once in `_head_roles`.
 The model holds each role once: `Model.stacked_heads` maps it to one
@@ -35,7 +36,7 @@ from .sampling import EXPERT_KINDS
 from .seeding import derive_rng
 
 CHECKPOINT_MAGIC = b"MEDCCKP1"
-CHECKPOINT_VERSIONS = (4,)
+CHECKPOINT_VERSIONS = (5,)
 
 
 @dataclass
@@ -45,7 +46,6 @@ class ModelConfig:
     d_trunk: int = 64
     hidden: int = 64
     d: int = 64
-    phi_depth: int = 2
     experts: tuple[str, ...] = EXPERT_KINDS
     temporal_attention: bool = True
 
@@ -58,7 +58,7 @@ class ModelConfig:
                 raise ValueError(f"unknown expert kind {k!r}")
             if k in self.experts[:i]:
                 raise ValueError(f"experts names the kind {k!r} twice")
-        for name in ("D", "C", "d_trunk", "hidden", "d", "phi_depth"):
+        for name in ("D", "C", "d_trunk", "hidden", "d"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -78,18 +78,15 @@ class ModelConfig:
 def _head_roles(cfg):
     """(role, shape) of every parameter of one expert head, in checkpoint order.
 
-    phi_mu and phi_var are phi_depth-1 normalized ReLU layers and a linear
-    output, f_q, f_k and f_v the attention projections, cls the classifier.
+    phi_mu and phi_var are each one normalized ReLU layer, `layer0`, and a
+    linear output layer `out`; f_q, f_k and f_v are the attention
+    projections, cls the classifier.
     """
     roles = []
     for branch in ("phi_mu", "phi_var"):
-        d_in = cfg.d_trunk
-        for i in range(cfg.phi_depth - 1):
-            layer = f"{branch}.layer{i}"
-            roles += [(f"{layer}.W", (d_in, cfg.hidden))]
-            roles += [(f"{layer}.{r}", (cfg.hidden,)) for r in ("b", "scale", "shift")]
-            d_in = cfg.hidden
-        roles += [(f"{branch}.out.W", (d_in, cfg.d)), (f"{branch}.out.b", (cfg.d,))]
+        roles += [(f"{branch}.layer0.W", (cfg.d_trunk, cfg.hidden))]
+        roles += [(f"{branch}.layer0.{r}", (cfg.hidden,)) for r in ("b", "scale", "shift")]
+        roles += [(f"{branch}.out.W", (cfg.hidden, cfg.d)), (f"{branch}.out.b", (cfg.d,))]
     for name, d_out in (("f_q", cfg.d), ("f_k", cfg.d), ("f_v", cfg.d), ("cls", cfg.C)):
         roles += [(f"{name}.W", (cfg.d, d_out)), (f"{name}.b", (d_out,))]
     return roles
@@ -156,13 +153,9 @@ def _linear(params, name, x):
 
 
 def _hidden(params, name, x):
-    """The normalized ReLU layers name.layer0, name.layer1, ... present, in order."""
-    i = 0
-    while f"{name}.layer{i}.W" in params:
-        x = ag.affine_norm_relu(x, *(params[f"{name}.layer{i}.{r}"]
-                                     for r in ("W", "b", "scale", "shift")))
-        i += 1
-    return x
+    """The normalized ReLU layer name.layer0."""
+    return ag.affine_norm_relu(x, *(params[f"{name}.layer0.{r}"]
+                                    for r in ("W", "b", "scale", "shift")))
 
 
 def trunk_forward(X, trunk):
@@ -174,7 +167,7 @@ def estimate_mean(H0, head):
     """phi_mu's output mean-pooled over frames, then L2-normalized per row.
 
     phi_mu's output layer is affine, so pooling commutes with it: the
-    hidden layers' output is pooled first, and the output layer runs once
+    hidden layer's output is pooled first, and the output layer runs once
     per video instead of once per frame. H0 is (..., L, d_trunk) and the
     result (..., d).
     """

@@ -38,7 +38,6 @@ class TrainConfig:
     d_trunk: int = 64
     hidden: int = 64
     d: int = 64
-    phi_depth: int = 2
     seed: int = 0
     active_experts: tuple[str, ...] = EXPERT_KINDS
     temporal_attention: bool = True
@@ -264,8 +263,7 @@ def train(cfg, records, out_dir=None, resume_from=None):
     samplers = build_samplers(labels, stats, cfg.active_experts)
 
     mcfg = ModelConfig(D=D, C=C, d_trunk=cfg.d_trunk, hidden=cfg.hidden, d=cfg.d,
-                       phi_depth=cfg.phi_depth, experts=cfg.active_experts,
-                       temporal_attention=cfg.temporal_attention)
+                       experts=cfg.active_experts, temporal_attention=cfg.temporal_attention)
     if resume_from is not None:
         model, extra = load_checkpoint(resume_from)
         _refuse_other_settings(resume_from, "its model has", model.cfg.to_dict(), mcfg.to_dict())

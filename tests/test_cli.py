@@ -121,7 +121,7 @@ def test_eval_rejects_feature_dim_mismatch(workspace, tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(run_dir / "checkpoint_final.bin"),
                  "--data", str(other_data), "--out", str(tmp_path / "e")]) == 1
-    assert ("error: feature dim mismatch: checkpoint has D=4, data file has D=5"
+    assert ("error: records of D=5, C=3 do not fit the model's D=4, C=3"
             in capsys.readouterr().err)
 
 

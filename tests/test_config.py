@@ -63,6 +63,12 @@ def test_a_fixed_loss_constant_is_an_unknown_train_key(key):
         RunConfig(raw_config(train={key: 1}))
 
 
+def test_the_dropped_phi_depth_is_an_unknown_train_key():
+    # each head branch is one normalized ReLU layer and an output layer, at no other depth
+    with pytest.raises(ConfigError, match="unknown key 'phi_depth' in config section 'train'"):
+        RunConfig(raw_config(train={"phi_depth": 2}))
+
+
 def test_out_dir_is_an_unknown_key():
     with pytest.raises(ConfigError, match="unknown key 'out_dir'"):
         RunConfig(dict(raw_config(), out_dir="run/"))

@@ -5,7 +5,7 @@ import pytest
 
 from medc.data import (HEAD, MAX_CLASSES, MEDIUM, TAIL, FeatureFileError, FeatureRecord,
                        SyntheticConfig, compute_label_stats, generate_synthetic,
-                       read_feature_file, split_records, write_feature_file,
+                       read_feature_file, record_shape, split_records, write_feature_file,
                        zipf_counts)
 
 
@@ -101,6 +101,19 @@ def test_group_assignment_default_thresholds():
 def test_label_stats_rejects_empty_class():
     records = [FeatureRecord("a", np.ones((1, 2)), [1, 0, 0])]
     with pytest.raises(ValueError, match=r"\[1, 2\]"):
+        compute_label_stats(records)
+
+
+@pytest.mark.parametrize("function", [compute_label_stats, record_shape])
+def test_no_records_are_refused_by_name(function):
+    with pytest.raises(ValueError, match="no records"):
+        function([])
+
+
+def test_label_stats_refuse_a_record_of_another_class_count_by_id():
+    records = [FeatureRecord("a", np.ones((1, 2)), [1, 0, 1]),
+               FeatureRecord("b", np.ones((1, 2)), [1, 1, 0, 1])]
+    with pytest.raises(ValueError, match="record b: shape"):
         compute_label_stats(records)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,17 @@ def test_metrics_reject_a_test_set_without_positives():
         metrics_from_scores(np.full((3, 2), 0.5), labels, [HEAD, TAIL])
 
 
+@pytest.mark.parametrize("labels,groups", [
+    (np.array([[1, 0, 0], [0, 1, 1], [1, 1, 0]]), [HEAD, TAIL]),
+    (np.array([[1, 0], [0, 1]]), [HEAD, TAIL]),
+    (np.array([[1, 0], [0, 1], [1, 1]]), [HEAD]),
+], ids=["labels-classes", "labels-samples", "groups"])
+def test_metrics_refuse_scores_labels_and_groups_that_differ_in_shape(labels, groups):
+    named = f"scores of shape (3, 2), labels of shape {labels.shape} and {len(groups)} groups"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        metrics_from_scores(np.full((3, 2), 0.5), labels, groups)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_metrics_reject_non_finite_scores(bad):
     labels = np.array([[1, 0], [0, 1], [1, 1]])
@@ -180,6 +193,24 @@ def test_evaluate_rejects_empty_test_set():
     _, stats, model = tiny_setup()
     with pytest.raises(ValueError):
         evaluate(model, [], stats)
+
+
+@pytest.mark.parametrize("data,named", [
+    (dict(C=4, counts=[10, 6, 4, 3]), "records of D=4, C=4 do not fit the model's D=4, C=3"),
+    (dict(D=5), "records of D=5, C=3 do not fit the model's D=4, C=3"),
+], ids=["classes", "features"])
+def test_score_records_refuses_records_of_another_model_by_both_values(data, named):
+    _, _, model = tiny_setup()
+    cfg = dict(C=3, D=4, L=2, counts=[10, 6, 4], seed=0)
+    records, _ = generate_synthetic(SyntheticConfig(**{**cfg, **data}))
+    with pytest.raises(ValueError, match=named):
+        score_records(model, records)
+
+
+def test_score_records_refuses_no_records():
+    _, _, model = tiny_setup()
+    with pytest.raises(ValueError, match="no records"):
+        score_records(model, [])
 
 
 def test_evaluate_refuses_a_ragged_record_by_id():

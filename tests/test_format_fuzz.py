@@ -24,7 +24,7 @@ def _feature_file(path):
 
 
 def _checkpoint(path):
-    cfg = ModelConfig(D=2, C=2, d_trunk=1, hidden=1, d=1, phi_depth=1, experts=("uniform",))
+    cfg = ModelConfig(D=2, C=2, d_trunk=1, hidden=1, d=1, experts=("uniform",))
     save_checkpoint(path, Model(cfg, seed=3),
                     extra={"epoch": 1, "adam.t": 1, "adam.m": np.zeros(2), "adam.v": np.ones(2)})
 

@@ -20,7 +20,7 @@ from medc.verify import composed_objective_gradcheck
 
 
 def tiny_cfg(**over):
-    base = dict(D=3, C=4, d_trunk=3, hidden=5, d=6, phi_depth=2)
+    base = dict(D=3, C=4, d_trunk=3, hidden=5, d=6)
     base.update(over)
     return ModelConfig(**base)
 
@@ -53,7 +53,7 @@ def zero_linear(model, kind, name):
 
 @pytest.mark.parametrize("experts", [("uniform",), EXPERT_KINDS])
 def test_every_stacked_role_is_the_expert_axis_then_its_role_shape(experts):
-    cfg = tiny_cfg(phi_depth=3, experts=experts)
+    cfg = tiny_cfg(experts=experts)
     model = Model(cfg, seed=0)
     roles = _head_roles(cfg)
     assert list(model.stacked_heads) == [role for role, _ in roles]
@@ -71,12 +71,23 @@ def test_trunk_identity_weights_give_relu():
 
 
 def test_estimate_mean_hand_case():
-    model = Model(tiny_cfg(d=2, d_trunk=2, phi_depth=1), seed=0)
-    model.stacked_heads["phi_mu.out.W"].data[0] = np.eye(2)  # phi_mu is the identity
-    model.stacked_heads["phi_mu.out.b"].data[0] = 0.0
-    H0 = Tensor([[[1.0, 3.0], [3.0, 5.0]]])  # one video, pools to (2, 4)
-    mu = estimate_mean(H0, expert_slice(model, "long_tailed"))
-    assert mu.data[0] == pytest.approx(np.array([2.0, 4.0]) / np.sqrt(20.0))
+    set_to = {"layer0.W": [[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]], "layer0.b": [0.0, 0.5, 0.0],
+              "layer0.scale": [1.0, 2.0, 1.0], "layer0.shift": [0.1, -0.5, 0.0],
+              "out.W": [[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]], "out.b": [0.5, -0.25]}
+    model = Model(tiny_cfg(d=2, d_trunk=2, hidden=3), seed=0)
+    for role, value in set_to.items():
+        model.stacked_heads[f"phi_mu.{role}"].data[0] = value
+    x = np.array([[1.0, 3.0], [4.0, 2.0]])  # one video of two frames
+    mu = estimate_mean(Tensor(x[None]), expert_slice(model, "long_tailed"))
+    # numpy reference: the normalized ReLU layer per frame, the mean over frames,
+    # the output layer, then the L2 normalization
+    W, b, scale, shift, W_out, b_out = (np.array(v) for v in set_to.values())
+    a = x @ W + b
+    h = np.maximum(scale * (a - a.mean(-1, keepdims=True)) / (a.std(-1, keepdims=True) + 1e-5)
+                   + shift, 0.0)
+    assert (h == 0.0).any() and (h > 0.0).any()  # the ReLU cuts some units, not all
+    o = h.mean(axis=0) @ W_out + b_out
+    np.testing.assert_allclose(mu.data[0], o / np.linalg.norm(o), rtol=1e-9)
 
 
 def test_estimate_mean_rows_are_unit_norm():
@@ -88,12 +99,12 @@ def test_estimate_mean_rows_are_unit_norm():
     np.testing.assert_allclose(np.linalg.norm(mu.data, axis=-1), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3])
-def test_pooled_estimate_mean_matches_per_frame_output_layer(depth):
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pooled_estimate_mean_matches_per_frame_output_layer(seed):
     # pooling commutes with phi_mu's affine output layer: pooling before it equals
     # the mean over frames of the output layer applied to every frame
-    model = Model(tiny_cfg(phi_depth=depth), seed=depth)
-    X = derive_rng(depth, "x").uniform(-1, 1, size=(5, 4, 3))
+    model = Model(tiny_cfg(), seed=seed)
+    X = derive_rng(seed, "x").uniform(-1, 1, size=(5, 4, 3))
     H0 = trunk_forward(X, model.trunk)
     for head, H in ((expert_slice(model, "inverse"), H0),
                     (model.stacked_heads, ag.reshape(H0, (1,) + H0.shape))):
@@ -332,13 +343,13 @@ def rewrite_manifest(path, change):
 # sha256 of the checkpoint of Model(tiny_cfg(**over), seed=12): the role table's
 # order, its names and its RNG draw order are pinned to these bytes
 GOLDEN_CHECKPOINTS = [
-    (dict(phi_depth=1), "5cef2fc5b4e02185d9178113d205a7aa55b2d140346fee5e336a28e3b119dbae"),
-    (dict(phi_depth=3, experts=("inverse", "uniform")),
-     "3bbd7ca5533e5d4ab8ab0865ac633c28f42d22db5f8bbb5e2985e4f5d25cad79"),
+    ({}, "f46e63e98989c47c1b17fe85156606bed0df9ddfe14a10a7f1fb829f6cc9d03a"),
+    (dict(experts=("inverse", "uniform")),
+     "509eb592a51eeddf6cd71f4ff4143ceeb3c79816dbc579175ca9da8d7f709b97"),
 ]
 
 
-@pytest.mark.parametrize("over,digest", GOLDEN_CHECKPOINTS, ids=["depth1", "depth3-two-experts"])
+@pytest.mark.parametrize("over,digest", GOLDEN_CHECKPOINTS, ids=["three-experts", "two-experts"])
 def test_checkpoint_bytes_are_pinned(tmp_path, over, digest):
     path = tmp_path / "model.bin"
     save_checkpoint(path, Model(tiny_cfg(**over), seed=12))
@@ -347,10 +358,10 @@ def test_checkpoint_bytes_are_pinned(tmp_path, over, digest):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(phi_depth=st.integers(1, 3), seed=st.integers(0, 2**16),
+@given(hidden=st.integers(1, 3), seed=st.integers(0, 2**16),
        experts=st.lists(st.sampled_from(EXPERT_KINDS), min_size=1, max_size=3, unique=True))
-def test_checkpoint_round_trip_over_role_tables(tmp_path, phi_depth, seed, experts):
-    model = Model(tiny_cfg(phi_depth=phi_depth, experts=experts), seed=seed)
+def test_checkpoint_round_trip_over_role_tables(tmp_path, hidden, seed, experts):
+    model = Model(tiny_cfg(hidden=hidden, experts=experts), seed=seed)
     rng = derive_rng(seed, "perturb")
     for p in model.parameters():
         p.data += rng.standard_normal(p.data.shape)
@@ -389,6 +400,7 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     (lambda m: m.update(version=0), "version 0"),
     (lambda m: m.update(version=2), "version 2"),
     (lambda m: m.update(version=3), "version 3"),
+    (lambda m: m.update(version=4), "version 4"),
     (lambda m: m["arrays"][-1].update(name="sideways"), "sideways.*the model's 'gamma'"),
     (lambda m: m["arrays"][-1].update(shape=[3, 5]), r"the model's 'gamma' of shape \[3, 4\]"),
     (lambda m: m["config"].update(d="6"), "'d'"),
@@ -396,7 +408,7 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     (lambda m: m["config"].update(hidden=0), "hidden must be >= 1, got 0"),
 ], ids=["no-seed", "no-config", "no-gamma", "no-params", "no-extra", "no-arrays", "no-version",
         "unknown-config-field", "missing-config-field", "version-99", "version-0",
-        "version-2", "version-3", "unknown-gamma-kind", "gamma-wrong-length",
+        "version-2", "version-3", "version-4", "unknown-gamma-kind", "gamma-wrong-length",
         "config-field-wrong-type", "no-experts", "config-dimension-below-one"])
 def test_checkpoint_manifest_is_validated_by_name(tmp_path, change, named):
     path = tmp_path / "model.bin"

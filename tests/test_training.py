@@ -175,6 +175,11 @@ def test_train_refuses_a_ragged_record_by_id(features, labels):
         train(small_train_cfg(epochs=1), records)
 
 
+def test_train_refuses_no_records():
+    with pytest.raises(ValueError, match="no records"):
+        train(small_train_cfg(epochs=1), [])
+
+
 def _traced_peak_of_one_epoch(records):
     cfg = small_train_cfg(epochs=1, checkpoint_every=0)
     tracemalloc.start()
@@ -220,7 +225,7 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     ("temporal_attention", False, "temporal_attention"),
     ("d", 5, "d"),
     ("hidden", 7, "hidden"),
-    ("phi_depth", 3, "phi_depth"),
+    ("d_trunk", 7, "d_trunk"),
     ("learning_rate", 2e-3, "learning_rate"),
     ("batch_size", 4, "batch_size"),
     ("seed", 2, "seed"),
