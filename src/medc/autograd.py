@@ -1,11 +1,17 @@
 """Minimal dense-tensor math with reverse-mode automatic differentiation.
 
-Tensors wrap float64 numpy arrays and record a computation graph on the fly.
+Tensors wrap float numpy arrays, float32 or float64, and record a computation
+graph on the fly. A tensor keeps the dtype of the float array it is given, and
+a constant that meets a tensor in an op takes the tensor's dtype, so a
+float32 graph stays float32 and a float64 graph (the gradient checks') stays
+float64.
 Calling ``backward()`` on a scalar output accumulates gradients into every
 reachable tensor with ``requires_grad=True``; inside ``with no_tape():`` ops
 record no graph. Only the ops needed by the
 model live here; everything is deterministic and single threaded.
 """
+
+import math
 
 import numpy as np
 
@@ -28,10 +34,11 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        if type(data) is np.ndarray and data.dtype == np.float64:
-            self.data = data
-        else:
-            self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or data.dtype.kind != "f":
+            data = np.asarray(data)
+            if data.dtype.kind != "f":
+                data = data.astype(np.float64)
+        self.data = data
         self.requires_grad = requires_grad
         self.grad = None
         self._parents = ()
@@ -119,6 +126,25 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _like(x, t):
+    """x as a Tensor; a constant (an array or a number) takes the dtype of the Tensor t.
+
+    Under numpy 2 a float64 array, 0-d ones included, would widen a float32
+    operand, so a mask, a shift, a weight or a batch of data meets the
+    tensor at its dtype.
+    """
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=t.data.dtype))
+
+
+def _operands(a, b):
+    """a and b as Tensors, a constant taking the other's dtype as in `_like`."""
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype) if isinstance(b, Tensor) else a)
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    return a, b
+
+
 # False inside a `no_tape` block: ops then record nothing
 _taping = True
 
@@ -160,21 +186,21 @@ def _track(out, parents, backward):
 # -- elementwise binary -----------------------------------------------------
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data + b.data)
     return _track(out, (a, b), lambda g: (
         _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data - b.data)
     return _track(out, (a, b), lambda g: (
         _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data * b.data)
     return _track(out, (a, b), lambda g: (
         _unbroadcast(g * b.data, a.data.shape),
@@ -221,7 +247,7 @@ def _matmul_backward(g, a, a2, b, need_a, need_b):
 
 def matmul(a, b):
     """Matrix product over the last two axes, folding as `_matmul_forward` says."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     y, a2 = _matmul_forward(a.data, b.data)
     return _track(Tensor(y), (a, b), lambda g: _matmul_backward(
         g, a.data, a2, b.data, _needs_grad(a), _needs_grad(b)))
@@ -313,8 +339,9 @@ def transpose(x, axes=None):
 # -- fused layers -----------------------------------------------------------
 # Each is one tape node. The forward works in place on the array its own
 # matmul allocated; the backward is written by hand and computes no gradient
-# for a data input. A vector (bias, scale or shift) has its weight's batch axes,
-# as (E, n) in an expert stack, and `_lift` lines them up as a weight's are.
+# for a data input, which takes the weight's dtype. A vector (bias, scale or
+# shift) has its weight's batch axes, as (E, n) in an expert stack, and `_lift`
+# lines them up as a weight's are.
 
 def _lift(v, ndim):
     """v with axes of 1 before its last, to `ndim` axes, so that it broadcasts by its leading ones."""
@@ -345,7 +372,8 @@ def _row_dot(a, b):
 
 def linear(x, W, b, relu=False):
     """The affine map x @ W + b, then max(., 0) if `relu`."""
-    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
+    W, b = _as_tensor(W), _as_tensor(b)
+    x = _like(x, W)
     y, x2 = _matmul_forward(x.data, W.data)
     prod_shape = y.shape
     out = _into(np.add, y, _lift(b.data, y.ndim))
@@ -374,7 +402,8 @@ def affine_norm_relu(x, W, b, scale, shift):
     x_hat = (a - mean(a)) / denom, std, denom = std + 1e-5 and the output,
     and centres the small gradients of W and b in place of the activations'.
     """
-    x, W, b, scale, shift = parents = tuple(_as_tensor(t) for t in (x, W, b, scale, shift))
+    W = _as_tensor(W)
+    x, W, b, scale, shift = parents = (_like(x, W), W) + tuple(map(_as_tensor, (b, scale, shift)))
     if 0 in (W.data.shape[-1:] + b.data.shape[-1:]):
         raise ShapeError("affine_norm_relu on empty feature axis")
     Wc = _centred(W.data)
@@ -419,7 +448,8 @@ def attention_pool(delta, Wq, bq, Wk, bk):
     The result is (..., d). The backward keeps q, k and alpha, and computes
     no gradient for a data delta.
     """
-    delta, Wq, bq, Wk, bk = parents = tuple(_as_tensor(t) for t in (delta, Wq, bq, Wk, bk))
+    Wq = _as_tensor(Wq)
+    delta, Wq, bq, Wk, bk = parents = (_like(delta, Wq), Wq) + tuple(map(_as_tensor, (bq, Wk, bk)))
     if delta.data.ndim < 2 or delta.data.shape[-2] == 0:
         raise ShapeError("attention_pool needs frames (..., L, d) with L >= 1, "
                          f"got shape {delta.data.shape}")
@@ -433,7 +463,7 @@ def attention_pool(delta, Wq, bq, Wk, bk):
     prod_shape = y.shape
     y = _into(np.add, y, _lift(b, y.ndim))
     q, k = y[..., :m], y[..., m:]
-    c = 1.0 / np.sqrt(delta.data.shape[-1])
+    c = 1.0 / math.sqrt(delta.data.shape[-1])   # a Python float keeps s at its dtype
     s = _row_dot(q, k)                                   # (..., L, 1)
     s *= c
     s -= s.max(axis=-2, keepdims=True)

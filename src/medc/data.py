@@ -52,11 +52,11 @@ class FeatureFileError(ValueError):
 @dataclass
 class FeatureRecord:
     id: str
-    features: np.ndarray   # (L, D) float64
+    features: np.ndarray   # (L, D) float32, the feature file's precision
     labels: np.ndarray     # (C,) binary
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = np.asarray(self.features, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.uint8)
         if self.features.ndim != 2 or self.features.shape[0] < 1 or self.features.shape[1] < 1:
             raise ValueError(f"record {self.id}: features must be L x D with L,D >= 1, "
@@ -138,8 +138,7 @@ def generate_synthetic(cfg):
                 extra = int(rng.integers(cfg.C - 1))
                 extra += extra >= c
                 labels[extra] = 1
-            # quantize to f32 so disk round-trips are exact
-            feats = feats.astype(np.float32).astype(np.float64)
+            # FeatureRecord rounds to float32, as the file holds them
             records.append(FeatureRecord(f"c{c:04d}_r{j:06d}", feats, labels))
     return records, protos
 
@@ -265,7 +264,10 @@ class ByteReader:
 
 
 def read_feature_file(path):
-    """The records of a feature file; malformed input raises FeatureFileError with the byte offset."""
+    """The records of a feature file; malformed input raises FeatureFileError with the byte offset.
+
+    Each record's float32 features are a read-only view of the file's bytes, not a copy.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     r = ByteReader(blob, FeatureFileError)
@@ -291,8 +293,7 @@ def read_feature_file(path):
         labels[idx.astype(np.int64)] = 1
         feats = np.frombuffer(r.read(4 * L * D, f"record {i} features"), dtype="<f4")
         try:
-            records.append(FeatureRecord(rid.decode("utf-8"),
-                                         feats.astype(np.float64).reshape(L, D), labels))
+            records.append(FeatureRecord(rid.decode("utf-8"), feats.reshape(L, D), labels))
         except ValueError as e:  # an id that is not UTF-8, or a record FeatureRecord refuses
             raise FeatureFileError(f"record {i} at byte offset {start}: {e}") from None
     r.finish()

@@ -63,6 +63,8 @@ class MetricsReport:
 def score_records(model, records):
     """Eval-mode averaged-expert scores of the records sorted by id, SCORE_CHUNK at a time.
 
+    The features are stacked at the model's dtype, and so are the scores.
+
     No records, records of more than one shape, or records whose feature
     dimension D or class count C is not the model's raise ValueError naming
     the values.
@@ -72,7 +74,7 @@ def score_records(model, records):
     if (D, C) != (model.cfg.D, model.cfg.C):
         raise ValueError(f"records of D={D}, C={C} do not fit the model's "
                          f"D={model.cfg.D}, C={model.cfg.C}")
-    feats = np.stack([r.features for r in recs])
+    feats = np.stack([r.features for r in recs], dtype=model.dtype)
     labels = np.stack([r.labels for r in recs])
     parts = []
     for start in range(0, len(recs), SCORE_CHUNK):

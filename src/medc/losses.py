@@ -7,7 +7,9 @@ leading axes in front of it (a probe axis: K batches under K parameter
 sets) are carried through, each index with its own labels or all with the
 same, so a loss of (K, E, ...) activations and labels (1 or K, E, B, C) is
 (K, E). Each per-sample loss is a masked mean over the dense batch, so no
-leading index depends on another's labels.
+leading index depends on another's labels. The labels, masks, shifts and
+weights a loss builds enter the graph as bare arrays, and the op they meet
+casts them to the activations' dtype, so a float32 model's loss is float32.
 
 The paper's loss hyperparameters are fixed: contrastive temperature 1,
 variance targets in [GAMMA_LOW, GAMMA_HIGH], and GAMMA_UNIFORM for the
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
 from .data import require_finite
 from .sampling import INVERSE, LONG_TAILED, UNIFORM, reversed_frequencies
 
@@ -99,10 +100,10 @@ def mean_contrastive_loss(mus, labels):
     mask = disjoint | nearest
     # constant per-anchor shift keeps exp bounded without touching gradients
     shift = np.where(mask, sv, -np.inf).max(axis=-1, keepdims=True)
-    e = ag.mul(ag.exp(ag.sub(sims, Tensor(shift))), Tensor(mask))
-    lse = ag.add(ag.log(ag.sum_along(e, axis=-1)), Tensor(shift[..., 0]))
-    pos = ag.sum_along(ag.mul(sims, Tensor(nearest)), axis=-1)
-    loss = ag.mul(ag.sub(lse, pos), Tensor(_mean_weights(eligible)))
+    e = ag.mul(ag.exp(ag.sub(sims, shift)), mask)
+    lse = ag.add(ag.log(ag.sum_along(e, axis=-1)), shift[..., 0])
+    pos = ag.sum_along(ag.mul(sims, nearest), axis=-1)
+    loss = ag.mul(ag.sub(lse, pos), _mean_weights(eligible))
     return ag.sum_along(loss, axis=-1)
 
 
@@ -111,10 +112,10 @@ def classification_loss(p, y):
 
     With a leading expert axis the average is per expert, giving (E,).
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = np.asarray(y)
     pc = ag.clamp(p, 1e-7, 1.0 - 1e-7)
-    pos = ag.mul(Tensor(y), ag.log(pc))
-    neg = ag.mul(Tensor(1.0 - y), ag.log(ag.sub(1.0, pc)))
+    pos = ag.mul(y, ag.log(pc))
+    neg = ag.mul(1 - y, ag.log(ag.sub(1.0, pc)))
     return ag.mul(ag.mean_along(ag.add(pos, neg), axis=(-2, -1)), -1.0)
 
 
@@ -136,8 +137,8 @@ def variance_region_loss(sigmas, labels, gamma):
     gamma = np.asarray(gamma)[..., None, :]
     m = (held * gamma).sum(axis=-1) / np.maximum(n, 1)
     v = (held * np.square(gamma - m[..., None])).sum(axis=-1) / np.maximum(n, 1)
-    dev = ag.mean_along(ag.square(ag.sub(ag.square(sigmas), Tensor(m[..., None]))), axis=-1)
-    per_sample = ag.mul(ag.add(dev, Tensor(v)), Tensor(_mean_weights(n)))
+    dev = ag.mean_along(ag.square(ag.sub(ag.square(sigmas), m[..., None])), axis=-1)
+    per_sample = ag.mul(ag.add(dev, v), _mean_weights(n))
     return ag.sum_along(per_sample, axis=-1)
 
 

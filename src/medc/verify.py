@@ -1,4 +1,9 @@
-"""Gradient verification: finite differences against the autograd tape."""
+"""Gradient verification: finite differences against the autograd tape.
+
+Central differences need float64: at float32 their roundoff swamps the
+1e-4 gate. So the checked model is built at float64, and every array the
+objective meets is float64 too.
+"""
 
 import numpy as np
 
@@ -43,7 +48,7 @@ def composed_objective_problem(seed):
         labels[i, i % 2] = 1
     labels[batch - 1, 2 % C] = 1  # one multi-label sample
 
-    cfg = ModelConfig(D=D, C=C, d_trunk=3, hidden=3, d=d)
+    cfg = ModelConfig(D=D, C=C, d_trunk=3, hidden=3, d=d, dtype="float64")
     model = Model(cfg, seed=seed)
     E = len(cfg.experts)
     # the draw order, the trunk then expert by expert, fixes the point criterion 1 checks

@@ -266,9 +266,9 @@ def per_index_batches(draw):
     return labels, draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 32 - 1))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(per_index_batches())
-def test_batched_losses_equal_per_index_calls_bit_for_bit(batch):
+def _batched_losses_equal_per_index_calls(batch, dtype, rel):
+    """Each (k, e) index of the batched losses and their gradients, at `dtype`, equals
+    a call on that index alone bit for bit, and the loop references within `rel`."""
     labels, d, seed = batch
     K, E, B, C = labels.shape
     rng = np.random.default_rng(seed)
@@ -277,6 +277,7 @@ def test_batched_losses_equal_per_index_calls_bit_for_bit(batch):
     p = rng.uniform(0.01, 0.99, size=(K, E, B, C))
     sigmas = rng.uniform(0.1, 1.5, size=(K, E, B, d))
     gamma = rng.uniform(0.01, 1.0, size=(E, C))
+    mus, p, sigmas = (x.astype(dtype) for x in (mus, p, sigmas))
 
     def run(at, g):
         ins = [Parameter(x[at], "x") for x in (mus, p, sigmas)]
@@ -288,16 +289,28 @@ def test_batched_losses_equal_per_index_calls_bit_for_bit(batch):
 
     values, grads = run((slice(None),), gamma)
     for v in values + grads:
-        assert np.isfinite(v).all()
+        assert v.dtype == dtype and np.isfinite(v).all()
     for k, e in np.ndindex(K, E):
         alone, alone_grads = run((k, e), gamma[e])
         for batched, one in zip(values + grads, alone + alone_grads):
             np.testing.assert_array_equal(batched[k, e], one)
         assert alone[0] == pytest.approx(reference_contrastive(mus[k, e], labels[k, e]),
-                                         rel=1e-12, abs=1e-15)
+                                         rel=rel, abs=1e-15)
         assert alone[2] == pytest.approx(reference_variance(sigmas[k, e], labels[k, e],
-                                                            gamma[e]), rel=1e-12, abs=1e-15)
+                                                            gamma[e]), rel=rel, abs=1e-15)
     assert values[0][0, 0] == 0.0 and values[0][-1, -1] == 0.0 and values[2][-1, -1] == 0.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(per_index_batches())
+def test_batched_losses_equal_per_index_calls_bit_for_bit(batch):
+    _batched_losses_equal_per_index_calls(batch, np.float64, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(per_index_batches())
+def test_batched_float32_losses_equal_per_index_calls_bit_for_bit(batch):
+    _batched_losses_equal_per_index_calls(batch, np.float32, rel=1e-5)
 
 
 def test_loss_weights_validate():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from medc import autograd as ag
 from medc.autograd import Tensor
-from medc.model import (CHECKPOINT_MAGIC, EXPERT_KINDS, Model, ModelConfig, _head_roles,
+from medc.model import (CHECKPOINT_MAGIC, DTYPES, EXPERT_KINDS, Model, ModelConfig, _head_roles,
                         _hidden, _linear, classify, estimate_mean, estimate_variance,
                         forward_inference, load_checkpoint, read_checkpoint_manifest,
                         reparameterize, save_checkpoint, trunk_forward)
@@ -20,7 +20,9 @@ from medc.verify import composed_objective_gradcheck
 
 
 def tiny_cfg(**over):
-    base = dict(D=3, C=4, d_trunk=3, hidden=5, d=6)
+    """A small model config, at float64 unless `over` says otherwise: the hand cases and
+    identities below are pinned at float64's roundoff."""
+    base = dict(D=3, C=4, d_trunk=3, hidden=5, d=6, dtype="float64")
     base.update(over)
     return ModelConfig(**base)
 
@@ -321,13 +323,19 @@ def test_checkpoint_stores_extra_arrays_as_binary(tmp_path):
     model = Model(tiny_cfg(), seed=12)
     moments = derive_rng(12, "m").standard_normal(50)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, model, extra={"epoch": 3, "adam.t": 4, "adam.m": moments})
+    save_checkpoint(path, model, extra={"epoch": 3, "adam.t": 4, "adam.m": moments,
+                                        "adam.v": np.square(moments, dtype=np.float32),
+                                        "counts": np.arange(3)})
     manifest, _ = read_checkpoint_manifest(path)
-    assert manifest["arrays"][-1] == {"name": "adam.m", "shape": [50]}
+    assert manifest["arrays"][-3:] == [{"name": "adam.m", "shape": [50], "dtype": "<f8"},
+                                       {"name": "adam.v", "shape": [50], "dtype": "<f4"},
+                                       {"name": "counts", "shape": [3], "dtype": "<f8"}]
     assert manifest["extra"] == {"epoch": 3, "adam.t": 4}
     _, extra = load_checkpoint(path)
     assert extra["epoch"] == 3 and extra["adam.t"] == 4
-    assert np.array_equal(extra["adam.m"], moments)
+    for name, expected in (("adam.m", moments), ("adam.v", np.square(moments, dtype=np.float32)),
+                           ("counts", np.arange(3.0))):
+        assert extra[name].dtype == expected.dtype and np.array_equal(extra[name], expected)
 
 
 def rewrite_manifest(path, change):
@@ -341,15 +349,22 @@ def rewrite_manifest(path, change):
 
 
 # sha256 of the checkpoint of Model(tiny_cfg(**over), seed=12): the role table's
-# order, its names and its RNG draw order are pinned to these bytes
+# order, its names, its RNG draw order and the rounding of a float32 model are
+# pinned to these bytes
 GOLDEN_CHECKPOINTS = [
-    ({}, "f46e63e98989c47c1b17fe85156606bed0df9ddfe14a10a7f1fb829f6cc9d03a"),
+    ({}, "a4f8d6da41a3cf8eb7968241a611de00226e2a70c1f609d87fd165340f995c95"),
     (dict(experts=("inverse", "uniform")),
-     "509eb592a51eeddf6cd71f4ff4143ceeb3c79816dbc579175ca9da8d7f709b97"),
+     "18875bbeb8f5f8da725e97a8d1cb2f3c47e029d520dd7fcfe1e211b39ab570b2"),
+    (dict(dtype="float32"),
+     "9712ea12736697bfe03e5fadf9b00d206745248f10d0b95baeebf62260c4ea48"),
+    (dict(dtype="float32", experts=("inverse", "uniform")),
+     "84a1152707a327fcb021cb32d394204a09e9c801e4027bd45ad71ab8744a3f27"),
 ]
 
 
-@pytest.mark.parametrize("over,digest", GOLDEN_CHECKPOINTS, ids=["three-experts", "two-experts"])
+@pytest.mark.parametrize("over,digest", GOLDEN_CHECKPOINTS,
+                         ids=["three-experts", "two-experts", "float32-three-experts",
+                              "float32-two-experts"])
 def test_checkpoint_bytes_are_pinned(tmp_path, over, digest):
     path = tmp_path / "model.bin"
     save_checkpoint(path, Model(tiny_cfg(**over), seed=12))
@@ -359,9 +374,10 @@ def test_checkpoint_bytes_are_pinned(tmp_path, over, digest):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(hidden=st.integers(1, 3), seed=st.integers(0, 2**16),
-       experts=st.lists(st.sampled_from(EXPERT_KINDS), min_size=1, max_size=3, unique=True))
-def test_checkpoint_round_trip_over_role_tables(tmp_path, hidden, seed, experts):
-    model = Model(tiny_cfg(hidden=hidden, experts=experts), seed=seed)
+       experts=st.lists(st.sampled_from(EXPERT_KINDS), min_size=1, max_size=3, unique=True),
+       dtype=st.sampled_from(DTYPES))
+def test_checkpoint_round_trip_over_role_tables(tmp_path, hidden, seed, experts, dtype):
+    model = Model(tiny_cfg(hidden=hidden, experts=experts, dtype=dtype), seed=seed)
     rng = derive_rng(seed, "perturb")
     for p in model.parameters():
         p.data += rng.standard_normal(p.data.shape)
@@ -374,7 +390,7 @@ def test_checkpoint_round_trip_over_role_tables(tmp_path, hidden, seed, experts)
     assert first.read_bytes() == second.read_bytes()
     for p, q in zip(model.parameters(), loaded.parameters(), strict=True):
         assert p.name == q.name
-        assert np.array_equal(p.data, q.data), p.name
+        assert q.data.dtype == dtype and np.array_equal(p.data, q.data), p.name
 
 
 def test_checkpoint_rejects_shape_mismatch(tmp_path):
@@ -401,15 +417,21 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     (lambda m: m.update(version=2), "version 2"),
     (lambda m: m.update(version=3), "version 3"),
     (lambda m: m.update(version=4), "version 4"),
+    (lambda m: m.update(version=5), "version 5"),
     (lambda m: m["arrays"][-1].update(name="sideways"), "sideways.*the model's 'gamma'"),
     (lambda m: m["arrays"][-1].update(shape=[3, 5]), r"the model's 'gamma' of shape \[3, 4\]"),
     (lambda m: m["config"].update(d="6"), "'d'"),
     (lambda m: m["config"].update(experts=[]), "at least one expert"),
     (lambda m: m["config"].update(hidden=0), "hidden must be >= 1, got 0"),
+    (lambda m: m["config"].update(dtype="float16"), "dtype must be one of .*'float16'"),
+    (lambda m: m["config"].update(dtype="float32"), r"the model's 'trunk\.W' .* dtype '<f4'"),
+    (lambda m: m["arrays"][-1].update(dtype="<f4"), r"the model's 'gamma' .* dtype '<f8'"),
 ], ids=["no-seed", "no-config", "no-gamma", "no-params", "no-extra", "no-arrays", "no-version",
         "unknown-config-field", "missing-config-field", "version-99", "version-0",
-        "version-2", "version-3", "version-4", "unknown-gamma-kind", "gamma-wrong-length",
-        "config-field-wrong-type", "no-experts", "config-dimension-below-one"])
+        "version-2", "version-3", "version-4", "version-5", "unknown-gamma-kind",
+        "gamma-wrong-length", "config-field-wrong-type", "no-experts",
+        "config-dimension-below-one", "unknown-dtype", "payloads-of-another-dtype",
+        "gamma-of-another-dtype"])
 def test_checkpoint_manifest_is_validated_by_name(tmp_path, change, named):
     path = tmp_path / "model.bin"
     save_checkpoint(path, Model(tiny_cfg(), seed=13), extra={"epoch": 1})

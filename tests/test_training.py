@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from medc import autograd as ag
-from medc import verify
+from medc import training, verify
 from medc.autograd import Parameter, Tensor
 from medc.data import FeatureRecord, SyntheticConfig, generate_synthetic
 from medc.losses import (LossWeights, classification_loss, mean_contrastive_loss,
@@ -417,7 +417,7 @@ def test_batched_objective_matches_per_head_reference(E, attention):
     kinds = EXPERT_KINDS[:E]
     B, L, D, C, d = 5, 3, 4, 3, 6
     model = Model(ModelConfig(D=D, C=C, d_trunk=5, hidden=4, d=d, experts=kinds,
-                              temporal_attention=attention), seed=E)
+                              temporal_attention=attention, dtype="float64"), seed=E)
     rng = derive_rng(E, "batched")
     gamma = rng.uniform(0.01, 1.0, size=(E, C))
     X = rng.uniform(-1.0, 1.0, size=(E, B, L, D))
@@ -490,3 +490,41 @@ def test_training_step_tape_node_count_is_pinned():
                                  rng.standard_normal((E, B, d)), np.full((E, C), 0.5),
                                  LossWeights(), True)
     assert _tape_nodes(loss) == 54
+
+
+def test_a_float32_training_step_is_float32_on_the_whole_tape(monkeypatch):
+    # every node's data and every gradient the backward passes, from the loss down to
+    # the parameters, over the steps of one epoch of the default (float32) model
+    seen = {"batch": set(), "data": set(), "grad": set()}
+
+    def recording(backward):
+        def wrapped(g):
+            grads = backward(g)
+            seen["grad"].update(np.asarray(pg).dtype for pg in (g, *grads) if pg is not None)
+            return grads
+        return wrapped
+
+    def walked(params, X, *rest):
+        loss, terms = composed_objective(params, X, *rest)
+        seen["batch"].add(X.dtype)
+        stack, visited = [loss], set()
+        while stack:
+            t = stack.pop()
+            if id(t) not in visited:
+                visited.add(id(t))
+                seen["data"].add(t.data.dtype)
+                if t._backward is not None:
+                    t._backward = recording(t._backward)
+                stack.extend(t._parents)
+        return loss, terms
+
+    monkeypatch.setattr(training, "composed_objective", walked)
+    records = small_dataset()
+    model, _ = train(small_train_cfg(epochs=1), records)
+    assert seen == {"batch": {np.dtype(np.float32)}, "data": {np.dtype(np.float32)},
+                    "grad": {np.dtype(np.float32)}}
+    for p in model.parameters():
+        assert (p.data.dtype, p.grad.dtype) == (np.float32, np.float32), p.name
+    X = np.stack([r.features for r in records[:4]])
+    assert forward_inference(X, model).data.dtype == np.float32
+    assert forward_inference(X.astype(np.float64), model).data.dtype == np.float32

@@ -4,11 +4,12 @@ Each mutation rewrites only the backward of the taped objective's nodes, so the
 finite differences, which run with the tape off, still see the true objective.
 """
 
+import numpy as np
 import pytest
 
 from medc import autograd as ag
 from medc import losses, training
-from medc.verify import composed_objective_gradcheck
+from medc.verify import composed_objective_gradcheck, composed_objective_problem
 
 
 def _rewire(out, backward):
@@ -70,3 +71,13 @@ def test_a_wrong_backward_fails_the_composed_gradient_check(monkeypatch, mutate)
     assert composed_objective_gradcheck(0) < 1e-4
     mutate(monkeypatch)
     assert composed_objective_gradcheck(0) > 1e-4
+
+
+def test_the_checked_problem_is_float64_and_its_errors_are_pinned():
+    # criterion 1's errors for seeds 0-2 as printed before the dtype became a setting of
+    # the model; another BLAS build may round a GEMM, and so these errors, otherwise
+    f, _, params = composed_objective_problem(0)
+    assert [p.data.dtype for p in params] == [np.float64] * len(params)
+    assert f().data.dtype == np.float64
+    assert [composed_objective_gradcheck(seed) for seed in range(3)] == [
+        1.351344940252785e-05, 1.7376797205144137e-05, 3.1973376969888275e-05]
