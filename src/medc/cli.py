@@ -18,7 +18,7 @@ import sys
 
 from . import evaluation
 from .config import ConfigError, load_config
-from .data import (compute_label_stats, generate_synthetic, read_feature_file,
+from .data import (atomic_write, compute_label_stats, generate_synthetic, read_feature_file,
                    split_records, write_feature_file)
 from .model import load_checkpoint, read_checkpoint_manifest
 from .training import checkpoint_names, train
@@ -33,6 +33,10 @@ def _sha256_file(path):
     return h.hexdigest()
 
 
+def _write_json(path, obj):
+    atomic_write(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()])
+
+
 def _finish(manifest_path, config_path, seed, output_paths, message):
     """Write the manifest of a command's outputs, print its message, and return 0."""
     config_sha = _sha256_file(config_path) if config_path else ""
@@ -43,9 +47,7 @@ def _finish(manifest_path, config_path, seed, output_paths, message):
         "outputs": [{"path": os.path.basename(p), "sha256": _sha256_file(p)}
                     for p in sorted(output_paths)],
     }
-    with open(manifest_path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(manifest_path, manifest)
     print(message)
     return 0
 
@@ -118,7 +120,7 @@ def cmd_eval(args):
     os.makedirs(args.out, exist_ok=True)
     paths = [os.path.join(args.out, n) for n in
              ("report.json", "metrics.csv", "per_class_ap.csv")]
-    evaluation.write_report_json(report, paths[0])
+    _write_json(paths[0], report.to_dict())
     evaluation.write_csv(paths[1], ("metric", "value"), report.metric_rows())
     evaluation.write_csv(paths[2], ("class", "AP"), sorted(report.per_class_AP.items()))
     return _finish(os.path.join(args.out, "manifest.json"), args.config, model.seed, paths,

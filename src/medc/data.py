@@ -1,16 +1,16 @@
 """Synthetic long-tailed feature datasets, label statistics, and file I/O."""
 
+import json
+import math
+import os
 import struct
 import typing
 from dataclasses import dataclass, fields
+from itertools import chain, zip_longest
 
 import numpy as np
 
 from .seeding import derive_rng
-
-MAGIC = b"MEDC"
-FORMAT_VERSION = 1
-MAX_CLASSES = 1 << 20  # each record holds a dense row of C labels
 
 HEAD = "head"
 MEDIUM = "medium"
@@ -193,10 +193,12 @@ def split_records(records, test_fraction, seed):
             [records[i] for i in sorted(test_idx)])
 
 
-# -- binary feature file format ----------------------------------------------
-# little-endian: magic "MEDC", version u32, N u64, C u32, L u32, D u32;
-# per record: id_len u16 + UTF-8 id, n_labels u16 + n_labels x u32 indices,
-# L*D x f32 row-major features.
+# -- one container format for every binary file -------------------------------
+# An 8-byte magic, the manifest's length as a u64, a sorted-keys JSON manifest
+# holding `version` and `arrays` (each payload's name, shape and dtype, in file
+# order), then the payloads, little-endian and row-major. A feature file's
+# manifest adds `ids`, and its payloads are `features` (N, L, D) "<f4" and
+# `labels` (N, C) "|u1", one 0 or 1 byte per class.
 
 def record_shape(records):
     """(L, D, C) of the first record; ValueError names no records or the first of another shape."""
@@ -211,90 +213,162 @@ def record_shape(records):
     return L, D, C
 
 
-def write_feature_file(path, records):
-    L, D, C = record_shape(records) if records else (0, 0, 0)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<IQIII", FORMAT_VERSION, len(records), C, L, D))
-        for r in records:
-            idb = r.id.encode("utf-8")
-            f.write(struct.pack("<H", len(idb)))
-            f.write(idb)
-            pos = np.flatnonzero(r.labels).astype(np.uint32)
-            f.write(struct.pack("<H", pos.size))
-            f.write(pos.astype("<u4").tobytes())
-            f.write(r.features.astype("<f4").tobytes())
+def atomic_write(path, chunks):
+    """Write the byte strings `chunks` to a temporary file beside `path`, sync it and rename it
+    over `path`, so an interrupted write leaves the earlier file there and no temporary file."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class ByteReader:
-    """Bounds-checked reads from a blob; each failure raises `error` with the byte offset."""
+    """Bounds-checked views of a blob; each failure raises `error` with the byte offset."""
 
     def __init__(self, blob, error):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.offset = 0
         self.error = error
-
-    def _check(self, offset, n, what):
-        if n < 0:
-            raise self.error(f"negative length {n} for {what} at byte offset {offset}")
-        if offset + n > len(self.blob):
-            raise self.error(f"truncated file: needed {n} bytes for {what} "
-                             f"at byte offset {offset}")
 
     def require(self, parts):
         """Raise what reading each (n, what) of `parts` in turn would raise, reading nothing."""
         offset = self.offset
         for n, what in parts:
-            self._check(offset, n, what)
+            if n < 0:
+                raise self.error(f"negative length {n} for {what} at byte offset {offset}")
+            if offset + n > len(self.blob):
+                raise self.error(f"truncated file: needed {n} bytes for {what} "
+                                 f"at byte offset {offset}")
             offset += n
 
     def read(self, n, what):
-        self._check(self.offset, n, what)
-        out = self.blob[self.offset:self.offset + n]
+        self.require([(n, what)])
         self.offset += n
-        return out
+        return self.blob[self.offset - n:self.offset]
 
-    def unpack(self, fmt, what):
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
-    def finish(self):
-        """Reject any bytes after the last read."""
-        if self.offset != len(self.blob):
-            raise self.error(f"trailing garbage at byte offset {self.offset}")
+@dataclass(frozen=True)
+class Container:
+    """One use of the layout; `name` begins its messages, and `whose` arrays the list must fit."""
+    name: str
+    magic: bytes
+    versions: tuple
+    keys: tuple
+    error: type
+    whose: str
+
+    def write(self, path, manifest, arrays):
+        """Write `manifest` and each (name, shape, dtype, parts) payload atomically."""
+        listed = [{"name": name, "shape": list(shape), "dtype": dtype}
+                  for name, shape, dtype, _ in arrays]
+        blob = json.dumps(dict(manifest, arrays=listed), sort_keys=True).encode("utf-8")
+        atomic_write(path, chain(
+            [self.magic + struct.pack("<Q", len(blob)) + blob],
+            (np.asarray(part, dtype).tobytes() for _, _, dtype, parts in arrays for part in parts)))
+
+    def read_manifest(self, path):
+        """The manifest of the file at `path` and a reader at its first payload; bad magic, a cut
+        or undecodable manifest, a lacking key and another version raise the format's error."""
+        with open(path, "rb") as f:
+            reader = ByteReader(f.read(), self.error)
+        magic = reader.read(len(self.magic), "magic")
+        if magic != self.magic:
+            raise self.error(f"not a {self.name} file: bad magic {bytes(magic)!r} "
+                             f"at byte offset 0, expected {self.magic!r}")
+        (size,) = struct.unpack("<Q", reader.read(8, "manifest length"))
+        text = reader.read(size, "manifest")
+        try:
+            manifest = json.loads(str(text, "utf-8"))
+        except ValueError as e:  # bytes that are not UTF-8, or text that is not JSON
+            raise self.error(f"{self.name} manifest at byte offset {len(self.magic) + 8} "
+                             f"does not decode: {e}") from None
+        if not isinstance(manifest, dict):
+            raise self.error(f"{self.name} manifest is not a JSON object: {manifest!r:.40}")
+        missing = [k for k in self.keys if k not in manifest]
+        if missing:
+            raise self.error(f"{self.name} manifest lacks the key {missing[0]!r}")
+        if manifest["version"] not in self.versions:
+            raise self.error(f"unsupported {self.name} version {manifest['version']!r}; "
+                             f"this reader accepts versions {self.versions}")
+        if not isinstance(manifest["arrays"], list):
+            raise self.error(f"{self.name} 'arrays' is not a list: {manifest['arrays']!r:.40}")
+        return manifest, reader
+
+    def read_arrays(self, reader, listed, expected):
+        """Read-only views of the payloads once `listed` fits `expected`, each (name, shape,
+        dtype) with a str for any size; a caller copies what it keeps, to free the file's bytes."""
+        if len(listed) > len(expected):
+            raise self.error(f"{self.name} arrays entry {listed[len(expected)]!r} is beyond "
+                             f"the {len(expected)} arrays of the {self.whose}")
+        for (name, shape, dtype), meta in zip_longest(expected, listed):  # lacking: None
+            if not (isinstance(meta, dict) and meta.keys() == {"name", "shape", "dtype"}
+                    and meta["name"] == name and meta["dtype"] == dtype
+                    and isinstance(meta["shape"], list) and len(meta["shape"]) == len(shape)
+                    and all(type(n) is int and (n >= 0 if isinstance(want, str) else n == want)
+                            for n, want in zip(meta["shape"], shape))):
+                raise self.error(f"{self.name} arrays entry {meta!r} does not match the "
+                                 f"{self.whose}'s {name!r} of shape {list(shape)} and dtype "
+                                 f"{dtype!r}")
+        arrays = [(name, tuple(meta["shape"]), np.dtype(dtype))
+                  for (name, _, dtype), meta in zip(expected, listed)]
+        parts = [(dtype.itemsize * math.prod(shape), f"array {name!r}")
+                 for name, shape, dtype in arrays]
+        reader.require(parts)
+        values = []
+        for (name, shape, dtype), part in zip(arrays, parts):
+            a = np.frombuffer(reader.read(*part), dtype=dtype)
+            try:
+                a = a.reshape(shape)
+            except ValueError as e:  # two negative sizes, or sizes whose product overflows
+                raise self.error(f"{self.name} array {name!r} of shape {shape}: {e}") from None
+            if dtype.kind == "f" and not np.isfinite(a).all():
+                raise self.error(f"{self.name} array {name!r} holds a non-finite value")
+            values.append(a.astype(dtype.newbyteorder("="), copy=False))
+        if reader.offset != len(reader.blob):
+            raise self.error(f"trailing garbage at byte offset {reader.offset}")
+        return values
+
+
+FEATURE_FILE = Container(name="feature", magic=b"MEDCFEAT", versions=(2,),
+                         keys=("version", "ids", "arrays"), error=FeatureFileError, whose="file")
+
+
+def write_feature_file(path, records):
+    """Write `records` atomically, each payload streamed record by record; a label not 0 is 1."""
+    L, D, C = record_shape(records) if records else (0, 0, 0)
+    N = len(records)
+    FEATURE_FILE.write(path, {"version": FEATURE_FILE.versions[-1], "ids": [r.id for r in records]},
+                       [("features", (N, L, D), "<f4", (r.features for r in records)),
+                        ("labels", (N, C), "|u1", (r.labels != 0 for r in records))])
 
 
 def read_feature_file(path):
-    """The records of a feature file; malformed input raises FeatureFileError with the byte offset.
-
-    Each record's float32 features are a read-only view of the file's bytes, not a copy.
-    """
-    with open(path, "rb") as f:
-        blob = f.read()
-    r = ByteReader(blob, FeatureFileError)
-    magic = r.read(4, "magic")
-    if magic != MAGIC:
-        raise FeatureFileError(f"bad magic {magic!r} at byte offset 0, expected {MAGIC!r}")
-    version, n, C, L, D = r.unpack("<IQIII", "header")
-    if version != FORMAT_VERSION:
-        raise FeatureFileError(f"unsupported version {version} at byte offset 4")
-    if C > MAX_CLASSES:
-        raise FeatureFileError(f"class count C={C} at byte offset 16 exceeds {MAX_CLASSES}")
+    """The records of a feature file, each with its own copy of its features; a record that is
+    refused, such as one with a label byte not 0 or 1, is named by index and byte offset."""
+    manifest, reader = FEATURE_FILE.read_manifest(path)
+    ids = manifest["ids"]
+    if not isinstance(ids, list):
+        raise FeatureFileError(f"feature manifest 'ids' is not a list: {ids!r:.40}")
+    start = reader.offset
+    features, labels = FEATURE_FILE.read_arrays(reader, manifest["arrays"], [
+        ("features", (len(ids), "L", "D"), "<f4"), ("labels", (len(ids), "C"), "|u1")])
+    bad = np.flatnonzero(labels > 1)
+    if bad.size:
+        raise FeatureFileError(f"record {bad[0] // labels.shape[1]} at byte offset "
+                               f"{start + features.nbytes + bad[0]}: a label byte is not 0 or 1")
     records = []
-    for i in range(n):
-        start = r.offset
-        (id_len,) = r.unpack("<H", f"record {i} id length")
-        rid = r.read(id_len, f"record {i} id")
-        (n_labels,) = r.unpack("<H", f"record {i} label count")
-        idx = np.frombuffer(r.read(4 * n_labels, f"record {i} labels"), dtype="<u4")
-        if n_labels and idx.max() >= C:
-            raise FeatureFileError(f"record {i}: label index {idx.max()} out of range "
-                                   f"for C={C} at byte offset {r.offset}")
-        labels = np.zeros(C, dtype=np.uint8)
-        labels[idx.astype(np.int64)] = 1
-        feats = np.frombuffer(r.read(4 * L * D, f"record {i} features"), dtype="<f4")
+    for i, (rid, x, y) in enumerate(zip(ids, features, labels.copy())):
         try:
-            records.append(FeatureRecord(rid.decode("utf-8"), feats.reshape(L, D), labels))
-        except ValueError as e:  # an id that is not UTF-8, or a record FeatureRecord refuses
-            raise FeatureFileError(f"record {i} at byte offset {start}: {e}") from None
-    r.finish()
+            if not isinstance(rid, str):
+                raise ValueError(f"id {rid!r} is not a string")
+            records.append(FeatureRecord(rid, x.copy(), y))
+        except ValueError as e:  # an id or a record FeatureRecord refuses
+            raise FeatureFileError(f"record {i} at byte offset {start + i * x.nbytes}: {e}") from e
     return records

@@ -6,13 +6,13 @@ lambda sensitivity sweep.
 """
 
 import csv
-import json
+import io
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import HEAD, MEDIUM, TAIL, record_shape
+from .data import HEAD, MEDIUM, TAIL, atomic_write, record_shape
 from .model import forward_inference
 from .sampling import EXPERT_KINDS, INVERSE, LONG_TAILED, UNIFORM
 from .training import train
@@ -138,18 +138,11 @@ def evaluate(model, records, stats):
 
 # -- report serialization ------------------------------------------------------
 
-def write_report_json(report, path):
-    with open(path, "w") as f:
-        json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def write_csv(path, header, rows):
-    """One header line, then one line per row; a Python float is written as its repr."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
+    """One header line, then one line per row, atomically; a Python float is written as its repr."""
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    atomic_write(path, [text.getvalue().encode("utf-8")])
 
 
 # -- ablation and sweep harnesses ----------------------------------------------

@@ -24,28 +24,22 @@ differences need it. Every parameter is held at it, and the activations
 follow it. Gamma, the per-class variance targets, is float64 at either.
 """
 
-import json
-import math
-import os
-import struct
 from dataclasses import asdict, dataclass, fields
-from itertools import zip_longest
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter
-from .data import ByteReader, fits_type
+from .data import Container, fits_type
 from .sampling import EXPERT_KINDS
 from .seeding import derive_rng
 
 CHECKPOINT_MAGIC = b"MEDCCKP1"
 CHECKPOINT_VERSIONS = (6,)
 DTYPES = ("float32", "float64")
-# a checkpoint payload's dtype, by the array's dtype in memory and back
+# a checkpoint payload's dtype, by the array's dtype in memory
 _ON_DISK = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
-_IN_MEMORY = {"<f4": np.float32, "<f8": np.float64}
 
 
 @dataclass
@@ -255,32 +249,17 @@ def forward_inference(X, model):
 
 
 # -- checkpoints ---------------------------------------------------------------
-# single file: magic, u64 manifest length, JSON manifest, then little-endian
-# payloads, each listed by name, shape and dtype in the manifest's `arrays`:
-# every stored parameter under its name at the model's dtype, gamma as one
-# (E, C) "<f8" array, then each ndarray at the top level of `extra` under its
-# key, "<f4" if it is float32 and "<f8" otherwise.
+# data.py's container, whose manifest adds the model `config`, the `seed` and
+# `extra`, the run record's JSON values; the payloads are every stored
+# parameter, gamma, then each ndarray at the top level of `extra`.
 
-
-def _disk_dtype(a):
-    return _ON_DISK.get(a.dtype, "<f8")
-
-
-def _read_array(reader, shape, dtype, name):
-    """Payload `name` as a new native array of `dtype`; a NaN or an infinity raises ValueError."""
-    a = np.frombuffer(reader.read(np.dtype(dtype).itemsize * math.prod(shape), f"array {name!r}"),
-                      dtype=dtype).reshape(shape)
-    if not np.isfinite(a).all():
-        raise ValueError(f"checkpoint array {name!r} holds a non-finite value")
-    return a.astype(_IN_MEMORY[dtype])
+CHECKPOINT = Container(name="checkpoint", magic=CHECKPOINT_MAGIC, versions=CHECKPOINT_VERSIONS,
+                       keys=("version", "config", "seed", "arrays", "extra"), error=ValueError,
+                       whose="model")
 
 
 def save_checkpoint(path, model, extra=None):
-    """Write model and `extra`, atomically; an ndarray at the top level of `extra` goes as binary.
-
-    The file is written beside `path`, synced, and then renamed over it, so
-    an interrupted save leaves any earlier file at `path` as it was.
-    """
+    """Write model and `extra` atomically; an ndarray at the top level of `extra` goes as binary."""
     extra = extra if extra is not None else {}
     gamma = np.stack([model.heads[kind].gamma for kind in model.cfg.experts], dtype=np.float64)
     named = ([(p.name, p.data) for p in model.parameters()] + [("gamma", gamma)]
@@ -289,48 +268,13 @@ def save_checkpoint(path, model, extra=None):
         "version": CHECKPOINT_VERSIONS[-1],
         "config": model.cfg.to_dict(),
         "seed": model.seed,
-        "arrays": [{"name": name, "shape": list(a.shape), "dtype": _disk_dtype(a)}
-                   for name, a in named],
         "extra": {k: v for k, v in extra.items() if not isinstance(v, np.ndarray)},
     }
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob)
-            f.writelines(a.astype(_disk_dtype(a)).tobytes() for _, a in named)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    CHECKPOINT.write(path, manifest,
+                     [(name, a.shape, _ON_DISK.get(a.dtype, "<f8"), [a]) for name, a in named])
 
 
-def read_checkpoint_manifest(path):
-    """The JSON manifest of a checkpoint file and a reader at its first payload.
-
-    Bad magic, a truncated manifest, a manifest that is not a JSON object,
-    a lacking key or another version raise ValueError; the payloads are
-    not read.
-    """
-    with open(path, "rb") as f:
-        reader = ByteReader(f.read(), ValueError)
-    magic = reader.read(8, "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-    (mlen,) = reader.unpack("<Q", "manifest length")
-    manifest = json.loads(reader.read(mlen, "manifest").decode("utf-8"))
-    if not isinstance(manifest, dict):
-        raise ValueError(f"checkpoint manifest is not a JSON object: {manifest!r:.40}")
-    missing = [k for k in ("version", "config", "seed", "arrays", "extra") if k not in manifest]
-    if missing:
-        raise ValueError(f"checkpoint manifest lacks the key {missing[0]!r}")
-    if manifest["version"] not in CHECKPOINT_VERSIONS:
-        raise ValueError(f"unsupported checkpoint version {manifest['version']!r}; "
-                         f"this reader accepts versions {CHECKPOINT_VERSIONS}")
-    return manifest, reader
+read_checkpoint_manifest = CHECKPOINT.read_manifest
 
 
 def load_checkpoint(path):
@@ -338,15 +282,9 @@ def load_checkpoint(path):
 
     The model is built from the payloads, at the dtype its config names,
     with no random init; gamma is float64, and the arrays after it join
-    `extra` under their names at their own dtype. A truncated file, or
-    bytes after the last payload, raise ValueError with the byte offset. A
-    manifest of another version, or one that lacks a key, whose model
-    config has an unknown or missing field or one of the wrong JSON type,
-    whose array list does not fit the model (names, shapes and dtypes), or
-    that holds a NaN or an infinity, raises ValueError naming it. The array
-    list and the bytes its payloads need are checked before any payload is
-    read, so a damaged manifest cannot make the reader allocate what the
-    file does not hold.
+    `extra` under their names at their own dtype. A model config with an
+    unknown or missing field or one of the wrong JSON type raises ValueError
+    naming it, beside what `Container` refuses.
     """
     manifest, reader = read_checkpoint_manifest(path)
     try:
@@ -356,26 +294,17 @@ def load_checkpoint(path):
     listed, extra = manifest["arrays"], manifest["extra"]
     if not isinstance(extra, dict):
         raise ValueError(f"checkpoint 'extra' is not a JSON object: {extra!r:.40}")
-    if not isinstance(listed, list):
-        raise ValueError(f"checkpoint 'arrays' is not a list: {listed!r:.40}")
     held = _stored_arrays(cfg)
-    for (name, shape, dtype), meta in zip_longest(held, listed[:len(held)]):  # lacking: None
-        if meta != {"name": name, "shape": list(shape), "dtype": dtype}:
-            raise ValueError(f"checkpoint arrays entry {meta!r} does not match the model's "
-                             f"{name!r} of shape {list(shape)} and dtype {dtype!r}")
     for meta in listed[len(held):]:
         if not (isinstance(meta, dict) and isinstance(meta.get("name"), str)
-                and fits_type(meta.get("shape"), list[int]) and meta.get("dtype") in _IN_MEMORY):
+                and fits_type(meta.get("shape"), list[int])
+                and meta.get("dtype") in _ON_DISK.values()):
             raise ValueError(f"checkpoint arrays entry {meta!r} is not a name, a shape and "
-                             f"a dtype of {list(_IN_MEMORY)}")
-    arrays = [(meta["name"], tuple(meta["shape"]), meta["dtype"]) for meta in listed]
-    reader.require([(np.dtype(dtype).itemsize * math.prod(shape), f"array {name!r}")
-                    for name, shape, dtype in arrays])
-
-    values = [_read_array(reader, shape, dtype, name) for name, shape, dtype in arrays]
-    reader.finish()
+                             f"a dtype of {list(_ON_DISK.values())}")
+    expected = held + [(meta["name"], meta["shape"], meta["dtype"]) for meta in listed[len(held):]]
+    values = [a.copy() for a in CHECKPOINT.read_arrays(reader, listed, expected)]
     model = Model(cfg, seed=manifest["seed"], stored=values[:len(held) - 1])
     for kind, g in zip(cfg.experts, values[len(held) - 1]):
         model.heads[kind].gamma = g
-    extra.update((name, a) for (name, _, _), a in zip(arrays[len(held):], values[len(held):]))
+    extra.update((name, a) for (name, _, _), a in zip(expected[len(held):], values[len(held):]))
     return model, extra

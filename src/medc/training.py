@@ -87,14 +87,15 @@ class Adam:
         if not np.isfinite(g).all():
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise FloatingPointError(f"non-finite gradient in parameter {bad.name!r}")
-        self.t += 1
-        b1t = 1.0 - ADAM_BETA1 ** self.t
-        b2t = 1.0 - ADAM_BETA2 ** self.t
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = self.m / b1t
-        v_hat = self.v / b2t
-        update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        t = self.t + 1
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+            m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * g * g
+            update = lr * (m / (1.0 - ADAM_BETA1 ** t)) / (np.sqrt(v / (1.0 - ADAM_BETA2 ** t))
+                                                          + ADAM_EPS)
+        if not (np.isfinite(update).all() and np.isfinite(v).all()):
+            raise FloatingPointError(f"non-finite Adam update at step {t}, learning_rate={lr!r}")
+        self.t, self.m, self.v = t, m, v
         for p, lo, hi in zip(self.params, self.bounds[:-1], self.bounds[1:]):
             p.data -= update[lo:hi].reshape(p.data.shape)
 

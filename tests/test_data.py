@@ -1,12 +1,16 @@
+import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from medc.data import (HEAD, MAX_CLASSES, MEDIUM, TAIL, FeatureFileError, FeatureRecord,
+from medc.data import (HEAD, MEDIUM, TAIL, FeatureFileError, FeatureRecord,
                        SyntheticConfig, compute_label_stats, generate_synthetic,
                        read_feature_file, record_shape, split_records, write_feature_file,
                        zipf_counts)
+
+from test_model import rewrite_manifest  # feature files and checkpoints share the layout
 
 
 def small_cfg(**over):
@@ -132,12 +136,14 @@ def test_file_roundtrip_empty(tmp_path):
 
 
 def test_file_size_byte_accounting(tmp_path):
-    r = FeatureRecord("ab", np.zeros((2, 3)), [1, 0])
+    r = FeatureRecord("ab", np.arange(6).reshape(2, 3), [1, 0])
     path = tmp_path / "one.medc"
     write_feature_file(path, [r])
-    header = 4 + 4 + 8 + 4 + 4 + 4
-    record = (2 + 2) + (2 + 4) + 2 * 3 * 4
-    assert path.stat().st_size == header + record
+    manifest = json.dumps({"version": 2, "ids": ["ab"], "arrays": [
+        {"name": "features", "shape": [1, 2, 3], "dtype": "<f4"},
+        {"name": "labels", "shape": [1, 2], "dtype": "|u1"}]}, sort_keys=True).encode()
+    assert path.read_bytes() == (b"MEDCFEAT" + struct.pack("<Q", len(manifest)) + manifest
+                                 + np.arange(6, dtype="<f4").tobytes() + bytes([1, 0]))
 
 
 def test_file_roundtrip_generated_dataset(tmp_path):
@@ -171,46 +177,91 @@ def test_file_rejects_truncation(tmp_path):
 def test_file_rejects_version_mismatch(tmp_path):
     path = tmp_path / "ver.medc"
     write_feature_file(path, [])
-    blob = bytearray(path.read_bytes())
-    blob[4] = 99
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FeatureFileError, match="version"):
+    rewrite_manifest(path, lambda m: m.update(version=99))
+    with pytest.raises(FeatureFileError, match="version 99"):
         read_feature_file(path)
 
 
-def _patch_id(blob):
-    blob[30] = 0xFF
+def test_a_version_1_file_is_refused_by_its_magic(tmp_path):
+    # the version-1 layout: magic "MEDC", version u32, N u64, C u32, L u32, D u32, then per
+    # record a u16-prefixed id, u16-prefixed u32 label indices and the L x D f32 features
+    path = tmp_path / "v1.medc"
+    path.write_bytes(b"MEDC" + struct.pack("<IQIII", 1, 1, 2, 1, 2) + struct.pack("<H", 2) + b"ab"
+                     + struct.pack("<HI", 1, 0) + np.zeros(2, dtype="<f4").tobytes())
+    with pytest.raises(FeatureFileError, match="bad magic .* at byte offset 0"):
+        read_feature_file(path)
 
 
-def _patch_no_labels(blob):
-    blob[32:38] = b"\x00\x00"
+# one record "ab" of 1 x 2 features and labels [1, 0]; each patch returns what the refusal names
+def _patch_id(path):
+    rewrite_manifest(path, lambda m: m.update(ids=[5]))
+    (size,) = struct.unpack("<Q", path.read_bytes()[8:16])
+    return f"record 0 at byte offset {16 + size}: id 5 is not a string"
 
 
-def _patch_inf_feature(blob):
-    blob[38:42] = struct.pack("<f", float("inf"))
+def _patch_no_labels(path):
+    blob = bytearray(path.read_bytes())
+    blob[-2:] = b"\x00\x00"
+    path.write_bytes(bytes(blob))
+    return f"record 0 at byte offset {len(blob) - 10}: .*needs at least one positive label"
+
+
+def _patch_inf_feature(path):
+    blob = bytearray(path.read_bytes())
+    blob[-6:-2] = struct.pack("<f", float("inf"))
+    path.write_bytes(bytes(blob))
+    return "feature array 'features' holds a non-finite value"
 
 
 @pytest.mark.parametrize("patch", [_patch_id, _patch_no_labels, _patch_inf_feature],
-                         ids=["id-not-utf8", "no-labels", "non-finite-feature"])
+                         ids=["id-not-a-string", "no-labels", "non-finite-feature"])
 def test_file_rejects_bad_record_with_index_and_offset(tmp_path, patch):
-    # one record at byte 28: id_len, id "ab", n_labels, one label index, 1 x 2 f32 features
+    # the bad id and the record with no label are named by index and by the byte offset of the
+    # record's features; the reader of every container refuses a non-finite payload by name
     path = tmp_path / "one.medc"
     write_feature_file(path, [FeatureRecord("ab", np.zeros((1, 2)), [1, 0])])
-    blob = bytearray(path.read_bytes())
-    patch(blob)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FeatureFileError, match="record 0 at byte offset 28"):
+    read_feature_file(path)
+    named = patch(path)
+    with pytest.raises(FeatureFileError, match=named):
         read_feature_file(path)
+
+
+def test_file_rejects_a_label_byte_other_than_0_or_1(tmp_path):
+    path = tmp_path / "two.medc"
+    write_feature_file(path, [FeatureRecord("a", np.zeros((1, 2)), [1, 0]),
+                              FeatureRecord("b", np.zeros((1, 2)), [0, 1])])
+    blob = bytearray(path.read_bytes())
+    blob[-1] = 2
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FeatureFileError, match=f"record 1 at byte offset {len(blob) - 1}: "
+                                               "a label byte is not 0 or 1"):
+        read_feature_file(path)
+
+
+def _refused_before_allocating(path, change):
+    """The read of the file at path after change(manifest) raises FeatureFileError in under 5 MB."""
+    rewrite_manifest(path, change)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FeatureFileError, match="truncated file: needed .* at byte offset"):
+            read_feature_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
 
 
 def test_file_rejects_class_count_beyond_limit(tmp_path):
+    # the class count is a payload's shape, so the size check before allocation bounds it
     path = tmp_path / "wide.medc"
     write_feature_file(path, [FeatureRecord("ab", np.zeros((1, 2)), [1, 0])])
-    blob = bytearray(path.read_bytes())
-    blob[16:20] = struct.pack("<I", MAX_CLASSES + 1)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FeatureFileError, match="byte offset 16"):
-        read_feature_file(path)
+    _refused_before_allocating(path, lambda m: m["arrays"][1].update(shape=[1, 2**40]))
+
+
+def test_a_manifest_claiming_huge_features_is_refused_before_allocating(tmp_path):
+    path = tmp_path / "huge.medc"
+    write_feature_file(path, [FeatureRecord("ab", np.zeros((1, 2)), [1, 0])])
+    _refused_before_allocating(path, lambda m: m["arrays"][0].update(shape=[1, 2**20, 2**20]))
 
 
 def test_split_is_deterministic_and_stratified():

@@ -10,7 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from medc import autograd as ag
+from medc import cli
 from medc.autograd import Tensor
+from medc.data import FeatureRecord, write_feature_file
+from medc.evaluation import write_csv
 from medc.model import (CHECKPOINT_MAGIC, DTYPES, EXPERT_KINDS, Model, ModelConfig, _head_roles,
                         _hidden, _linear, classify, estimate_mean, estimate_variance,
                         forward_inference, load_checkpoint, read_checkpoint_manifest,
@@ -457,6 +460,27 @@ def test_an_interrupted_checkpoint_write_leaves_the_old_file(tmp_path, monkeypat
         monkeypatch.setattr(*patch)
     with pytest.raises(error):
         save_checkpoint(path, Model(tiny_cfg(), seed=14), extra)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+# every other artifact goes through the same atomic writer: a CSV, a feature file, and the
+# JSON of a report or a command manifest
+ARTIFACT_WRITERS = {
+    "csv": lambda path, n: write_csv(path, ("epoch", "value"), [(n, 0.5)]),
+    "feature-file": lambda path, n: write_feature_file(path, [FeatureRecord(f"r{n}", [[n]], [1])]),
+    "json": lambda path, n: cli._write_json(path, {"seed": n}),
+}
+
+
+@pytest.mark.parametrize("write", ARTIFACT_WRITERS.values(), ids=ARTIFACT_WRITERS)
+def test_an_interrupted_artifact_write_leaves_the_old_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "artifact"
+    write(path, 1)
+    before = path.read_bytes()
+    monkeypatch.setattr(os, "fsync", _raise)
+    with pytest.raises(OSError, match="disk full"):
+        write(path, 2)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 

@@ -45,6 +45,16 @@ def test_adam_first_step_moves_by_learning_rate():
     assert p.data == pytest.approx([1.0 - 1e-4, -2.0 + 1e-4])
 
 
+def test_an_overflowing_learning_rate_is_refused_before_a_checkpoint(tmp_path):
+    # at 1e300 the first update overflows float32: the step is refused, naming the setting,
+    # before any parameter or checkpoint takes an infinity
+    records, _ = generate_synthetic(SyntheticConfig(C=3, D=4, L=2, counts=[4, 3, 2]))
+    cfg = TrainConfig(learning_rate=1e300, epochs=1, batch_size=16, d_trunk=5, hidden=5, d=4)
+    with pytest.raises(FloatingPointError, match="learning_rate=1e"):
+        train(cfg, records, out_dir=tmp_path)
+    assert not (tmp_path / "checkpoint_final.bin").exists()
+
+
 def test_adam_zero_gradient_is_noop():
     p = Parameter(np.array([3.0]), "p")
     p.grad = np.zeros(1)
