@@ -22,7 +22,7 @@ for group in ("head", "medium", "tail"):
     classes = [c for c, g in enumerate(stats.groups) if g == group]
     print(f"  {group}: classes {classes}")
 
-multi = sum(1 for r in records if r.labels.sum() > 1)
+multi = int((records.labels.sum(axis=1) > 1).sum())
 print(f"{multi} records carry more than one label")
 
 path = "/tmp/medc_demo.medc"
@@ -33,7 +33,7 @@ print(f"wrote and re-read {path}: round trip exact")
 
 # within-class spread vs the prototype, for one head and one tail class
 for c in (0, 11):
-    feats = np.concatenate([r.features for r in records if r.labels[c]])
+    feats = records.features[records.labels[:, c] == 1].reshape(-1, cfg.D)
     dist = np.linalg.norm(feats.mean(axis=0) - prototypes[c])
     print(f"class {c:2d}: {int(stats.counts[c])} records, "
           f"mean-to-prototype distance {dist:.3f}")

@@ -11,7 +11,7 @@ distributions.
 __version__ = "0.1.0"
 
 from .autograd import Parameter, Tensor
-from .data import (FeatureRecord, LabelStats, SyntheticConfig,
+from .data import (Dataset, LabelStats, SyntheticConfig,
                    compute_label_stats, generate_synthetic, read_feature_file,
                    split_records, write_feature_file, zipf_counts)
 from .evaluation import MetricsReport, ablate, average_precision, evaluate, lambda_sweep

@@ -86,7 +86,7 @@ def cmd_gen_data(args):
 
 
 def _read_records(path):
-    """The records of the feature file at path; a file with no records is refused."""
+    """The Dataset of the feature file at path; a file with no records is refused."""
     records = read_feature_file(path)
     if not records:
         raise ValueError(f"data file {path} contains no records")
@@ -147,13 +147,14 @@ def _experiment(args, name, header, run):
     """Train and evaluate a grid on the config's split of --data, one CSV row per point.
 
     run(inputs) returns the rows, where inputs are the train config (with
-    the run's seed), the train records, the test records and the train
+    the run's seed), the train Dataset, the test Dataset and the train
     set's label stats.
     """
     cfg = load_config(args.config)
     seed = _resolve_seed(args, cfg)
-    records, tcfg = _read_records(args.data), cfg.train_config(seed=seed)
-    train_recs, test_recs = split_records(records, cfg.test_fraction, seed)
+    tcfg = cfg.train_config(seed=seed)
+    # no name keeps the file's Dataset, so the split's two copies are the only features held
+    train_recs, test_recs = split_records(_read_records(args.data), cfg.test_fraction, seed)
     stats = compute_label_stats(train_recs, cfg.head_threshold, cfg.medium_threshold)
     rows = run((tcfg, train_recs, test_recs, stats))
     os.makedirs(args.out, exist_ok=True)

@@ -1,12 +1,13 @@
 """Synthetic long-tailed feature datasets, label statistics, and file I/O."""
 
+import hashlib
 import json
 import math
 import os
 import struct
 import typing
 from dataclasses import dataclass, fields
-from itertools import chain, zip_longest
+from itertools import zip_longest
 
 import numpy as np
 
@@ -49,27 +50,58 @@ class FeatureFileError(ValueError):
     """Malformed feature file; message carries the byte offset."""
 
 
-@dataclass
-class FeatureRecord:
-    id: str
-    features: np.ndarray   # (L, D) float32, the feature file's precision
-    labels: np.ndarray     # (C,) binary
+class RecordError(ValueError):
+    """A Dataset's refusal of one record, the one at `index`."""
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float32)
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-        if self.features.ndim != 2 or self.features.shape[0] < 1 or self.features.shape[1] < 1:
-            raise ValueError(f"record {self.id}: features must be L x D with L,D >= 1, "
-                             f"got {self.features.shape}")
-        if not np.isfinite(self.features).all():
-            raise ValueError(f"record {self.id}: non-finite features")
-        if self.labels.sum() < 1:
-            raise ValueError(f"record {self.id}: needs at least one positive label")
+    def __init__(self, index, why):
+        super().__init__(f"record {index}: {why}")
+        self.index, self.why = index, why
+
+
+class Dataset:
+    """N videos as columns: `ids`, N strings; `features`, (N, L, D) float32, the feature file's
+    precision; `labels`, the (N, C) uint8 label matrix, 0 or 1 with a 1 in every row.
+
+    Indexing with a slice (which shares the arrays), an index array or a mask gives the Dataset
+    of those rows. Other shapes raise ValueError naming them, and the first record with an id
+    not a string, a non-finite feature, a label not 0 or 1 or no label raises RecordError.
+    """
+
+    def __init__(self, ids, features, labels):
+        features, labels = np.asarray(features, dtype=np.float32), np.asarray(labels)
+        if not (features.ndim == 3 and labels.ndim == 2 and len(ids) == len(features) == len(labels)
+                and min(features.shape[1:] + labels.shape[1:]) >= 1):
+            raise ValueError(f"a Dataset takes N ids, (N, L, D) features and (N, C) labels with "
+                             f"L, D, C >= 1, got {len(ids)} ids, features of shape "
+                             f"{features.shape} and labels of shape {labels.shape}")
+        for ok, why in (([isinstance(rid, str) for rid in ids], "id {!r} is not a string"),
+                        (np.isfinite(features).all(axis=(1, 2)), "a feature is not finite"),
+                        (((labels == 0) | (labels == 1)).all(axis=1), "a label is not 0 or 1"),
+                        (labels.any(axis=1), "needs at least one positive label")):
+            if not np.all(ok):
+                i = int(np.argmin(ok))
+                raise RecordError(i, why.format(ids[i]))
+        self.ids = np.asarray(ids, dtype=object)
+        self.features, self.labels = features, labels.astype(np.uint8, copy=False)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, rows):
+        return Dataset(self.ids[rows], self.features[rows], self.labels[rows])
 
     def __eq__(self, other):
-        return (self.id == other.id
+        return (isinstance(other, Dataset) and np.array_equal(self.ids, other.ids)
                 and np.array_equal(self.features, other.features)
                 and np.array_equal(self.labels, other.labels))
+
+    def sha256(self):
+        """Hex sha256 of the ids and the shapes (as JSON), then the features and the labels."""
+        h = hashlib.sha256(json.dumps([self.ids.tolist(), self.features.shape,
+                                       self.labels.shape]).encode())
+        for column in (self.features, self.labels):
+            h.update(np.ascontiguousarray(column))
+        return h.hexdigest()
 
 
 @dataclass
@@ -119,46 +151,42 @@ def generate_synthetic(cfg):
     independent per-frame jitter. Per-class RNG streams are derived from
     (seed, class index), so results are independent of generation order.
 
-    Returns (records, prototypes) with prototypes of shape (C, D).
+    Returns (Dataset, prototypes) with prototypes of shape (C, D).
     """
     proto_rng = derive_rng(cfg.seed, "prototypes")
     protos = proto_rng.standard_normal((cfg.C, cfg.D))
     protos *= (cfg.class_sep / np.sqrt(2.0)) / np.linalg.norm(protos, axis=1, keepdims=True)
 
-    records = []
-    for c in range(cfg.C):
+    ids = [f"c{c:04d}_r{j:06d}" for c, n in enumerate(cfg.counts) for j in range(n)]
+    features = np.empty((len(ids), cfg.L, cfg.D), dtype=np.float32)  # the file's precision
+    labels = np.zeros((len(ids), cfg.C), dtype=np.uint8)
+    for c, end in enumerate(np.cumsum(cfg.counts)):
         rng = derive_rng(cfg.seed, "class", c)
-        for j in range(cfg.counts[c]):
+        for i in range(end - cfg.counts[c], end):
             shift = rng.standard_normal(cfg.D) * cfg.noise
             jitter = rng.standard_normal((cfg.L, cfg.D)) * cfg.temporal_jitter
-            feats = protos[c] + shift + jitter
-            labels = np.zeros(cfg.C, dtype=np.uint8)
-            labels[c] = 1
+            features[i] = protos[c] + shift + jitter
+            labels[i, c] = 1
             if cfg.multilabel_prob > 0 and rng.random() < cfg.multilabel_prob:
                 extra = int(rng.integers(cfg.C - 1))
-                extra += extra >= c
-                labels[extra] = 1
-            # FeatureRecord rounds to float32, as the file holds them
-            records.append(FeatureRecord(f"c{c:04d}_r{j:06d}", feats, labels))
-    return records, protos
+                labels[i, extra + (extra >= c)] = 1
+    return Dataset(ids, features, labels), protos
 
 
-def compute_label_stats(records, head_threshold=HEAD_THRESHOLD,
+def compute_label_stats(dataset, head_threshold=HEAD_THRESHOLD,
                         medium_threshold=MEDIUM_THRESHOLD):
     """Per-class counts, label frequencies, and head/medium/tail groups.
 
     A class is head if count > head_threshold, medium if
     medium_threshold < count <= head_threshold, tail otherwise. Every
-    positive label occurrence contributes one count. No records, or records
-    of more than one shape, raise ValueError as in `record_shape`.
+    positive label occurrence contributes one count; no records raise ValueError.
     """
     if head_threshold <= medium_threshold or medium_threshold <= 0:
         raise ValueError(f"need head_threshold > medium_threshold > 0, "
                          f"got ({head_threshold}, {medium_threshold})")
-    _, _, C = record_shape(records)
-    counts = np.zeros(C, dtype=np.int64)
-    for r in records:
-        counts += r.labels
+    if not len(dataset):
+        raise ValueError("no records: label statistics need at least one record")
+    counts = dataset.labels.sum(axis=0, dtype=np.int64)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise ValueError(f"classes with zero positive labels: {empty.tolist()}")
@@ -168,8 +196,8 @@ def compute_label_stats(records, head_threshold=HEAD_THRESHOLD,
     return LabelStats(counts=counts, frequencies=freqs, groups=groups)
 
 
-def split_records(records, test_fraction, seed):
-    """Deterministic stratified train/test split.
+def split_records(dataset, test_fraction, seed):
+    """Deterministic stratified (train, test) split of a Dataset, each in the Dataset's order.
 
     Stratifies on each record's first positive label with one RNG stream
     per class; every class with >= 2 records keeps at least one record on
@@ -177,20 +205,15 @@ def split_records(records, test_fraction, seed):
     """
     if not 0 <= test_fraction < 1:
         raise ValueError(f"test_fraction must be in [0, 1), got {test_fraction}")
-    by_class = {}
-    for i, r in enumerate(records):
-        c = int(np.flatnonzero(r.labels)[0])
-        by_class.setdefault(c, []).append(i)
-    train_idx, test_idx = [], []
-    for c in sorted(by_class):
-        idx = np.asarray(by_class[c])
+    first = dataset.labels.argmax(axis=1)
+    test = np.zeros(len(dataset), dtype=bool)
+    for c in range(dataset.labels.shape[1]):
+        idx = np.flatnonzero(first == c)
         perm = derive_rng(seed, "split", c).permutation(idx.size)
         n_test = int(round(idx.size * test_fraction))
         n_test = min(max(n_test, 1), idx.size - 1) if idx.size >= 2 else 0
-        test_idx.extend(idx[perm[:n_test]].tolist())
-        train_idx.extend(idx[perm[n_test:]].tolist())
-    return ([records[i] for i in sorted(train_idx)],
-            [records[i] for i in sorted(test_idx)])
+        test[idx[perm[:n_test]]] = True
+    return dataset[~test], dataset[test]
 
 
 # -- one container format for every binary file -------------------------------
@@ -200,21 +223,8 @@ def split_records(records, test_fraction, seed):
 # manifest adds `ids`, and its payloads are `features` (N, L, D) "<f4" and
 # `labels` (N, C) "|u1", one 0 or 1 byte per class.
 
-def record_shape(records):
-    """(L, D, C) of the first record; ValueError names no records or the first of another shape."""
-    if not records:
-        raise ValueError("no records: a dataset shape needs at least one record")
-    L, D = records[0].features.shape
-    C = len(records[0].labels)
-    for r in records:
-        if len(r.labels) != C or r.features.shape != (L, D):
-            raise ValueError(f"record {r.id}: shape {r.features.shape}/C={len(r.labels)} "
-                             f"differs from dataset shape ({L},{D})/C={C}")
-    return L, D, C
-
-
 def atomic_write(path, chunks):
-    """Write the byte strings `chunks` to a temporary file beside `path`, sync it and rename it
+    """Write the bytes-like `chunks` to a temporary file beside `path`, sync it and rename it
     over `path`, so an interrupted write leaves the earlier file there and no temporary file."""
     tmp = os.fspath(path) + ".tmp"
     try:
@@ -265,13 +275,13 @@ class Container:
     whose: str
 
     def write(self, path, manifest, arrays):
-        """Write `manifest` and each (name, shape, dtype, parts) payload atomically."""
-        listed = [{"name": name, "shape": list(shape), "dtype": dtype}
-                  for name, shape, dtype, _ in arrays]
+        """Write `manifest` and each (name, dtype, array) payload atomically; an array that is
+        C-ordered at its dtype is written from its own memory, with no copy."""
+        arrays = [(name, dtype, np.require(a, dtype, "C")) for name, dtype, a in arrays]
+        listed = [{"name": n, "shape": list(a.shape), "dtype": dtype} for n, dtype, a in arrays]
         blob = json.dumps(dict(manifest, arrays=listed), sort_keys=True).encode("utf-8")
-        atomic_write(path, chain(
-            [self.magic + struct.pack("<Q", len(blob)) + blob],
-            (np.asarray(part, dtype).tobytes() for _, _, dtype, parts in arrays for part in parts)))
+        atomic_write(path, [self.magic + struct.pack("<Q", len(blob)) + blob]
+                     + [a for _, _, a in arrays])
 
     def read_manifest(self, path):
         """The manifest of the file at `path` and a reader at its first payload; bad magic, a cut
@@ -340,18 +350,15 @@ FEATURE_FILE = Container(name="feature", magic=b"MEDCFEAT", versions=(2,),
                          keys=("version", "ids", "arrays"), error=FeatureFileError, whose="file")
 
 
-def write_feature_file(path, records):
-    """Write `records` atomically, each payload streamed record by record; a label not 0 is 1."""
-    L, D, C = record_shape(records) if records else (0, 0, 0)
-    N = len(records)
-    FEATURE_FILE.write(path, {"version": FEATURE_FILE.versions[-1], "ids": [r.id for r in records]},
-                       [("features", (N, L, D), "<f4", (r.features for r in records)),
-                        ("labels", (N, C), "|u1", (r.labels != 0 for r in records))])
+def write_feature_file(path, dataset):
+    """Write a Dataset atomically, each column from its own memory when it is C-ordered."""
+    FEATURE_FILE.write(path, {"version": FEATURE_FILE.versions[-1], "ids": dataset.ids.tolist()},
+                       [("features", "<f4", dataset.features), ("labels", "|u1", dataset.labels)])
 
 
 def read_feature_file(path):
-    """The records of a feature file, each with its own copy of its features; a record that is
-    refused, such as one with a label byte not 0 or 1, is named by index and byte offset."""
+    """The Dataset of a feature file, whose columns are one aligned copy of the payloads; a record
+    the Dataset refuses, or a label byte not 0 or 1, is named by index and byte offset."""
     manifest, reader = FEATURE_FILE.read_manifest(path)
     ids = manifest["ids"]
     if not isinstance(ids, list):
@@ -363,12 +370,12 @@ def read_feature_file(path):
     if bad.size:
         raise FeatureFileError(f"record {bad[0] // labels.shape[1]} at byte offset "
                                f"{start + features.nbytes + bad[0]}: a label byte is not 0 or 1")
-    records = []
-    for i, (rid, x, y) in enumerate(zip(ids, features, labels.copy())):
-        try:
-            if not isinstance(rid, str):
-                raise ValueError(f"id {rid!r} is not a string")
-            records.append(FeatureRecord(rid, x.copy(), y))
-        except ValueError as e:  # an id or a record FeatureRecord refuses
-            raise FeatureFileError(f"record {i} at byte offset {start + i * x.nbytes}: {e}") from e
-    return records
+    try:  # checked before the copy is made, so the check's masks and the copy never coexist
+        dataset = Dataset(ids, features, labels)
+    except RecordError as e:
+        offset = start + e.index * features[0].nbytes
+        raise FeatureFileError(f"record {e.index} at byte offset {offset}: {e.why}") from e
+    except ValueError as e:  # a shape with L, D or C of 0
+        raise FeatureFileError(f"feature file: {e}") from e
+    dataset.features, dataset.labels = features.copy(), labels.copy()
+    return dataset

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import HEAD, MEDIUM, TAIL, atomic_write, record_shape
+from .data import HEAD, MEDIUM, TAIL, atomic_write
 from .model import forward_inference
 from .sampling import EXPERT_KINDS, INVERSE, LONG_TAILED, UNIFORM
 from .training import train
@@ -60,27 +60,21 @@ class MetricsReport:
         return d
 
 
-def score_records(model, records):
-    """Eval-mode averaged-expert scores of the records sorted by id, SCORE_CHUNK at a time.
-
-    The features are stacked at the model's dtype, and so are the scores.
-
-    No records, records of more than one shape, or records whose feature
-    dimension D or class count C is not the model's raise ValueError naming
-    the values.
-    """
-    recs = sorted(records, key=lambda r: r.id)
-    _, D, C = record_shape(recs)
+def score_records(model, dataset):
+    """(scores, labels) of a Dataset's records sorted by id: eval-mode averaged-expert scores
+    at the model's dtype, from SCORE_CHUNK rows gathered at a time, and their label rows. No
+    records, or records whose D or C is not the model's, raise ValueError naming the values."""
+    if not len(dataset):
+        raise ValueError("no records to score")
+    D, C = dataset.features.shape[2], dataset.labels.shape[1]
     if (D, C) != (model.cfg.D, model.cfg.C):
         raise ValueError(f"records of D={D}, C={C} do not fit the model's "
                          f"D={model.cfg.D}, C={model.cfg.C}")
-    feats = np.stack([r.features for r in recs], dtype=model.dtype)
-    labels = np.stack([r.labels for r in recs])
-    parts = []
-    for start in range(0, len(recs), SCORE_CHUNK):
-        p = forward_inference(feats[start:start + SCORE_CHUNK], model)
-        parts.append(p.data)
-    return np.concatenate(parts), labels
+    order = np.argsort(dataset.ids, kind="stable")
+    parts = [forward_inference(dataset.features[order[start:start + SCORE_CHUNK]]
+                               .astype(model.dtype, copy=False), model).data
+             for start in range(0, len(order), SCORE_CHUNK)]
+    return np.concatenate(parts), dataset.labels[order]
 
 
 def _group_mean(per_class, groups, tag):
@@ -130,9 +124,9 @@ def metrics_from_scores(scores, labels, groups):
         per_class_AP=per_class, skipped_classes=skipped)
 
 
-def evaluate(model, records, stats):
-    """MetricsReport for a test set under averaged-expert inference."""
-    scores, labels = score_records(model, records)
+def evaluate(model, dataset, stats):
+    """MetricsReport for a test Dataset under averaged-expert inference."""
+    scores, labels = score_records(model, dataset)
     return metrics_from_scores(scores, labels, stats.groups)
 
 

@@ -271,7 +271,7 @@ def save_checkpoint(path, model, extra=None):
         "extra": {k: v for k, v in extra.items() if not isinstance(v, np.ndarray)},
     }
     CHECKPOINT.write(path, manifest,
-                     [(name, a.shape, _ON_DISK.get(a.dtype, "<f8"), [a]) for name, a in named])
+                     [(name, _ON_DISK.get(a.dtype, "<f8"), a) for name, a in named])
 
 
 read_checkpoint_manifest = CHECKPOINT.read_manifest

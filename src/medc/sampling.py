@@ -40,12 +40,11 @@ def original_weights(n_records):
 
 
 def _per_record_from_class_weights(class_w, labels_per_record):
-    weights = np.empty(len(labels_per_record))
-    for i, labels in enumerate(labels_per_record):
-        pos = np.flatnonzero(labels)
-        weights[i] = class_w[pos].mean()
-    weights /= weights.sum()
-    return SamplerSpec(weights)
+    # cumsum adds a row's weights one at a time in class order, as np.mean sums fewer than 8
+    # values, so a record with fewer than 8 labels gets their mean to the last bit
+    labels = np.asarray(labels_per_record, dtype=bool)
+    weights = np.cumsum(labels * class_w, axis=1)[:, -1] / labels.sum(axis=1)
+    return SamplerSpec(weights / weights.sum())
 
 
 def uniform_class_weights(stats, labels_per_record):

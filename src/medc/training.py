@@ -18,7 +18,7 @@ import numpy as np
 
 from . import sampling
 from .data import (HEAD_THRESHOLD, MEDIUM_THRESHOLD, compute_label_stats, fits_type,
-                   record_shape, require_finite)
+                   require_finite)
 from .losses import (LossWeights, classification_loss, gamma_targets,
                      mean_contrastive_loss, total_loss, variance_region_loss)
 from .model import (Model, ModelConfig, classify, estimate_mean, estimate_variance,
@@ -155,30 +155,28 @@ def composed_objective(params, X, Y, eps, gamma, weights, temporal_attention):
     return total_loss(terms, weights), terms
 
 
-def train_epoch(model, feats, labels, samplers, cfg, epoch, adam):
-    """One pass of ceil(N/batch) steps; returns mean loss terms per expert.
+def train_epoch(model, dataset, samplers, cfg, epoch, adam):
+    """One pass of ceil(N/batch) steps over a Dataset; returns mean loss terms per expert.
 
-    `feats` is the list of the N records' (L, D) feature arrays and `labels`
-    their (N, C) label rows. Each step copies its drawn records' arrays into
-    one (E, B, L, D) batch buffer at the model's dtype, so no stack of the
-    whole dataset is made. eps is drawn at float64, as the RNG streams give
-    it, and meets sigma at the model's dtype.
+    Each step gathers its drawn rows of the features into one (E, B, L, D)
+    float32 batch buffer, the model's dtype in training. eps is drawn at
+    float64, as the RNG streams give it, and meets sigma at the model's dtype.
     """
     kinds = cfg.active_experts
-    steps = -(-len(feats) // cfg.batch_size)
+    steps = -(-len(dataset) // cfg.batch_size)
     sampler_rngs = [derive_rng(cfg.seed, "sampler", k, epoch) for k in kinds]
     eps_rngs = [derive_rng(cfg.seed, "eps", k, epoch) for k in kinds]
 
     params = {**model.trunk, **model.stacked_heads}
     gamma = np.stack([model.heads[kind].gamma for kind in kinds])
     sums = np.zeros((len(kinds), 3))
-    X = np.empty((len(kinds), cfg.batch_size) + feats[0].shape, dtype=model.dtype)
+    X = np.empty((len(kinds), cfg.batch_size) + dataset.features.shape[1:], dtype=np.float32)
     for _ in range(steps):
         idx = np.stack([sampling.sample_batch(samplers[k], cfg.batch_size, rng)
                         for k, rng in zip(kinds, sampler_rngs)])
-        np.concatenate([feats[i] for i in idx.ravel()], out=X.reshape(-1, X.shape[-1]))
+        np.take(dataset.features, idx, axis=0, out=X, mode="clip")  # each index is a row
         eps = np.stack([rng.standard_normal((cfg.batch_size, model.cfg.d)) for rng in eps_rngs])
-        loss, terms = composed_objective(params, X, labels[idx], eps, gamma,
+        loss, terms = composed_objective(params, X, dataset.labels[idx], eps, gamma,
                                          cfg.weights, model.cfg.temporal_attention)
         sums += np.stack([t.data for t in terms], axis=1)
         model.zero_grad()
@@ -195,12 +193,13 @@ TERM_NAMES = ("mean_contrastive", "classification", "variance_region")
 _NOT_RECORDED = ("epochs", "checkpoint_every", "head_threshold", "medium_threshold")
 
 
-def _run_record(cfg):
-    """The settings a resumed run must share with its checkpoint."""
+def _run_record(cfg, dataset):
+    """The settings and the training data a resumed run must share with its checkpoint."""
     record = asdict(cfg)  # the loss weights become a dict of their fields
     for key in _NOT_RECORDED:
         del record[key]
     record["active_experts"] = list(cfg.active_experts)
+    record["data_sha256"] = dataset.sha256()
     return record
 
 
@@ -214,14 +213,14 @@ def _refuse_other_settings(path, holder, saved, run):
                              f"{need}")
 
 
-def _resume_point(path, extra, cfg):
-    """(epoch, history) of the run record `extra`; ValueError names a key this run cannot take."""
+def _resume_point(path, extra, cfg, run):
+    """(epoch, history) of the run record `extra`; ValueError names a key `run` cannot take."""
     def refuse(why):
         raise ValueError(f"cannot resume from {path}: {why}")
 
     if not isinstance(extra.get("run"), dict):
         refuse("it has no 'run' record of the settings it was trained with")
-    _refuse_other_settings(path, "it was trained with", extra["run"], _run_record(cfg))
+    _refuse_other_settings(path, "it was trained with", extra["run"], run)
     epoch, history = extra.get("epoch"), extra.get("history")
     if type(epoch) is not int or epoch < 0:
         refuse(f"its 'epoch' must be an epoch count >= 0, got {epoch!r}")
@@ -248,34 +247,33 @@ def checkpoint_names(cfg, start_epoch):
     return due
 
 
-def train(cfg, records, out_dir=None, resume_from=None):
+def train(cfg, dataset, out_dir=None, resume_from=None):
     """Full training run; returns (model, loss_history).
 
     loss_history rows: (epoch, expert, term, value), three terms per active
     expert per epoch. Checkpoints land in out_dir every checkpoint_every
-    epochs plus a final one, with a record of cfg. A resume is refused,
-    naming the field, when the checkpoint's model or recorded cfg differs
+    epochs plus a final one, with a record of cfg and the Dataset's sha256,
+    hashed only by a run that writes or resumes checkpoints. A resume is refused,
+    naming the field, when the checkpoint's model, recorded cfg or data differs
     from this run's in anything but epochs, checkpoint_every and the
     head/medium thresholds, or records a setting this run does not have, or
     holds more epochs than this run's, or lacks a run-record or Adam key or
     holds a malformed one.
 
-    The features are read from the records' own arrays, batch by batch, so
-    the caller's records are the only copy of them. Records of more than one
-    shape raise ValueError naming the first that differs.
+    Batches are gathered from the Dataset's own features, so the caller's
+    Dataset is the only copy of them.
     """
-    _, D, C = record_shape(records)
-    stats = compute_label_stats(records, cfg.head_threshold, cfg.medium_threshold)
-    feats = [r.features for r in records]
-    labels = np.stack([r.labels for r in records])
-    samplers = build_samplers(labels, stats, cfg.active_experts)
+    stats = compute_label_stats(dataset, cfg.head_threshold, cfg.medium_threshold)
+    samplers = build_samplers(dataset.labels, stats, cfg.active_experts)
+    run = None if out_dir is None and resume_from is None else _run_record(cfg, dataset)
 
-    mcfg = ModelConfig(D=D, C=C, d_trunk=cfg.d_trunk, hidden=cfg.hidden, d=cfg.d,
-                       experts=cfg.active_experts, temporal_attention=cfg.temporal_attention)
+    mcfg = ModelConfig(D=dataset.features.shape[2], C=dataset.labels.shape[1], d_trunk=cfg.d_trunk,
+                       hidden=cfg.hidden, d=cfg.d, experts=cfg.active_experts,
+                       temporal_attention=cfg.temporal_attention)
     if resume_from is not None:
         model, extra = load_checkpoint(resume_from)
         _refuse_other_settings(resume_from, "its model has", model.cfg.to_dict(), mcfg.to_dict())
-        start_epoch, history = _resume_point(resume_from, extra, cfg)
+        start_epoch, history = _resume_point(resume_from, extra, cfg, run)
         adam = Adam(model.parameters())
         adam.load_state_dict(extra)
     else:
@@ -292,12 +290,11 @@ def train(cfg, records, out_dir=None, resume_from=None):
         if out_dir is None:
             return
         os.makedirs(out_dir, exist_ok=True)
-        extra = {"epoch": epoch, **adam.state_dict(), "history": history,
-                 "run": _run_record(cfg)}
+        extra = {"epoch": epoch, **adam.state_dict(), "history": history, "run": run}
         save_checkpoint(os.path.join(out_dir, due[epoch]), model, extra)
 
     for epoch in range(start_epoch, cfg.epochs):
-        means = train_epoch(model, feats, labels, samplers, cfg, epoch, adam)
+        means = train_epoch(model, dataset, samplers, cfg, epoch, adam)
         for kind in cfg.active_experts:
             for term, value in zip(TERM_NAMES, means[kind]):
                 history.append((epoch, kind, term, value))

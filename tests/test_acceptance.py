@@ -52,7 +52,7 @@ def test_criterion_2_sampler_fidelity(capsys):
     stats = stats_for(counts)
     labels = np.array(record_labels(counts))
     n = 100_000
-    spec = uniform_class_weights(stats, [r.labels for r in make_records(counts)])
+    spec = uniform_class_weights(stats, make_records(counts).labels)
     idx = sample_batch(spec, n, derive_rng(0, "acceptance", "uniform"))
     emp = labels[idx].mean(axis=0)
     bound = 3 * np.sqrt((1 / 3) * (2 / 3) / n)

@@ -50,6 +50,18 @@ def test_gen_data_writes_records_and_manifest(workspace):
     assert entry["sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
 
 
+def test_gen_data_writes_the_same_bytes_for_a_config_and_seed(tmp_path):
+    # the data section and seed of the CI run's inline config; the digest pins the
+    # generator's RNG draw order and the feature file's version-2 bytes
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"version": 1, "seed": 7,
+                               "data": {"C": 3, "D": 4, "L": 2, "counts": [14, 8, 4]}}))
+    data = tmp_path / "data.medc"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == (
+        "b7bdb06edcd4052b42d8c1bf77971687493bcb03c53ce9797b082da11e9f164b")
+
+
 def test_train_then_eval_end_to_end(workspace, capsys):
     tmp_path, cfg, data = workspace
     run_dir = tmp_path / "run"
@@ -129,7 +141,7 @@ def test_eval_rejects_feature_dim_mismatch(workspace, tmp_path, capsys):
 def test_an_empty_feature_file_is_refused(workspace, capsys, command):
     tmp_path, cfg, data = workspace
     empty = tmp_path / "empty.medc"
-    write_feature_file(empty, [])
+    write_feature_file(empty, read_feature_file(data)[:0])
     if command == "train":
         argv = ["train", "--config", str(cfg), "--data", str(empty), "--out", str(tmp_path / "r")]
     else:

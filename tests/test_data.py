@@ -5,12 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from medc.data import (HEAD, MEDIUM, TAIL, FeatureFileError, FeatureRecord,
+from medc.data import (HEAD, MEDIUM, TAIL, Dataset, FeatureFileError, RecordError,
                        SyntheticConfig, compute_label_stats, generate_synthetic,
-                       read_feature_file, record_shape, split_records, write_feature_file,
-                       zipf_counts)
+                       read_feature_file, split_records, write_feature_file, zipf_counts)
 
 from test_model import rewrite_manifest  # feature files and checkpoints share the layout
+from test_sampling import make_records
+
+
+def one_record():
+    """The Dataset of one record "ab" of 1 x 2 zero features and labels [1, 0]."""
+    return Dataset(["ab"], np.zeros((1, 1, 2)), [[1, 0]])
 
 
 def small_cfg(**over):
@@ -35,10 +40,8 @@ def test_zipf_counts_min_floor():
 def test_zero_noise_frames_equal_prototype():
     cfg = small_cfg(counts=[10, 10], C=2, noise=0.0, temporal_jitter=0.0)
     records, protos = generate_synthetic(cfg)
-    protos32 = protos.astype(np.float32).astype(np.float64)
-    for r in records:
-        c = int(np.flatnonzero(r.labels)[0])
-        assert np.array_equal(r.features, np.broadcast_to(protos32[c], (cfg.L, cfg.D)))
+    protos32 = protos.astype(np.float32)[records.labels.argmax(axis=1), None]
+    assert np.array_equal(records.features, np.broadcast_to(protos32, records.features.shape))
 
 
 def test_generation_deterministic():
@@ -55,7 +58,7 @@ def test_generation_rejects_single_class():
 def test_multilabel_prob_adds_second_labels():
     cfg = small_cfg(counts=[50, 50, 50], multilabel_prob=0.5)
     records, _ = generate_synthetic(cfg)
-    n_multi = sum(1 for r in records if r.labels.sum() == 2)
+    n_multi = int((records.labels.sum(axis=1) == 2).sum())
     assert 40 < n_multi < 110  # ~75 expected of 150
 
 
@@ -65,60 +68,100 @@ def test_within_class_std_matches_noise_model():
     records, _ = generate_synthetic(cfg)
     target = np.sqrt(0.3 ** 2 + 0.4 ** 2)
     for c in range(2):
-        frames = np.concatenate([r.features for r in records
-                                 if r.labels[c]], axis=0)
+        frames = records.features[records.labels[:, c] == 1].reshape(-1, cfg.D)
         stds = frames.std(axis=0, ddof=1)
         assert np.all(np.abs(stds - target) < 0.1 * target)
 
 
 def test_label_stats_frequencies():
-    records = []
-    for c, n in enumerate([500, 100, 10]):
-        for j in range(n):
-            labels = np.zeros(3)
-            labels[c] = 1
-            records.append(FeatureRecord(f"{c}-{j}", np.ones((1, 2)), labels))
-    stats = compute_label_stats(records)
+    stats = compute_label_stats(make_records([500, 100, 10]))
     assert stats.counts.tolist() == [500, 100, 10]
     assert stats.frequencies == pytest.approx([500 / 610, 100 / 610, 10 / 610])
     assert abs(stats.frequencies.sum() - 1.0) < 1e-12
 
 
 def test_label_stats_symmetric():
-    records = [FeatureRecord(str(i), np.ones((1, 2)), [1, 0]) for i in range(5)]
-    records += [FeatureRecord(str(5 + i), np.ones((1, 2)), [0, 1]) for i in range(5)]
-    stats = compute_label_stats(records, 4, 2)
+    stats = compute_label_stats(make_records([5, 5]), 4, 2)
     assert stats.frequencies == pytest.approx([0.5, 0.5])
 
 
 def test_group_assignment_default_thresholds():
-    records = []
-    for c, n in enumerate([600, 300, 50]):
-        for j in range(n):
-            labels = np.zeros(3)
-            labels[c] = 1
-            records.append(FeatureRecord(f"{c}-{j}", np.ones((1, 2)), labels))
-    stats = compute_label_stats(records, head_threshold=500, medium_threshold=100)
+    stats = compute_label_stats(make_records([600, 300, 50]), head_threshold=500,
+                                medium_threshold=100)
     assert stats.groups == [HEAD, MEDIUM, TAIL]
 
 
 def test_label_stats_rejects_empty_class():
-    records = [FeatureRecord("a", np.ones((1, 2)), [1, 0, 0])]
     with pytest.raises(ValueError, match=r"\[1, 2\]"):
-        compute_label_stats(records)
+        compute_label_stats(Dataset(["a"], np.ones((1, 1, 2)), [[1, 0, 0]]))
 
 
-@pytest.mark.parametrize("function", [compute_label_stats, record_shape])
+@pytest.mark.parametrize("function", [compute_label_stats])
 def test_no_records_are_refused_by_name(function):
     with pytest.raises(ValueError, match="no records"):
-        function([])
+        function(one_record()[:0])
 
 
-def test_label_stats_refuse_a_record_of_another_class_count_by_id():
-    records = [FeatureRecord("a", np.ones((1, 2)), [1, 0, 1]),
-               FeatureRecord("b", np.ones((1, 2)), [1, 1, 0, 1])]
-    with pytest.raises(ValueError, match="record b: shape"):
-        compute_label_stats(records)
+# two records of 1 x 2 features and 2 classes; each case replaces one column
+COLUMNS = dict(ids=["a", "b"], features=np.zeros((2, 1, 2)), labels=[[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("column,value,named", [
+    ("features", np.zeros((2, 2)), r"features of shape \(2, 2\)"),
+    ("features", np.zeros((2, 0, 2)), r"features of shape \(2, 0, 2\)"),
+    ("labels", [[1, 0]], r"labels of shape \(1, 2\)"),
+    ("labels", np.zeros((2, 0)), r"labels of shape \(2, 0\)"),
+    ("ids", ["a"], "got 1 ids"),
+    ("ids", ["a", 5], "record 1: id 5 is not a string"),
+    ("features", [[[0, 0]], [[0, np.nan]]], "record 1: a feature is not finite"),
+    ("features", [[[np.inf, 0]], [[0, 0]]], "record 0: a feature is not finite"),
+    ("labels", [[1, 0], [0, 2]], "record 1: a label is not 0 or 1"),
+    ("labels", [[0.5, 1], [0, 1]], "record 0: a label is not 0 or 1"),
+    ("labels", [[1, 0], [0, 0]], "record 1: needs at least one positive label"),
+], ids=["features-2d", "no-frames", "labels-of-other-N", "no-classes", "ids-of-other-N",
+        "id-not-a-string", "nan-feature", "inf-feature", "label-2", "label-0.5", "no-label"])
+def test_a_dataset_refuses_columns_that_are_not_one_by_name(column, value, named):
+    with pytest.raises(RecordError if "record" in named else ValueError, match=named):
+        Dataset(**{**COLUMNS, column: value})
+
+
+def test_a_dataset_holds_its_columns_as_given():
+    records = Dataset(**COLUMNS)
+    assert records.ids.tolist() == ["a", "b"]
+    assert (records.features.dtype, records.labels.dtype) == (np.float32, np.uint8)
+    assert records.labels.tolist() == [[1, 0], [0, 1]]
+
+
+def test_a_slice_shares_the_columns_and_an_index_array_picks_rows():
+    records, _ = generate_synthetic(small_cfg())
+    view = records[::2]
+    assert len(view) == 6 and np.shares_memory(view.features, records.features)
+    assert view.ids.tolist() == records.ids.tolist()[::2]
+    picked = records[np.array([3, 0])]
+    assert picked.ids.tolist() == [records.ids[3], records.ids[0]]
+    assert np.array_equal(picked.features, records.features[[3, 0]])
+    assert np.array_equal(picked.labels, records.labels[[3, 0]])
+
+
+def test_equality_is_one_bool_over_all_three_columns():
+    records, _ = generate_synthetic(small_cfg())
+    assert (records == records[:]) is True
+    assert (records == records[:-1]) is False
+    assert (records == records.features) is False
+    other = records[:]
+    other.ids = other.ids.copy()
+    other.ids[0] = "x"
+    assert (records == other) is False
+
+
+def test_the_sha256_changes_with_any_column():
+    records, _ = generate_synthetic(small_cfg())
+    digest = records.sha256()
+    assert generate_synthetic(small_cfg())[0].sha256() == digest
+    assert records[::-1].sha256() != digest  # the same rows in another order
+    assert generate_synthetic(small_cfg(seed=6))[0].sha256() != digest
+    relabelled = Dataset(records.ids, records.features, records.labels[:, ::-1])
+    assert relabelled.sha256() != digest
 
 
 def test_label_stats_permutation_invariant():
@@ -131,14 +174,14 @@ def test_label_stats_permutation_invariant():
 
 def test_file_roundtrip_empty(tmp_path):
     path = tmp_path / "empty.medc"
-    write_feature_file(path, [])
-    assert read_feature_file(path) == []
+    empty = one_record()[:0]
+    write_feature_file(path, empty)
+    assert read_feature_file(path) == empty
 
 
 def test_file_size_byte_accounting(tmp_path):
-    r = FeatureRecord("ab", np.arange(6).reshape(2, 3), [1, 0])
     path = tmp_path / "one.medc"
-    write_feature_file(path, [r])
+    write_feature_file(path, Dataset(["ab"], np.arange(6).reshape(1, 2, 3), [[1, 0]]))
     manifest = json.dumps({"version": 2, "ids": ["ab"], "arrays": [
         {"name": "features", "shape": [1, 2, 3], "dtype": "<f4"},
         {"name": "labels", "shape": [1, 2], "dtype": "|u1"}]}, sort_keys=True).encode()
@@ -176,7 +219,7 @@ def test_file_rejects_truncation(tmp_path):
 
 def test_file_rejects_version_mismatch(tmp_path):
     path = tmp_path / "ver.medc"
-    write_feature_file(path, [])
+    write_feature_file(path, one_record()[:0])
     rewrite_manifest(path, lambda m: m.update(version=99))
     with pytest.raises(FeatureFileError, match="version 99"):
         read_feature_file(path)
@@ -219,7 +262,7 @@ def test_file_rejects_bad_record_with_index_and_offset(tmp_path, patch):
     # the bad id and the record with no label are named by index and by the byte offset of the
     # record's features; the reader of every container refuses a non-finite payload by name
     path = tmp_path / "one.medc"
-    write_feature_file(path, [FeatureRecord("ab", np.zeros((1, 2)), [1, 0])])
+    write_feature_file(path, one_record())
     read_feature_file(path)
     named = patch(path)
     with pytest.raises(FeatureFileError, match=named):
@@ -228,8 +271,7 @@ def test_file_rejects_bad_record_with_index_and_offset(tmp_path, patch):
 
 def test_file_rejects_a_label_byte_other_than_0_or_1(tmp_path):
     path = tmp_path / "two.medc"
-    write_feature_file(path, [FeatureRecord("a", np.zeros((1, 2)), [1, 0]),
-                              FeatureRecord("b", np.zeros((1, 2)), [0, 1])])
+    write_feature_file(path, Dataset(["a", "b"], np.zeros((2, 1, 2)), [[1, 0], [0, 1]]))
     blob = bytearray(path.read_bytes())
     blob[-1] = 2
     path.write_bytes(bytes(blob))
@@ -254,13 +296,13 @@ def _refused_before_allocating(path, change):
 def test_file_rejects_class_count_beyond_limit(tmp_path):
     # the class count is a payload's shape, so the size check before allocation bounds it
     path = tmp_path / "wide.medc"
-    write_feature_file(path, [FeatureRecord("ab", np.zeros((1, 2)), [1, 0])])
+    write_feature_file(path, one_record())
     _refused_before_allocating(path, lambda m: m["arrays"][1].update(shape=[1, 2**40]))
 
 
 def test_a_manifest_claiming_huge_features_is_refused_before_allocating(tmp_path):
     path = tmp_path / "huge.medc"
-    write_feature_file(path, [FeatureRecord("ab", np.zeros((1, 2)), [1, 0])])
+    write_feature_file(path, one_record())
     _refused_before_allocating(path, lambda m: m["arrays"][0].update(shape=[1, 2**20, 2**20]))
 
 
@@ -270,6 +312,23 @@ def test_split_is_deterministic_and_stratified():
     tr2, te2 = split_records(records, 0.25, seed=3)
     assert tr1 == tr2 and te1 == te2
     assert len(tr1) + len(te1) == len(records)
-    te_counts = np.sum([r.labels for r in te1], axis=0)
-    tr_counts = np.sum([r.labels for r in tr1], axis=0)
+    te_counts, tr_counts = te1.labels.sum(axis=0), tr1.labels.sum(axis=0)
     assert (te_counts >= 1).all() and (tr_counts >= 1).all()
+
+
+def test_split_gives_two_datasets_of_every_record_in_file_order():
+    records, _ = generate_synthetic(small_cfg(counts=[20, 8, 4], multilabel_prob=0.5))
+    train, test = split_records(records, 0.25, seed=3)
+    assert isinstance(train, Dataset) and isinstance(test, Dataset)
+    assert sorted(train.ids.tolist() + test.ids.tolist()) == records.ids.tolist()
+    for part in (train, test):
+        rows = np.flatnonzero(np.isin(records.ids, part.ids))
+        assert part == records[rows]
+
+
+def test_a_file_whose_manifest_claims_no_classes_is_refused_by_the_format(tmp_path):
+    path = tmp_path / "none.medc"
+    write_feature_file(path, one_record()[:0])
+    rewrite_manifest(path, lambda m: m["arrays"][1].update(shape=[0, 0]))
+    with pytest.raises(FeatureFileError, match=r"labels of shape \(0, 0\)"):
+        read_feature_file(path)

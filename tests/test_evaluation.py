@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from medc.data import (HEAD, MEDIUM, TAIL, FeatureRecord, SyntheticConfig,
+from medc.data import (HEAD, MEDIUM, TAIL, SyntheticConfig,
                        compute_label_stats, generate_synthetic, split_records)
 from medc.evaluation import (METRIC_COLUMNS, ablate, average_precision, evaluate,
                              lambda_sweep, metrics_from_scores, score_records, write_csv)
@@ -190,9 +190,9 @@ def test_score_records_invariant_to_input_order():
 
 
 def test_evaluate_rejects_empty_test_set():
-    _, stats, model = tiny_setup()
+    records, stats, model = tiny_setup()
     with pytest.raises(ValueError):
-        evaluate(model, [], stats)
+        evaluate(model, records[:0], stats)
 
 
 @pytest.mark.parametrize("data,named", [
@@ -208,17 +208,9 @@ def test_score_records_refuses_records_of_another_model_by_both_values(data, nam
 
 
 def test_score_records_refuses_no_records():
-    _, _, model = tiny_setup()
+    records, _, model = tiny_setup()
     with pytest.raises(ValueError, match="no records"):
-        score_records(model, [])
-
-
-def test_evaluate_refuses_a_ragged_record_by_id():
-    records, stats, model = tiny_setup()
-    odd = records[7]
-    records[7] = FeatureRecord(odd.id, np.ones((3, 4)), odd.labels)
-    with pytest.raises(ValueError, match=f"record {odd.id}: shape"):
-        evaluate(model, records, stats)
+        score_records(model, records[:0])
 
 
 def test_metrics_csv_is_byte_deterministic(tmp_path):

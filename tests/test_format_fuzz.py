@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medc.data import FeatureFileError, FeatureRecord, read_feature_file, write_feature_file
+from medc.data import Dataset, FeatureFileError, read_feature_file, write_feature_file
 from medc.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 
 MAX_EXAMPLES = 500
 
 
 def _feature_file(path):
-    write_feature_file(path, [FeatureRecord("a", [[0.5, -1.0]], [1, 0, 0]),
-                              FeatureRecord("bc", [[2.0, 0.25]], [0, 1, 1])])
+    write_feature_file(path, Dataset(["a", "bc"], [[[0.5, -1.0]], [[2.0, 0.25]]],
+                                     [[1, 0, 0], [0, 1, 1]]))
 
 
 def _checkpoint(path):

@@ -5,22 +5,13 @@ from hypothesis import strategies as st
 
 from medc import autograd as ag
 from medc.autograd import Parameter, Tensor
-from medc.data import FeatureRecord, compute_label_stats
 from medc.losses import (LossWeights, classification_loss, gamma_targets,
                          mean_contrastive_loss, total_loss,
                          variance_region_loss)
 from medc.sampling import INVERSE, LONG_TAILED, UNIFORM
 from medc.verify import gradient_check
 
-
-def stats_for(counts):
-    records = []
-    for c, n in enumerate(counts):
-        for j in range(n):
-            labels = np.zeros(len(counts))
-            labels[c] = 1
-            records.append(FeatureRecord(f"{c}-{j}", np.ones((1, 2)), labels))
-    return compute_label_stats(records, 5000, 50)
+from test_sampling import stats_for
 
 
 # -- variance targets ----------------------------------------------------------

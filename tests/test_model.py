@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from medc import autograd as ag
 from medc import cli
 from medc.autograd import Tensor
-from medc.data import FeatureRecord, write_feature_file
+from medc.data import Dataset, write_feature_file
 from medc.evaluation import write_csv
 from medc.model import (CHECKPOINT_MAGIC, DTYPES, EXPERT_KINDS, Model, ModelConfig, _head_roles,
                         _hidden, _linear, classify, estimate_mean, estimate_variance,
@@ -468,7 +468,7 @@ def test_an_interrupted_checkpoint_write_leaves_the_old_file(tmp_path, monkeypat
 # JSON of a report or a command manifest
 ARTIFACT_WRITERS = {
     "csv": lambda path, n: write_csv(path, ("epoch", "value"), [(n, 0.5)]),
-    "feature-file": lambda path, n: write_feature_file(path, [FeatureRecord(f"r{n}", [[n]], [1])]),
+    "feature-file": lambda path, n: write_feature_file(path, Dataset([f"r{n}"], [[[n]]], [[1]])),
     "json": lambda path, n: cli._write_json(path, {"seed": n}),
 }
 

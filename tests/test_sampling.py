@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from medc.data import FeatureRecord, compute_label_stats
+from medc.data import Dataset, compute_label_stats
 from medc.sampling import (SamplerSpec, inverse_class_weights, original_weights,
                            reversed_frequencies, sample_batch,
                            uniform_class_weights)
@@ -9,14 +9,9 @@ from medc.seeding import derive_rng
 
 
 def make_records(counts):
-    records = []
-    C = len(counts)
-    for c, n in enumerate(counts):
-        for j in range(n):
-            labels = np.zeros(C)
-            labels[c] = 1
-            records.append(FeatureRecord(f"{c}-{j}", np.ones((1, 2)), labels))
-    return records
+    """A Dataset of counts[c] records of class c alone, each with 1 x 2 features of ones."""
+    return Dataset([f"{c}-{j}" for c, n in enumerate(counts) for j in range(n)],
+                   np.ones((sum(counts), 1, 2)), np.repeat(np.eye(len(counts)), counts, axis=0))
 
 
 def stats_for(counts):
@@ -24,7 +19,7 @@ def stats_for(counts):
 
 
 def record_labels(counts):
-    return [r.labels for r in make_records(counts)]
+    return make_records(counts).labels
 
 
 def test_original_weights_uniform_per_record():
@@ -66,6 +61,22 @@ def test_uniform_expected_class_frequency():
     labels = np.array(record_labels(counts))
     class_prob = spec.per_sample_weights @ labels
     assert class_prob == pytest.approx([1 / 3] * 3)
+
+
+@pytest.mark.parametrize("builder", [uniform_class_weights, inverse_class_weights])
+def test_a_multilabel_records_weight_is_the_mean_over_its_labels(builder):
+    # the per-record loop as the reference: up to 7 labels a record, over 12 classes, where
+    # the running sum adds the weights in the order the mean of the gathered weights does
+    rng = derive_rng(4, "multilabel")
+    labels = np.zeros((40, 12), dtype=np.uint8)
+    for row in labels:
+        row[rng.choice(12, rng.integers(1, 8), replace=False)] = 1
+    stats = compute_label_stats(Dataset([str(i) for i in range(40)], np.ones((40, 1, 2)), labels),
+                                5000, 50)
+    class_w = (reversed_frequencies(stats.frequencies) if builder is inverse_class_weights
+               else 1.0 / len(stats.counts)) / stats.counts
+    loop = np.array([class_w[np.flatnonzero(row)].mean() for row in labels])
+    assert builder(stats, labels).per_sample_weights.tobytes() == (loop / loop.sum()).tobytes()
 
 
 def test_reversed_frequencies_hand_case():

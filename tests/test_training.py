@@ -7,7 +7,7 @@ import pytest
 from medc import autograd as ag
 from medc import training, verify
 from medc.autograd import Parameter, Tensor
-from medc.data import FeatureRecord, SyntheticConfig, generate_synthetic
+from medc.data import Dataset, SyntheticConfig, generate_synthetic
 from medc.losses import (LossWeights, classification_loss, mean_contrastive_loss,
                          total_loss, variance_region_loss)
 from medc.model import (EXPERT_KINDS, Model, ModelConfig, _head_roles, forward_inference,
@@ -175,19 +175,9 @@ def test_history_shape_and_terms():
     assert all(np.isfinite(v) for (_, _, _, v) in history)
 
 
-@pytest.mark.parametrize("features,labels", [((4, 5), 3), ((3, 6), 3), ((3, 5), 4)],
-                         ids=["frames", "features", "classes"])
-def test_train_refuses_a_ragged_record_by_id(features, labels):
-    records = small_dataset()
-    odd = records[17]
-    records[17] = FeatureRecord(odd.id, np.ones(features), np.eye(labels)[0])
-    with pytest.raises(ValueError, match=f"record {odd.id}: shape"):
-        train(small_train_cfg(epochs=1), records)
-
-
 def test_train_refuses_no_records():
     with pytest.raises(ValueError, match="no records"):
-        train(small_train_cfg(epochs=1), [])
+        train(small_train_cfg(epochs=1), small_dataset()[:0])
 
 
 def _traced_peak_of_one_epoch(records):
@@ -207,7 +197,7 @@ def test_train_holds_no_second_copy_of_the_features():
         return generate_synthetic(cfg)[0]
 
     small, large = records(8), records(32)
-    added = sum(r.features.nbytes for r in large) - sum(r.features.nbytes for r in small)
+    added = large.features.nbytes - small.features.nbytes
     _traced_peak_of_one_epoch(small)  # the first train() in a process allocates once for good
     growth = _traced_peak_of_one_epoch(large) - _traced_peak_of_one_epoch(small)
     assert growth < added / 4, (growth, added)
@@ -268,6 +258,26 @@ def test_resume_refuses_data_of_another_shape(tmp_path):
     with pytest.raises(ValueError, match="C=4"):
         train(small_train_cfg(epochs=2), small_dataset(counts=(12, 8, 4, 4)),
               resume_from=str(tmp_path / "checkpoint_final.bin"))
+
+
+def test_resume_refuses_other_data_of_the_same_shape(tmp_path):
+    # two draws of one synthetic config: the same shapes, ids and labels, other features
+    train(small_train_cfg(epochs=1), small_dataset(seed=0), out_dir=str(tmp_path))
+    path = tmp_path / "checkpoint_final.bin"
+    run = load_checkpoint(path)[1]["run"]
+    assert run["data_sha256"] == small_dataset(seed=0).sha256() != small_dataset(seed=1).sha256()
+    with pytest.raises(ValueError, match=f"data_sha256='{run['data_sha256']}', this run needs "
+                                         "data_sha256='"):
+        train(small_train_cfg(epochs=2), small_dataset(seed=1), resume_from=str(path))
+    train(small_train_cfg(epochs=2), small_dataset(seed=0), resume_from=str(path))
+
+
+def test_a_run_that_writes_and_resumes_no_checkpoint_hashes_no_data(monkeypatch):
+    def refuse(dataset):
+        raise AssertionError("hashed the data")
+
+    monkeypatch.setattr(Dataset, "sha256", refuse)
+    train(small_train_cfg(epochs=1), small_dataset())
 
 
 def test_resume_refuses_a_checkpoint_past_the_runs_end(tmp_path):
@@ -388,7 +398,7 @@ def test_final_checkpoint_reproduces_model(tmp_path):
     model, _ = train(small_train_cfg(epochs=2), records, out_dir=str(tmp_path))
     loaded, extra = load_checkpoint(tmp_path / "checkpoint_final.bin")
     assert extra["epoch"] == 2
-    X = np.stack([r.features for r in records[:4]])
+    X = records.features[:4]
     np.testing.assert_array_equal(forward_inference(X, model).data,
                                   forward_inference(X, loaded).data)
 
@@ -535,6 +545,6 @@ def test_a_float32_training_step_is_float32_on_the_whole_tape(monkeypatch):
                     "grad": {np.dtype(np.float32)}}
     for p in model.parameters():
         assert (p.data.dtype, p.grad.dtype) == (np.float32, np.float32), p.name
-    X = np.stack([r.features for r in records[:4]])
+    X = records.features[:4]
     assert forward_inference(X, model).data.dtype == np.float32
     assert forward_inference(X.astype(np.float64), model).data.dtype == np.float32
