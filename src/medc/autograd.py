@@ -5,12 +5,18 @@ graph on the fly. A tensor keeps the dtype of the float array it is given, and
 a constant that meets a tensor in an op takes the tensor's dtype, so a
 float32 graph stays float32 and a float64 graph (the gradient checks') stays
 float64.
-Calling ``backward()`` on a scalar output accumulates gradients into every
-reachable tensor with ``requires_grad=True``; inside ``with no_tape():`` ops
-record no graph. Only the ops needed by the
-model live here; everything is deterministic and single threaded.
+Every tensor is stamped with its place in the order tensors were made, and
+an op makes its output after its inputs, so that order is already a
+topological order of the graph. Calling ``backward()`` on a scalar output
+runs the reachable nodes in reverse creation order and accumulates
+gradients into every one with ``requires_grad=True``, whose zero ``grad``
+is allocated when it is made; inside ``with no_tape():`` ops record no
+graph. Only the ops needed by the model live here; everything is
+deterministic and single threaded.
 """
 
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +24,10 @@ import numpy as np
 
 class ShapeError(ValueError):
     pass
+
+
+# the creation order of every Tensor: an op's output is stamped after its inputs
+_stamps = itertools.count()
 
 
 def _unbroadcast(grad, shape):
@@ -31,7 +41,7 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_stamp")
 
     def __init__(self, data, requires_grad=False):
         if type(data) is not np.ndarray or data.dtype.kind != "f":
@@ -40,9 +50,10 @@ class Tensor:
                 data = data.astype(np.float64)
         self.data = data
         self.requires_grad = requires_grad
-        self.grad = None
+        self.grad = np.zeros_like(data) if requires_grad else None
         self._parents = ()
         self._backward = None
+        self._stamp = next(_stamps)
 
     @property
     def shape(self):
@@ -63,40 +74,26 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
-        """Zero the gradient in place, allocating it on first use."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
+        """Zero the gradient in place."""
+        self.grad.fill(0.0)
 
     def backward(self):
+        """Accumulate d(self)/d(node) into the grad of every node with requires_grad.
+
+        A node's stamp is its place in the creation order, and an op makes
+        its output after its inputs, so every consumer of a node is newer
+        than the node. The pending nodes run from a heap, newest first: when
+        a node runs, every consumer that gives it a gradient has run.
+        """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output, got shape "
                              f"{self.data.shape}")
-        topo = []
-        visited = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-
         grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
+        pending = [(-self._stamp, self)]
+        while pending:
+            node = heapq.heappop(pending)[1]
+            g = grads.pop(id(node))
             if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
                 node.grad += g
             if node._backward is None:
                 continue
@@ -104,19 +101,22 @@ class Tensor:
                 if pg is None:
                     continue
                 acc = grads.get(id(parent))
-                # no in-place accumulation: pg may alias g or be a readonly view
-                grads[id(parent)] = pg if acc is None else acc + pg
+                if acc is None:
+                    heapq.heappush(pending, (-parent._stamp, parent))
+                    grads[id(parent)] = pg
+                else:
+                    # no in-place accumulation: pg may alias g or be a readonly view
+                    grads[id(parent)] = acc + pg
 
 
 class Parameter(Tensor):
-    """A named trainable tensor; grad is always allocated."""
+    """A named trainable tensor."""
 
     __slots__ = ("name",)
 
     def __init__(self, data, name=""):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
