@@ -338,8 +338,6 @@ class Container:
                 a = a.reshape(shape)
             except ValueError as e:  # two negative sizes, or sizes whose product overflows
                 raise self.error(f"{self.name} array {name!r} of shape {shape}: {e}") from None
-            if dtype.kind == "f" and not np.isfinite(a).all():
-                raise self.error(f"{self.name} array {name!r} holds a non-finite value")
             values.append(a.astype(dtype.newbyteorder("="), copy=False))
         if reader.offset != len(reader.blob):
             raise self.error(f"trailing garbage at byte offset {reader.offset}")

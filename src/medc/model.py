@@ -302,7 +302,11 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint arrays entry {meta!r} is not a name, a shape and "
                              f"a dtype of {list(_ON_DISK.values())}")
     expected = held + [(meta["name"], meta["shape"], meta["dtype"]) for meta in listed[len(held):]]
-    values = [a.copy() for a in CHECKPOINT.read_arrays(reader, listed, expected)]
+    values = CHECKPOINT.read_arrays(reader, listed, expected)
+    for (name, _, _), a in zip(expected, values):   # on the views, before the copies
+        if not np.isfinite(a).all():
+            raise ValueError(f"checkpoint array {name!r} holds a non-finite value")
+    values = [a.copy() for a in values]
     model = Model(cfg, seed=manifest["seed"], stored=values[:len(held) - 1])
     for kind, g in zip(cfg.experts, values[len(held) - 1]):
         model.heads[kind].gamma = g

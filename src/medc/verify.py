@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .losses import LossWeights, total_loss
+from .losses import LossWeights
 from .model import Model, ModelConfig
 from .seeding import derive_rng
 from .training import composed_objective
@@ -32,13 +32,13 @@ def composed_objective_problem(seed):
 
     The objective is a sum of per-expert terms over a shared trunk, so an
     entry of one expert's head moves that expert's terms alone. A probe
-    computes the terms of the experts its entry moves, on their own slices
-    of the heads, batches, labels (1, E, B, C), eps and gamma: all experts
-    for a trunk entry, expert e alone for an entry of e's head. Its terms,
-    (K, E) or (K, 1), are spliced into the unperturbed (1, E) terms, and
-    `total_loss` sums them as the three-expert graph does. The values are bit-identical
-    to the three-expert graph's because each expert's terms are computed
-    on its own slices, and each loss reduces every leading index on its own.
+    returns the objective of the experts its entry moves, computed on their
+    own slices of the heads, batches, labels (1, E, B, C), eps and gamma:
+    all experts for a trunk entry, expert e alone for an entry of e's head.
+    The other experts' terms would enter both sides of a central difference
+    unchanged and cancel, so they are left out: a head probe's values are
+    expert e's part of the objective, not the whole, and its differences
+    are the whole objective's up to the roundoff of the left-out terms.
     """
     C, d, L, batch, D = 4, 8, 4, 4, 4
     rng = derive_rng(seed, "gradcheck")
@@ -66,25 +66,15 @@ def composed_objective_problem(seed):
         return composed_objective({**model.trunk, **model.stacked_heads}, X, labels, eps,
                                   gamma, weights, cfg.temporal_attention)[0]
 
-    def terms(values, e):
-        """The (K, experts e) loss terms at the parameter stacks `values`."""
-        W, b, *heads = values
-        stacks = {"trunk.W": Tensor(W[:, None]), "trunk.b": Tensor(b[:, None])}
-        stacks.update((role, Tensor(v[:, e])) for role, v in zip(model.stacked_heads, heads))
-        return composed_objective(stacks, X[None, e], labels[None, e], eps[e], gamma[e],
-                                  weights, cfg.temporal_attention)[1]
-
-    with ag.no_tape():
-        base = [t.data for t in terms([p.data[None] for p in params], slice(None))]
-
     def moving(e):
-        """The objective of values whose probes move the terms of experts e alone."""
-        def spliced(values):
-            full = [np.repeat(unperturbed, len(values[0]), axis=0) for unperturbed in base]
-            for whole, t in zip(full, terms(values, e)):
-                whole[:, e] = t.data
-            return total_loss([Tensor(t) for t in full], weights).data
-        return spliced
+        """values -> the (K,) objective of experts e alone at the K parameter sets of values."""
+        def batched(values):
+            W, b, *heads = values
+            stacks = {"trunk.W": Tensor(W[:, None]), "trunk.b": Tensor(b[:, None])}
+            stacks.update((role, Tensor(v[:, e])) for role, v in zip(model.stacked_heads, heads))
+            return composed_objective(stacks, X[None, e], labels[None, e], eps[e], gamma[e],
+                                      weights, cfg.temporal_attention)[0].data
+        return batched
 
     every = moving(slice(None))
     by_expert = [moving(slice(e, e + 1)) for e in range(E)]
@@ -122,7 +112,8 @@ def _probe_values(f, params, probes, probe=None):
 
     With `probe`, the probes are grouped by the batched objective probe(j, i)
     that evaluates them, and each group runs in chunks of PROBES as one call
-    of it on the stacked parameter values; without it, each probe is a
+    of it on the stacked parameter values (a call may leave out terms that
+    its probes do not move); without it, each probe is a
     chunk of one, written into the parameters in place for f() and undone
     afterwards. The tape is off throughout.
     """
@@ -179,7 +170,8 @@ def gradient_check(f, params, h=1e-4, probe=None):
     one entry by +-step. An objective that takes a probe axis passes
     probe(j, i), the batched objective for the probes of params[j]'s flat
     entry i: a function of values -> (K,) objective values, values[j] being
-    the (K, ...) stack of params[j]'s values. The probes that share a
+    the (K, ...) stack of params[j]'s values; it may leave out terms that
+    the entry does not move, as their differences are zero. The probes that share a
     batched objective run in chunks of PROBES, and the refinement is one
     more batched pass over the flagged entries. Without `probe` every chunk
     is one probe, evaluated in place by f().

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from medc import autograd as ag
 from medc.autograd import Parameter, ShapeError, Tensor
+from medc.losses import LossWeights
+from medc.model import Model, ModelConfig
 from medc.seeding import derive_rng
+from medc.training import composed_objective
 from medc.verify import REFINE_ABOVE, gradient_check
 
 
@@ -566,3 +569,134 @@ def test_finished_graph_is_freed_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the backward order ---------------------------------------------------------
+
+def _topological_backward(out):
+    """The backward by depth-first topological sort that creation order replaced.
+
+    A post-order walk from out lists every reachable node after its parents;
+    the nodes then run in reverse of that list, accumulating as
+    `Tensor.backward` does.
+    """
+    topo = []
+    visited = set()
+    stack = [(out, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+
+    grads = {id(out): np.ones_like(out.data)}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad:
+            node.grad += g
+        if node._backward is None:
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if pg is None:
+                continue
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg
+
+
+def _taped_nodes(out):
+    """Every node reachable from out that has a backward."""
+    nodes, stack, seen = [], [out], set()
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            if t._backward is not None:
+                nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+def _objective_graph(dtype, experts=("uniform", "inverse", "long_tailed"),
+                     temporal_attention=True):
+    """The composed objective at the criterion-6 shapes (C=20, D=32, L=8, B=32)."""
+    B, L, D, C, d = 32, 8, 32, 20, 16
+    E = len(experts)
+    model = Model(ModelConfig(D=D, C=C, d_trunk=32, hidden=32, d=d, experts=experts,
+                              temporal_attention=temporal_attention, dtype=dtype), seed=0)
+    rng = derive_rng(0, "tape")
+    Y = np.zeros((E, B, C), dtype=np.uint8)
+    Y[np.arange(E)[:, None], np.arange(B), rng.integers(0, C, size=(E, B))] = 1
+    loss, _ = composed_objective({**model.trunk, **model.stacked_heads},
+                                 rng.uniform(-1.0, 1.0, size=(E, B, L, D)), Y,
+                                 rng.standard_normal((E, B, d)), np.full((E, C), 0.5),
+                                 LossWeights(), temporal_attention)
+    return loss, model.parameters()
+
+
+def _fan_out_graph():
+    """A node n that feeds three ops and a leaf q that feeds two.
+
+    Each of n's consumers depends on the one before it, so every
+    topological order runs them in one order, and n's three gradients sum
+    in that order under either backward; q's two sum exactly in either
+    order. Consumers that do not depend on one another may take their turns
+    in another order under the two designs, and three or more gradients
+    then round differently.
+    """
+    rng = np.random.default_rng(4)
+    p = Parameter(_rand(rng, 3, 4), "p")
+    q = Parameter(_rand(rng, 4), "q")
+    n = ag.exp(p)
+    b = ag.add(ag.mul(ag.square(n), q), n)
+    c = ag.mul(ag.sigmoid(b), n)
+    return ag.sum_along(ag.sub(c, q)), [p, q]
+
+
+GRAPHS = {
+    "three-experts-float32": lambda: _objective_graph("float32"),
+    "three-experts-float64": lambda: _objective_graph("float64"),
+    "one-expert-no-attention": lambda: _objective_graph("float64", ("long_tailed",), False),
+    "fan-out": _fan_out_graph,
+}
+
+
+@pytest.mark.parametrize("build", GRAPHS.values(), ids=GRAPHS)
+def test_creation_order_backward_equals_the_topological_sort_bit_for_bit(build):
+    grads = []
+    for backward in (Tensor.backward, _topological_backward):
+        out, params = build()
+        backward(out)
+        grads.append([(p.grad.dtype, p.grad.tobytes()) for p in params])
+    assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize("build", GRAPHS.values(), ids=GRAPHS)
+def test_each_node_runs_once_after_every_node_that_consumed_it(build):
+    out, _ = build()
+    nodes = _taped_nodes(out)
+    ran = []
+
+    def recording(node, backward):
+        def wrapped(g):
+            ran.append(node)
+            return backward(g)
+        return wrapped
+
+    for node in nodes:
+        node._backward = recording(node, node._backward)
+    out.backward()
+    assert sorted(map(id, ran)) == sorted(map(id, nodes))   # each node once
+    at = {id(node): k for k, node in enumerate(ran)}
+    for consumer in nodes:
+        for parent in consumer._parents:
+            if id(parent) in at:
+                assert at[id(consumer)] < at[id(parent)]

@@ -253,14 +253,14 @@ def _patch_inf_feature(path):
     blob = bytearray(path.read_bytes())
     blob[-6:-2] = struct.pack("<f", float("inf"))
     path.write_bytes(bytes(blob))
-    return "feature array 'features' holds a non-finite value"
+    return f"record 0 at byte offset {len(blob) - 10}: a feature is not finite"
 
 
 @pytest.mark.parametrize("patch", [_patch_id, _patch_no_labels, _patch_inf_feature],
                          ids=["id-not-a-string", "no-labels", "non-finite-feature"])
 def test_file_rejects_bad_record_with_index_and_offset(tmp_path, patch):
-    # the bad id and the record with no label are named by index and by the byte offset of the
-    # record's features; the reader of every container refuses a non-finite payload by name
+    # the bad id, the record with no label and the record with an infinite feature are named
+    # by index and by the byte offset of the record's features
     path = tmp_path / "one.medc"
     write_feature_file(path, one_record())
     read_feature_file(path)

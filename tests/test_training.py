@@ -343,7 +343,40 @@ def test_parameters_are_the_trunk_then_the_stacked_roles(tmp_path, monkeypatch):
     _assert_parameters_are_the_stored_tensors(built[0])
 
 
-def test_probe_batch_equals_serial_in_place_evaluation():
+def _serial_probe_values(f, params, probes, monkeypatch):
+    """Each probe (j, i, step) of the checked problem on its serial graph, the entry moved in place.
+
+    A trunk probe's value is f(). The probe of an entry of expert e's head
+    gives total_loss of the slice [e:e+1] of the serial three-expert graph's
+    terms: expert e's part of the objective, the part the entry moves.
+    """
+    calls = []
+
+    def capture(*args):
+        calls.append(args)
+        return composed_objective(*args)
+
+    monkeypatch.setattr(verify, "composed_objective", capture)
+    f()
+    monkeypatch.undo()
+    (stacks, X, Y, eps, gamma, weights, attention), = calls
+    E = len(gamma)
+    values = []
+    for j, i, step in probes:
+        flat = params[j].data.reshape(-1)
+        orig = flat[i]
+        flat[i] = orig + step
+        if params[j].name.startswith("trunk."):
+            values.append(f().item())
+        else:
+            e = i // (flat.size // E)   # the expert axis leads a head role
+            _, terms = composed_objective(stacks, X, Y, eps, gamma, weights, attention)
+            values.append(total_loss([Tensor(t.data[e:e + 1]) for t in terms], weights).item())
+        flat[i] = orig
+    return values
+
+
+def test_probe_batch_equals_serial_in_place_evaluation(monkeypatch):
     f, probe, params = verify.composed_objective_problem(seed=0)
     rng = np.random.default_rng(0)
     probes = [(j, int(rng.integers(p.data.size)), step)
@@ -353,12 +386,9 @@ def test_probe_batch_equals_serial_in_place_evaluation():
     batched = verify._probe_values(f, params, probes, probe)
     for p, b in zip(params, before):
         np.testing.assert_array_equal(p.data, b)
-    for (j, i, step), got in zip(probes, batched):
-        flat = params[j].data.reshape(-1)
-        orig = flat[i]
-        flat[i] = orig + step
-        assert f().item() == got, (params[j].name, i, step)
-        flat[i] = orig
+    serial = _serial_probe_values(f, params, probes, monkeypatch)
+    for (j, i, step), got, want in zip(probes, batched, serial, strict=True):
+        assert got == want, (params[j].name, i, step)
     assert len(set(batched.tolist())) > len(params)  # the probes moved the objective
 
 
@@ -385,12 +415,9 @@ def test_head_probes_run_their_own_expert_alone(monkeypatch):
     # every expert's head probes in chunks of one expert, the trunk's in one of all experts
     head_chunks = -(-4 * (len(params) - n_trunk) // verify.PROBES)
     assert sorted(seen) == [(1, 1)] * (E * head_chunks) + [(E, E)]
-    for (j, i, step), got in zip(probes, batched):
-        flat = params[j].data.reshape(-1)
-        orig = flat[i]
-        flat[i] = orig + step
-        assert f().item() == got, (params[j].name, i, step)
-        flat[i] = orig
+    serial = _serial_probe_values(f, params, probes, monkeypatch)
+    for (j, i, step), got, want in zip(probes, batched, serial, strict=True):
+        assert got == want, (params[j].name, i, step)
 
 
 def test_final_checkpoint_reproduces_model(tmp_path):
