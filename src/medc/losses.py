@@ -1,15 +1,16 @@
 """The four training objectives and per-expert variance-target construction.
 
 Total objective: lambda1 * sum_e L_mu + lambda2 * sum_e L_cls +
-lambda3 * sum_e L_sigma, summed over experts. Each loss takes an optional
-leading expert axis and then returns one value per expert. Any further
-leading axes in front of it (a probe axis: K batches under K parameter
-sets) are carried through, each index with its own labels or all with the
-same, so a loss of (K, E, ...) activations and labels (1 or K, E, B, C) is
-(K, E). Each per-sample loss is a masked mean over the dense batch, so no
-leading index depends on another's labels. The labels, masks, shifts and
-weights a loss builds enter the graph as bare arrays, and the op they meet
-casts them to the activations' dtype, so a float32 model's loss is float32.
+lambda3 * sum_e L_sigma, summed over experts; L_cls takes the classifier's
+logits, not its probabilities. Each loss takes an optional leading expert
+axis and then returns one value per expert. Any further leading axes in
+front of it (a probe axis: K batches under K parameter sets) are carried
+through, each index with its own labels or all with the same, so a loss of
+(K, E, ...) activations and labels (1 or K, E, B, C) is (K, E). Each
+per-sample loss is a masked mean over the dense batch, so no leading index
+depends on another's labels. The labels, masks, shifts and weights a loss
+builds enter the graph as bare arrays, and the op they meet casts them to
+the activations' dtype, so a float32 model's loss is float32.
 
 The paper's loss hyperparameters are fixed: contrastive temperature 1,
 variance targets in [GAMMA_LOW, GAMMA_HIGH], and GAMMA_UNIFORM for the
@@ -107,16 +108,13 @@ def mean_contrastive_loss(mus, labels):
     return ag.sum_along(loss, axis=-1)
 
 
-def classification_loss(p, y):
-    """Multi-label binary cross-entropy, averaged over classes and samples.
+def classification_loss(logits, y):
+    """Multi-label binary cross-entropy from logits, averaged over classes and samples.
 
+    Per entry it is softplus(x) - y x, the BCE of sigmoid(x) with no clamp, finite for every x.
     With a leading expert axis the average is per expert, giving (E,).
     """
-    y = np.asarray(y)
-    pc = ag.clamp(p, 1e-7, 1.0 - 1e-7)
-    pos = ag.mul(y, ag.log(pc))
-    neg = ag.mul(1 - y, ag.log(ag.sub(1.0, pc)))
-    return ag.mul(ag.mean_along(ag.add(pos, neg), axis=(-2, -1)), -1.0)
+    return ag.mean_along(ag.sub(ag.softplus(logits), ag.mul(y, logits)), axis=(-2, -1))
 
 
 def variance_region_loss(sigmas, labels, gamma):

@@ -5,8 +5,8 @@ a Gaussian embedding per video with two branches, phi_mu and phi_var, each
 one normalized ReLU layer and a linear output layer: the mean is phi_mu's
 output mean-pooled over frames, the variance comes from a temporal
 self-attention module over phi_var's frame deviations, and the stochastic
-embedding z = mu + eps * sigma goes through a per-class sigmoid classifier.
-Inference averages the expert probability vectors.
+embedding z = mu + eps * sigma goes through a linear classifier, whose
+logits train it; inference averages the experts' sigmoid probabilities.
 
 Every head has the same parameter roles, declared once in `_head_roles`.
 The model holds each role once: `Model.stacked_heads` maps it to one
@@ -229,9 +229,14 @@ def reparameterize(mu, sigma, eps):
     return ag.add(mu, ag.mul(eps, sigma))
 
 
+def class_logits(z, head):
+    """The classifier's per-class logits, a linear map of z; training's loss takes these."""
+    return _linear(head, "cls", z)
+
+
 def classify(z, head):
-    """Per-class sigmoid probabilities from linear logits."""
-    return ag.sigmoid(_linear(head, "cls", z))
+    """Per-class sigmoid probabilities of `class_logits`, for inference."""
+    return ag.sigmoid(class_logits(z, head))
 
 
 def forward_inference(X, model):

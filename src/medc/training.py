@@ -21,7 +21,7 @@ from .data import (HEAD_THRESHOLD, MEDIUM_THRESHOLD, compute_label_stats, fits_t
                    require_finite)
 from .losses import (LossWeights, classification_loss, gamma_targets,
                      mean_contrastive_loss, total_loss, variance_region_loss)
-from .model import (Model, ModelConfig, classify, estimate_mean, estimate_variance,
+from .model import (Model, ModelConfig, class_logits, estimate_mean, estimate_variance,
                     load_checkpoint, reparameterize, save_checkpoint, trunk_forward)
 from .sampling import EXPERT_KINDS, INVERSE, LONG_TAILED, UNIFORM
 from .seeding import derive_rng
@@ -149,8 +149,8 @@ def composed_objective(params, X, Y, eps, gamma, weights, temporal_attention):
     H0 = trunk_forward(X, params)
     mu = estimate_mean(H0, params)
     sigma = estimate_variance(H0, mu, params, temporal_attention)
-    p = classify(reparameterize(mu, sigma, eps), params)
-    terms = (mean_contrastive_loss(mu, Y), classification_loss(p, Y),
+    logits = class_logits(reparameterize(mu, sigma, eps), params)
+    terms = (mean_contrastive_loss(mu, Y), classification_loss(logits, Y),
              variance_region_loss(sigma, Y, gamma))
     return total_loss(terms, weights), terms
 

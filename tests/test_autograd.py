@@ -232,7 +232,6 @@ def _rand(rng, *shape):
                                                           ag.sum_along(p, axis=0),
                                                           ag.add(ag.mean_along(q, axis=1), 1.0))),
     ("l2_normalize", lambda p, q: ag.mul(ag.l2_normalize(p, axis=1), q)),
-    ("clamp", lambda p, q: ag.clamp(ag.mul(p, 0.4), -0.5, 0.5)),
 ])
 def test_op_gradients_match_finite_differences(name, builder):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -511,6 +510,18 @@ def test_stable_sigmoid_bytes_equal_the_masked_formula():
     assert ag._stable_sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
     block = x[:3 * 256 * 50].reshape(3, 256, 50)   # an eval chunk's logits
     assert ag._stable_sigmoid(block).tobytes() == _masked_sigmoid(block).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softplus_agrees_with_logaddexp_within_4_ulp(dtype):
+    # the one-pass form max(x, 0) + log1p(exp(-|x|)) against numpy's log(exp(0) + exp(x));
+    # the two round differently in the last bits, more often at float32
+    x = np.concatenate([[0.0, -0.0, 1e-30, -1e-30, 200.0, -200.0],
+                        np.random.default_rng(10).uniform(-200.0, 200.0, 200_000)]).astype(dtype)
+    with ag.no_tape():
+        got = ag.softplus(x).data
+    assert got.dtype == dtype and np.isfinite(got).all()
+    np.testing.assert_array_max_ulp(got, np.logaddexp(dtype(0.0), x), maxulp=4, dtype=dtype)
 
 
 def test_broadcast_add_gradient():

@@ -131,18 +131,49 @@ def test_contrastive_gradient_matches_finite_differences():
 
 # -- classification loss -------------------------------------------------------
 
+def reference_clamped_bce(logits, y):
+    """The probability-form BCE the logit form replaced: -[y log p + (1 - y) log(1 - p)]
+    of p = sigmoid(logits) clamped to [1e-7, 1 - 1e-7], averaged over the last two axes."""
+    p = np.clip(1.0 / (1.0 + np.exp(-logits)), 1e-7, 1.0 - 1e-7)
+    return -(y * np.log(p) + (1 - y) * np.log(1.0 - p)).mean(axis=(-2, -1))
+
+
 def test_bce_hand_cases():
-    p = Tensor([[0.9]])
-    assert classification_loss(p, [[1]]).item() == pytest.approx(-np.log(0.9))
-    assert classification_loss(Tensor([[0.5, 0.5]]), [[1, 0]]).item() == pytest.approx(np.log(2.0))
-    assert classification_loss(Tensor([[1.0]]), [[1]]).item() == pytest.approx(0.0, abs=1e-6)
+    assert classification_loss(Tensor([[0.0]]), [[1]]).item() == pytest.approx(np.log(2.0))
+    assert classification_loss(Tensor([[0.0, 0.0]]), [[1, 0]]).item() == pytest.approx(np.log(2.0))
+    assert classification_loss(Tensor([[np.log(9.0)]]), [[1]]).item() == pytest.approx(-np.log(0.9))
+    for x in (1000.0, -1000.0):
+        right, wrong = ([[1]], [[0]]) if x > 0 else ([[0]], [[1]])
+        assert classification_loss(Tensor([[x]]), right).item() == pytest.approx(0.0, abs=1e-12)
+        assert classification_loss(Tensor([[x]]), wrong).item() == pytest.approx(1000.0)
+
+
+def test_bce_equals_the_clamped_probability_form_for_moderate_logits():
+    rng = np.random.default_rng(5)
+    logits = rng.uniform(-8.0, 8.0, size=(3, 40, 20))
+    y = (rng.random((3, 40, 20)) < 0.3).astype(np.uint8)
+    got = classification_loss(Tensor(logits), y).data
+    np.testing.assert_allclose(got, reference_clamped_bce(logits, y), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bce_a_confidently_wrong_logit_keeps_its_gradient(dtype):
+    # the clamped probability form gave the three saturated logits a gradient of 0
+    x = np.array([[30.0, -30.0, 2.0, 1000.0]])
+    y = np.array([[0, 1, 1, 0]], dtype=np.uint8)
+    logits = Parameter(x.astype(dtype), "logits")
+    loss = classification_loss(logits, y)
+    assert loss.data.dtype == dtype and np.isfinite(loss.item())
+    loss.backward()
+    assert logits.grad.dtype == dtype
+    np.testing.assert_allclose(logits.grad, (ag._stable_sigmoid(x) - y) / 4, rtol=1e-6)
 
 
 def test_bce_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     logits = Parameter(rng.standard_normal((4, 3)), "logits")
     y = (rng.random((4, 3)) < 0.5).astype(np.uint8)
-    err = gradient_check(lambda: classification_loss(ag.sigmoid(logits), y), [logits])
+    err = gradient_check(lambda: classification_loss(logits, y), [logits])
     assert err < 1e-4
 
 
@@ -207,7 +238,7 @@ def test_losses_carry_a_probe_axis(per_probe):
     labels = np.broadcast_to(labels, (K, E, B, C))
     mus = rng.standard_normal((K, E, B, d))
     mus /= np.linalg.norm(mus, axis=-1, keepdims=True)
-    p = rng.uniform(0.01, 0.99, size=(K, E, B, C))
+    logits = 4.0 * rng.standard_normal((K, E, B, C))
     sigmas = rng.uniform(0.1, 1.5, size=(K, E, B, d))
     gamma = rng.uniform(0.01, 1.0, size=(E, C))
     weights = LossWeights()
@@ -215,7 +246,7 @@ def test_losses_carry_a_probe_axis(per_probe):
     def terms(k):
         at = (slice(None),) if k is None else k
         return (mean_contrastive_loss(Tensor(mus[at]), labels[at]),
-                classification_loss(Tensor(p[at]), labels[at]),
+                classification_loss(Tensor(logits[at]), labels[at]),
                 variance_region_loss(Tensor(sigmas[at]), labels[at], gamma))
 
     batched = terms(None)
@@ -265,13 +296,13 @@ def _batched_losses_equal_per_index_calls(batch, dtype, rel):
     rng = np.random.default_rng(seed)
     mus = rng.standard_normal((K, E, B, d))
     mus /= np.linalg.norm(mus, axis=-1, keepdims=True)
-    p = rng.uniform(0.01, 0.99, size=(K, E, B, C))
+    logits = 4.0 * rng.standard_normal((K, E, B, C))
     sigmas = rng.uniform(0.1, 1.5, size=(K, E, B, d))
     gamma = rng.uniform(0.01, 1.0, size=(E, C))
-    mus, p, sigmas = (x.astype(dtype) for x in (mus, p, sigmas))
+    mus, logits, sigmas = (x.astype(dtype) for x in (mus, logits, sigmas))
 
     def run(at, g):
-        ins = [Parameter(x[at], "x") for x in (mus, p, sigmas)]
+        ins = [Parameter(x[at], "x") for x in (mus, logits, sigmas)]
         terms = (mean_contrastive_loss(ins[0], labels[at]),
                  classification_loss(ins[1], labels[at]),
                  variance_region_loss(ins[2], labels[at], g))

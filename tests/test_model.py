@@ -15,7 +15,7 @@ from medc.autograd import Tensor
 from medc.data import Dataset, write_feature_file
 from medc.evaluation import write_csv
 from medc.model import (CHECKPOINT_MAGIC, DTYPES, EXPERT_KINDS, Model, ModelConfig, _head_roles,
-                        _hidden, _linear, classify, estimate_mean, estimate_variance,
+                        _hidden, _linear, class_logits, classify, estimate_mean, estimate_variance,
                         forward_inference, load_checkpoint, read_checkpoint_manifest,
                         reparameterize, save_checkpoint, trunk_forward)
 from medc.seeding import derive_rng
@@ -42,12 +42,12 @@ def expert_slice(model, kind):
 
 
 def expert_forward(model, X, kind, eps):
-    """mu, sigma and the class probabilities of one expert, through its slice."""
+    """mu, sigma and the class logits of one expert, through its slice, as training takes them."""
     head = expert_slice(model, kind)
     H0 = trunk_forward(X, model.trunk)
     mu = estimate_mean(H0, head)
     sigma = estimate_variance(H0, mu, head, model.cfg.temporal_attention)
-    return mu, sigma, classify(reparameterize(mu, sigma, eps), head)
+    return mu, sigma, class_logits(reparameterize(mu, sigma, eps), head)
 
 
 def zero_linear(model, kind, name):
