@@ -126,18 +126,13 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _like(x, t):
-    """x as a Tensor; a constant (an array or a number) takes the dtype of the Tensor t.
+def _operands(a, b):
+    """a and b as Tensors; a constant (an array or a number) takes the dtype of the other Tensor.
 
     Under numpy 2 a float64 array, 0-d ones included, would widen a float32
     operand, so a mask, a shift, a weight or a batch of data meets the
     tensor at its dtype.
     """
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=t.data.dtype))
-
-
-def _operands(a, b):
-    """a and b as Tensors, a constant taking the other's dtype as in `_like`."""
     if not isinstance(a, Tensor):
         a = Tensor(np.asarray(a, dtype=b.data.dtype) if isinstance(b, Tensor) else a)
     if not isinstance(b, Tensor):
@@ -368,7 +363,7 @@ def _row_dot(a, b):
 def linear(x, W, b, relu=False):
     """The affine map x @ W + b, then max(., 0) if `relu`."""
     W, b = _as_tensor(W), _as_tensor(b)
-    x = _like(x, W)
+    x, W = _operands(x, W)
     y, x2 = _matmul_forward(x.data, W.data)
     prod_shape = y.shape
     out = _into(np.add, y, _lift(b.data, y.ndim))
@@ -398,7 +393,7 @@ def affine_norm_relu(x, W, b, scale, shift):
     and centres the small gradients of W and b in place of the activations'.
     """
     W = _as_tensor(W)
-    x, W, b, scale, shift = parents = (_like(x, W), W) + tuple(map(_as_tensor, (b, scale, shift)))
+    x, W, b, scale, shift = parents = _operands(x, W) + tuple(map(_as_tensor, (b, scale, shift)))
     if 0 in (W.data.shape[-1:] + b.data.shape[-1:]):
         raise ShapeError("affine_norm_relu on empty feature axis")
     Wc = _centred(W.data)
@@ -444,7 +439,7 @@ def attention_pool(delta, Wq, bq, Wk, bk):
     no gradient for a data delta.
     """
     Wq = _as_tensor(Wq)
-    delta, Wq, bq, Wk, bk = parents = (_like(delta, Wq), Wq) + tuple(map(_as_tensor, (bq, Wk, bk)))
+    delta, Wq, bq, Wk, bk = parents = _operands(delta, Wq) + tuple(map(_as_tensor, (bq, Wk, bk)))
     if delta.data.ndim < 2 or delta.data.shape[-2] == 0:
         raise ShapeError("attention_pool needs frames (..., L, d) with L >= 1, "
                          f"got shape {delta.data.shape}")

@@ -98,7 +98,7 @@ def cmd_train(args):
     seed = _resolve_seed(args, cfg)
     records, tcfg = _read_records(args.data), cfg.train_config(seed=seed)
     # read before train(), which may overwrite the checkpoint it resumes from
-    resumed = read_checkpoint_manifest(args.resume)[0]["extra"] if args.resume else {}
+    resumed = read_checkpoint_manifest(args.resume)["extra"] if args.resume else {}
     _, history = train(tcfg, records, out_dir=args.out, resume_from=args.resume)
     loss_csv = os.path.join(args.out, "loss_history.csv")
     evaluation.write_csv(loss_csv, ("epoch", "expert", "term", "value"), history)

@@ -217,11 +217,11 @@ def split_records(dataset, test_fraction, seed):
 
 
 # -- one container format for every binary file -------------------------------
-# An 8-byte magic, the manifest's length as a u64, a sorted-keys JSON manifest
-# holding `version` and `arrays` (each payload's name, shape and dtype, in file
-# order), then the payloads, little-endian and row-major. A feature file's
-# manifest adds `ids`, and its payloads are `features` (N, L, D) "<f4" and
-# `labels` (N, C) "|u1", one 0 or 1 byte per class.
+# An 8-byte magic, the manifest's length as a u64, a sorted-keys JSON manifest holding
+# `version` and `arrays` (each payload's name, shape and dtype, in file order), then the
+# payloads, little-endian and row-major, each read straight into the array that keeps it.
+# A feature file's manifest adds `ids`, and its payloads are `features` (N, L, D) "<f4"
+# and `labels` (N, C) "|u1", one 0 or 1 byte per class.
 
 def atomic_write(path, chunks):
     """Write the bytes-like `chunks` to a temporary file beside `path`, sync it and rename it
@@ -240,12 +240,12 @@ def atomic_write(path, chunks):
 
 
 class ByteReader:
-    """Bounds-checked views of a blob; each failure raises `error` with the byte offset."""
+    """Checked reads of an open binary file, sized once when the reader is made; each failure
+    raises `error` with the byte offset, also when the file ends before that size."""
 
-    def __init__(self, blob, error):
-        self.blob = memoryview(blob)
-        self.offset = 0
-        self.error = error
+    def __init__(self, f, error):
+        self.f, self.error, self.offset = f, error, 0
+        self.size = os.fstat(f.fileno()).st_size
 
     def require(self, parts):
         """Raise what reading each (n, what) of `parts` in turn would raise, reading nothing."""
@@ -253,15 +253,19 @@ class ByteReader:
         for n, what in parts:
             if n < 0:
                 raise self.error(f"negative length {n} for {what} at byte offset {offset}")
-            if offset + n > len(self.blob):
+            if offset + n > self.size:
                 raise self.error(f"truncated file: needed {n} bytes for {what} "
                                  f"at byte offset {offset}")
             offset += n
 
-    def read(self, n, what):
+    def read(self, n, what, into=None):
+        """The next `n` bytes, read into `into` (n writable bytes) or a new bytearray."""
         self.require([(n, what)])
+        into = bytearray(n) if into is None else into
+        if self.f.readinto(into) != n:  # the file shrank after it was sized
+            raise self.error(f"truncated file: {n} bytes for {what} at byte offset {self.offset}")
         self.offset += n
-        return self.blob[self.offset - n:self.offset]
+        return into
 
 
 @dataclass(frozen=True)
@@ -283,11 +287,10 @@ class Container:
         atomic_write(path, [self.magic + struct.pack("<Q", len(blob)) + blob]
                      + [a for _, _, a in arrays])
 
-    def read_manifest(self, path):
-        """The manifest of the file at `path` and a reader at its first payload; bad magic, a cut
-        or undecodable manifest, a lacking key and another version raise the format's error."""
-        with open(path, "rb") as f:
-            reader = ByteReader(f.read(), self.error)
+    def read_manifest(self, f):
+        """The manifest in the header of the open file `f` and a reader at its first payload; bad
+        magic, a cut or undecodable manifest, a lacking key and another version raise `error`."""
+        reader = ByteReader(f, self.error)
         magic = reader.read(len(self.magic), "magic")
         if magic != self.magic:
             raise self.error(f"not a {self.name} file: bad magic {bytes(magic)!r} "
@@ -312,8 +315,8 @@ class Container:
         return manifest, reader
 
     def read_arrays(self, reader, listed, expected):
-        """Read-only views of the payloads once `listed` fits `expected`, each (name, shape,
-        dtype) with a str for any size; a caller copies what it keeps, to free the file's bytes."""
+        """The payloads once `listed` fits `expected`, each (name, shape, dtype) with a str for any
+        size, each read into its own array, allocated once every byte count has been checked."""
         if len(listed) > len(expected):
             raise self.error(f"{self.name} arrays entry {listed[len(expected)]!r} is beyond "
                              f"the {len(expected)} arrays of the {self.whose}")
@@ -333,13 +336,13 @@ class Container:
         reader.require(parts)
         values = []
         for (name, shape, dtype), part in zip(arrays, parts):
-            a = np.frombuffer(reader.read(*part), dtype=dtype)
             try:
-                a = a.reshape(shape)
+                a = np.empty(shape, dtype)
             except ValueError as e:  # two negative sizes, or sizes whose product overflows
                 raise self.error(f"{self.name} array {name!r} of shape {shape}: {e}") from None
+            reader.read(*part, into=a.reshape(-1).view(np.uint8))
             values.append(a.astype(dtype.newbyteorder("="), copy=False))
-        if reader.offset != len(reader.blob):
+        if reader.offset != reader.size:
             raise self.error(f"trailing garbage at byte offset {reader.offset}")
         return values
 
@@ -355,25 +358,24 @@ def write_feature_file(path, dataset):
 
 
 def read_feature_file(path):
-    """The Dataset of a feature file, whose columns are one aligned copy of the payloads; a record
-    the Dataset refuses, or a label byte not 0 or 1, is named by index and byte offset."""
-    manifest, reader = FEATURE_FILE.read_manifest(path)
-    ids = manifest["ids"]
-    if not isinstance(ids, list):
-        raise FeatureFileError(f"feature manifest 'ids' is not a list: {ids!r:.40}")
-    start = reader.offset
-    features, labels = FEATURE_FILE.read_arrays(reader, manifest["arrays"], [
-        ("features", (len(ids), "L", "D"), "<f4"), ("labels", (len(ids), "C"), "|u1")])
+    """The Dataset of a feature file, whose columns are the arrays the payloads are read into; a
+    record the Dataset refuses, or a label byte not 0 or 1, is named by index and byte offset."""
+    with open(path, "rb") as f:
+        manifest, reader = FEATURE_FILE.read_manifest(f)
+        ids = manifest["ids"]
+        if not isinstance(ids, list):
+            raise FeatureFileError(f"feature manifest 'ids' is not a list: {ids!r:.40}")
+        start = reader.offset
+        features, labels = FEATURE_FILE.read_arrays(reader, manifest["arrays"], [
+            ("features", (len(ids), "L", "D"), "<f4"), ("labels", (len(ids), "C"), "|u1")])
     bad = np.flatnonzero(labels > 1)
     if bad.size:
         raise FeatureFileError(f"record {bad[0] // labels.shape[1]} at byte offset "
                                f"{start + features.nbytes + bad[0]}: a label byte is not 0 or 1")
-    try:  # checked before the copy is made, so the check's masks and the copy never coexist
-        dataset = Dataset(ids, features, labels)
+    try:
+        return Dataset(ids, features, labels)
     except RecordError as e:
         offset = start + e.index * features[0].nbytes
         raise FeatureFileError(f"record {e.index} at byte offset {offset}: {e.why}") from e
     except ValueError as e:  # a shape with L, D or C of 0
         raise FeatureFileError(f"feature file: {e}") from e
-    dataset.features, dataset.labels = features.copy(), labels.copy()
-    return dataset

@@ -279,7 +279,10 @@ def save_checkpoint(path, model, extra=None):
                      [(name, _ON_DISK.get(a.dtype, "<f8"), a) for name, a in named])
 
 
-read_checkpoint_manifest = CHECKPOINT.read_manifest
+def read_checkpoint_manifest(path):
+    """The manifest of the checkpoint at `path`, read from its header alone."""
+    with open(path, "rb") as f:
+        return CHECKPOINT.read_manifest(f)[0]
 
 
 def load_checkpoint(path):
@@ -291,27 +294,27 @@ def load_checkpoint(path):
     unknown or missing field or one of the wrong JSON type raises ValueError
     naming it, beside what `Container` refuses.
     """
-    manifest, reader = read_checkpoint_manifest(path)
-    try:
-        cfg = ModelConfig.from_dict(manifest["config"])
-    except TypeError as e:  # the message names the unknown or missing field
-        raise ValueError(f"checkpoint config does not fit the model: {e}") from None
-    listed, extra = manifest["arrays"], manifest["extra"]
-    if not isinstance(extra, dict):
-        raise ValueError(f"checkpoint 'extra' is not a JSON object: {extra!r:.40}")
-    held = _stored_arrays(cfg)
-    for meta in listed[len(held):]:
-        if not (isinstance(meta, dict) and isinstance(meta.get("name"), str)
-                and fits_type(meta.get("shape"), list[int])
-                and meta.get("dtype") in _ON_DISK.values()):
-            raise ValueError(f"checkpoint arrays entry {meta!r} is not a name, a shape and "
-                             f"a dtype of {list(_ON_DISK.values())}")
-    expected = held + [(meta["name"], meta["shape"], meta["dtype"]) for meta in listed[len(held):]]
-    values = CHECKPOINT.read_arrays(reader, listed, expected)
-    for (name, _, _), a in zip(expected, values):   # on the views, before the copies
+    with open(path, "rb") as f:
+        manifest, reader = CHECKPOINT.read_manifest(f)
+        try:
+            cfg = ModelConfig.from_dict(manifest["config"])
+        except TypeError as e:  # the message names the unknown or missing field
+            raise ValueError(f"checkpoint config does not fit the model: {e}") from None
+        listed, extra = manifest["arrays"], manifest["extra"]
+        if not isinstance(extra, dict):
+            raise ValueError(f"checkpoint 'extra' is not a JSON object: {extra!r:.40}")
+        held = _stored_arrays(cfg)
+        for meta in listed[len(held):]:
+            if not (isinstance(meta, dict) and isinstance(meta.get("name"), str)
+                    and fits_type(meta.get("shape"), list[int])
+                    and meta.get("dtype") in _ON_DISK.values()):
+                raise ValueError(f"checkpoint arrays entry {meta!r} is not a name, a shape and "
+                                 f"a dtype of {list(_ON_DISK.values())}")
+        expected = held + [(m["name"], m["shape"], m["dtype"]) for m in listed[len(held):]]
+        values = CHECKPOINT.read_arrays(reader, listed, expected)
+    for (name, _, _), a in zip(expected, values):
         if not np.isfinite(a).all():
             raise ValueError(f"checkpoint array {name!r} holds a non-finite value")
-    values = [a.copy() for a in values]
     model = Model(cfg, seed=manifest["seed"], stored=values[:len(held) - 1])
     for kind, g in zip(cfg.experts, values[len(held) - 1]):
         model.heads[kind].gamma = g

@@ -84,9 +84,6 @@ class Adam:
 
     def step(self, lr):
         g = np.concatenate([p.grad.ravel() for p in self.params])
-        if not np.isfinite(g).all():
-            bad = next(p for p in self.params if not np.isfinite(p.grad).all())
-            raise FloatingPointError(f"non-finite gradient in parameter {bad.name!r}")
         t = self.t + 1
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
             m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
@@ -94,6 +91,9 @@ class Adam:
             update = lr * (m / (1.0 - ADAM_BETA1 ** t)) / (np.sqrt(v / (1.0 - ADAM_BETA2 ** t))
                                                           + ADAM_EPS)
         if not (np.isfinite(update).all() and np.isfinite(v).all()):
+            bad = next((p for p in self.params if not np.isfinite(p.grad).all()), None)
+            if bad is not None:
+                raise FloatingPointError(f"non-finite gradient in parameter {bad.name!r}")
             raise FloatingPointError(f"non-finite Adam update at step {t}, learning_rate={lr!r}")
         self.t, self.m, self.v = t, m, v
         for p, lo, hi in zip(self.params, self.bounds[:-1], self.bounds[1:]):

@@ -1,11 +1,12 @@
 import json
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from medc.data import (HEAD, MEDIUM, TAIL, Dataset, FeatureFileError, RecordError,
+from medc.data import (FEATURE_FILE, HEAD, MEDIUM, TAIL, Dataset, FeatureFileError, RecordError,
                        SyntheticConfig, compute_label_stats, generate_synthetic,
                        read_feature_file, split_records, write_feature_file, zipf_counts)
 
@@ -215,6 +216,44 @@ def test_file_rejects_truncation(tmp_path):
     path.write_bytes(blob[:len(blob) - 7])
     with pytest.raises(FeatureFileError, match="byte offset"):
         read_feature_file(path)
+
+
+def random_dataset(N, L, D, C, seed=0):
+    """N records of uniform float32 features, each with one label."""
+    rng = np.random.default_rng(seed)
+    labels = np.eye(C, dtype=np.uint8)[rng.integers(C, size=N)]
+    return Dataset([f"r{i}" for i in range(N)], rng.uniform(-1, 1, (N, L, D)), labels)
+
+
+def test_the_reader_holds_each_payload_once(tmp_path):
+    # the payloads are read into the columns themselves: no whole-file blob, no second copy
+    path = tmp_path / "ds.medc"
+    write_feature_file(path, random_dataset(N=64, L=16, D=1024, C=10))
+    tracemalloc.start()
+    try:
+        dataset = read_feature_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = dataset.features.nbytes + dataset.labels.nbytes
+    assert peak < 1.5 * held, (peak, held)
+    for column in (dataset.features, dataset.labels):
+        assert column.flags.writeable and column.flags.c_contiguous
+
+
+def test_a_file_cut_after_it_was_sized_is_refused_at_the_offset(tmp_path):
+    # the payloads are larger than the file object's buffer, so the cut is read, not zeros
+    path = tmp_path / "cut.medc"
+    write_feature_file(path, random_dataset(N=8, L=4, D=512, C=3))
+    with open(path, "rb") as f:
+        manifest, reader = FEATURE_FILE.read_manifest(f)
+        start = reader.offset
+        os.truncate(path, start + 5)
+        with pytest.raises(FeatureFileError,
+                           match=f"truncated file: 65536 bytes for array 'features' "
+                                 f"at byte offset {start}$"):
+            FEATURE_FILE.read_arrays(reader, manifest["arrays"], [
+                ("features", (8, "L", "D"), "<f4"), ("labels", (8, "C"), "|u1")])
 
 
 def test_file_rejects_version_mismatch(tmp_path):

@@ -329,7 +329,7 @@ def test_checkpoint_stores_extra_arrays_as_binary(tmp_path):
     save_checkpoint(path, model, extra={"epoch": 3, "adam.t": 4, "adam.m": moments,
                                         "adam.v": np.square(moments, dtype=np.float32),
                                         "counts": np.arange(3)})
-    manifest, _ = read_checkpoint_manifest(path)
+    manifest = read_checkpoint_manifest(path)
     assert manifest["arrays"][-3:] == [{"name": "adam.m", "shape": [50], "dtype": "<f8"},
                                        {"name": "adam.v", "shape": [50], "dtype": "<f4"},
                                        {"name": "counts", "shape": [3], "dtype": "<f8"}]
@@ -507,6 +507,23 @@ def test_a_manifest_claiming_a_larger_model_is_refused_before_allocating(tmp_pat
     finally:
         tracemalloc.stop()
     assert peak < 5e6, peak
+
+
+def test_the_checkpoint_manifest_is_read_from_the_header_alone(tmp_path):
+    # at paper shapes the payloads are megabytes and the manifest a few kilobytes
+    path = tmp_path / "model.bin"
+    cfg = ModelConfig(D=2048, C=1004, d_trunk=256, hidden=256, d=128)
+    save_checkpoint(path, Model(cfg, seed=0), extra={"epoch": 4})
+    size = os.path.getsize(path)
+    assert size >= 5e6, size
+    tracemalloc.start()
+    try:
+        manifest = read_checkpoint_manifest(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert manifest["extra"] == {"epoch": 4} and ModelConfig.from_dict(manifest["config"]) == cfg
+    assert peak < 0.05 * size, (peak, size)
 
 
 def test_model_config_dict_round_trip():

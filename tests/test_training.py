@@ -1,4 +1,5 @@
 import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -86,6 +87,28 @@ def test_adam_rejects_nonfinite_gradient_naming_parameter():
     p.grad = np.array([np.nan])
     with pytest.raises(FloatingPointError, match="trunk.W"):
         Adam([p]).step(0.1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grad,lr,named", [
+    (np.nan, 0.1, "non-finite gradient in parameter 'q'"),
+    (np.inf, 0.1, "non-finite gradient in parameter 'q'"),
+    # lr times the first moment overflows at either dtype
+    (1e9, 1e300, "non-finite Adam update at step 3, learning_rate=1e+300"),
+], ids=["nan-gradient", "inf-gradient", "overflowing-learning-rate"])
+def test_a_refused_adam_step_changes_nothing(dtype, grad, lr, named):
+    p, q = Parameter(np.array([1.0, -2.0], dtype), "p"), Parameter(np.array([0.5], dtype), "q")
+    adam = Adam([p, q])
+    for g in (0.1, -0.3):
+        p.grad, q.grad = np.array([g, -g], dtype), np.array([g], dtype)
+        adam.step(1e-2)
+    before = [a.copy() for a in (p.data, q.data, adam.m, adam.v)]
+    p.grad, q.grad = np.array([0.2, 0.4], dtype), np.array([grad], dtype)
+    with pytest.raises(FloatingPointError, match=re.escape(named)):
+        adam.step(lr)
+    for a, b in zip((p.data, q.data, adam.m, adam.v), before):
+        np.testing.assert_array_equal(a, b)
+    assert adam.t == 2
 
 
 def test_adam_state_roundtrip():
