@@ -58,6 +58,19 @@ class RecordError(ValueError):
         self.index, self.why = index, why
 
 
+FINITE_CHUNK = 1 << 16  # feature values behind one finiteness mask
+
+
+def _finite_records(features):
+    """(N,) bool: are all of each record's features finite. The isfinite masks cover whole
+    records of at most FINITE_CHUNK values together, so none is the size of the features."""
+    rows = max(1, FINITE_CHUNK // math.prod(features.shape[1:]))
+    finite = np.empty(len(features), dtype=bool)
+    for start in range(0, len(features), rows):
+        finite[start:start + rows] = np.isfinite(features[start:start + rows]).all(axis=(1, 2))
+    return finite
+
+
 class Dataset:
     """N videos as columns: `ids`, N strings; `features`, (N, L, D) float32, the feature file's
     precision; `labels`, the (N, C) uint8 label matrix, 0 or 1 with a 1 in every row.
@@ -75,7 +88,7 @@ class Dataset:
                              f"L, D, C >= 1, got {len(ids)} ids, features of shape "
                              f"{features.shape} and labels of shape {labels.shape}")
         for ok, why in (([isinstance(rid, str) for rid in ids], "id {!r} is not a string"),
-                        (np.isfinite(features).all(axis=(1, 2)), "a feature is not finite"),
+                        (_finite_records(features), "a feature is not finite"),
                         (((labels == 0) | (labels == 1)).all(axis=1), "a label is not 0 or 1"),
                         (labels.any(axis=1), "needs at least one positive label")):
             if not np.all(ok):

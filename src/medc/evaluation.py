@@ -27,17 +27,37 @@ def average_precision(scores, positives):
 
     Samples are ranked by score descending, ties broken by sample index
     ascending; AP = (1/P) * sum over positive ranks of precision at rank.
+    A positive's rank is 1 + the samples scoring above it, found by a
+    binary search in the value-sorted scores, plus, when its score is tied,
+    its place among the earlier samples of that score. That place needs a
+    stable argsort only of the samples sharing a tied positive's score.
+    Raises ValueError naming the sample of a non-finite score, and when no
+    sample is positive.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(positives, dtype=bool)
     n_pos = int(positives.sum())
     if n_pos == 0:
         raise ValueError("average_precision needs at least one positive sample")
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    hits = positives[order]
-    cum_pos = np.cumsum(hits)
-    ranks = np.arange(1, len(scores) + 1)
-    return float((cum_pos[hits] / ranks[hits]).sum() / n_pos)
+    ascending = np.sort(scores)   # a NaN sorts last and an infinity at one end
+    if not (np.isfinite(ascending[0]) and np.isfinite(ascending[-1])):
+        bad = int(np.flatnonzero(~np.isfinite(scores))[0])
+        raise ValueError(f"non-finite score {scores[bad]!r} at sample {bad}")
+    pos_scores = scores[positives]
+    after = np.searchsorted(ascending, pos_scores, side="right")
+    ranks = len(scores) - after + 1
+    tied = after - np.searchsorted(ascending, pos_scores, side="left") > 1
+    if tied.any():
+        # samples of a tied positive's score, in index order, then grouped by score
+        members = np.flatnonzero(np.isin(scores, pos_scores[tied]))
+        order = np.argsort(scores[members], kind="stable")
+        grouped = scores[members[order]]
+        place = np.empty(len(members), dtype=np.int64)
+        place[order] = np.arange(len(members)) - np.searchsorted(grouped, grouped, side="left")
+        # the positives among the members are the tied ones, in index order as well
+        ranks[tied] += place[positives[members]]
+    ranks.sort()
+    return float((np.arange(1, n_pos + 1) / ranks).sum() / n_pos)
 
 
 @dataclass
@@ -82,6 +102,23 @@ def _group_mean(per_class, groups, tag):
     return float(np.mean(vals)) if vals else math.nan
 
 
+def _top_k_hit(scores, labels, k):
+    """(N,) bool: does a label sit among each row's k best classes, ranked by score descending
+    and ties by class index ascending. The k-th best score comes from np.partition; the classes
+    above it are in, and of the classes at it, the first by index fill the remaining places."""
+    kth = np.partition(scores, scores.shape[1] - k, axis=1)[:, -k, None]
+    above, at = scores > kth, scores == kth
+    room = k - above.sum(axis=1)
+    fits = at.sum(axis=1) <= room
+    hit = (labels & above).any(axis=1) | (fits & (labels & at).any(axis=1))
+    # only the rows with more ties than places count their ties in index order
+    crowded = np.flatnonzero(~fits)
+    if crowded.size:
+        first = at[crowded] & (np.cumsum(at[crowded], axis=1) <= room[crowded, None])
+        hit[crowded] |= (labels[crowded] & first).any(axis=1)
+    return hit
+
+
 def metrics_from_scores(scores, labels, groups):
     """MetricsReport of scores (N, C) against 0/1 labels (N, C).
 
@@ -108,12 +145,10 @@ def metrics_from_scores(scores, labels, groups):
         raise ValueError(f"no class has a positive label among the {n} samples, "
                          "so no class can be evaluated")
 
-    # rank classes per sample: score descending, ties by class index ascending
-    order = np.argsort(-scores, axis=1, kind="stable")
-    top1 = order[:, 0]
-    top5 = order[:, :min(5, C)]
-    acc1 = float(np.mean(labels[np.arange(n), top1] > 0))
-    acc5 = float(np.mean(np.take_along_axis(labels, top5, axis=1).any(axis=1)))
+    # rank classes per sample: score descending, ties by class index ascending.
+    # argmax returns the first maximum, the lowest class index among ties
+    acc1 = float(np.mean(labels[np.arange(n), scores.argmax(axis=1)] > 0))
+    acc5 = float(np.mean(_top_k_hit(scores, labels.astype(bool), min(5, C))))
 
     return MetricsReport(
         overall_mAP=float(np.mean(list(per_class.values()))),

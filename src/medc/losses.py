@@ -72,6 +72,14 @@ def _mean_weights(counts):
     return counts / np.maximum(counts.sum(axis=-1, keepdims=True), 1)
 
 
+def _label_overlap(labels):
+    """(..., B, B) bool of bool labels (..., B, C): do rows i and j share a label. A float32
+    matmul goes to BLAS and an integer one does not; each shared-label count is a sum of 0s
+    and 1s, so it is positive exactly when some label is shared, at any C."""
+    counts = labels.astype(np.float32)
+    return counts @ np.swapaxes(counts, -1, -2) > 0
+
+
 def mean_contrastive_loss(mus, labels):
     """InfoNCE-style loss pulling same-class mean estimates together.
 
@@ -85,8 +93,7 @@ def mean_contrastive_loss(mus, labels):
     """
     labels = np.asarray(labels).astype(bool)
     B = labels.shape[-2]
-    counts = labels.astype(np.int64)
-    overlap = (counts @ np.swapaxes(counts, -1, -2)) > 0
+    overlap = _label_overlap(labels)
     share = overlap & ~np.eye(B, dtype=bool)
     disjoint = ~overlap
     eligible = share.any(axis=-1) & disjoint.any(axis=-1)

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -239,6 +240,21 @@ def test_the_reader_holds_each_payload_once(tmp_path):
     assert peak < 1.5 * held, (peak, held)
     for column in (dataset.features, dataset.labels):
         assert column.flags.writeable and column.flags.c_contiguous
+
+
+def test_the_reader_peaks_near_the_bytes_it_returns(tmp_path):
+    # at these shapes a finiteness mask over all the features would add a quarter to the peak
+    path = tmp_path / "ds.medc"
+    write_feature_file(path, random_dataset(N=2249, L=16, D=64, C=50))
+    tracemalloc.start()
+    try:
+        dataset = read_feature_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = (dataset.features.nbytes + dataset.labels.nbytes + dataset.ids.nbytes
+                + sum(sys.getsizeof(rid) for rid in dataset.ids))
+    assert peak <= 1.05 * returned, (peak, returned)
 
 
 def test_a_file_cut_after_it_was_sized_is_refused_at_the_offset(tmp_path):

@@ -74,6 +74,59 @@ def test_ap_matches_loop_reference_on_random_instances():
             reference_ap(scores.tolist(), pos.tolist()), abs=1e-12)
 
 
+def lexsort_average_precision(scores, positives):
+    """The lexsort form average_precision replaced: every sample ranked by (-score, index)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    positives = np.asarray(positives, dtype=bool)
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    hits = positives[order]
+    cum_pos = np.cumsum(hits)
+    ranks = np.arange(1, len(scores) + 1)
+    return float((cum_pos[hits] / ranks[hits]).sum() / int(positives.sum()))
+
+
+def ap_draw(rng, kind):
+    n = 1 if kind == "n=1" else int(rng.integers(1, 200))
+    scores = {
+        "continuous": lambda: rng.standard_normal(n),
+        "float32": lambda: rng.standard_normal(n).astype(np.float32).astype(np.float64),
+        "quarters": lambda: rng.integers(0, 4, n) / 4.0,
+        "signed-zeros": lambda: rng.choice([0.0, -0.0, 0.5, -0.5], n),
+        "all-equal": lambda: np.full(n, rng.choice([0.0, -0.0, 0.3])),
+        "n=1": lambda: rng.standard_normal(n),
+        "all-positive": lambda: rng.integers(0, 4, n) / 4.0,
+    }[kind]()
+    positives = (np.ones(n, dtype=bool) if kind == "all-positive"
+                 else rng.random(n) < rng.uniform(0.01, 0.9))
+    positives[int(rng.integers(0, n))] = True
+    return scores, positives
+
+
+@pytest.mark.parametrize("kind", ["continuous", "float32", "quarters", "signed-zeros",
+                                  "all-equal", "n=1", "all-positive"])
+def test_ap_repr_equals_the_lexsort_form(kind):
+    rng = np.random.default_rng(len(kind))
+    for _ in range(1500):
+        scores, positives = ap_draw(rng, kind)
+        assert repr(average_precision(scores, positives)) == repr(
+            lexsort_average_precision(scores, positives)), (scores, positives)
+
+
+def test_ap_of_200k_equal_scores_equals_the_lexsort_form():
+    # every positive is tied with every sample: ties must cost O(N log N), not O(N) each
+    scores = np.zeros(200_000)
+    positives = np.arange(200_000) % 2 == 0
+    assert average_precision(scores, positives) == lexsort_average_precision(scores, positives)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ap_refuses_a_non_finite_score_by_sample(bad):
+    scores = np.array([0.2, 0.1, 0.7, 0.4])
+    scores[2] = bad
+    with pytest.raises(ValueError, match=r"non-finite score .* at sample 2$"):
+        average_precision(scores, [1, 0, 0, 1])
+
+
 # -- metrics aggregation -------------------------------------------------------
 
 def test_metrics_perfect_scores_give_ones():
@@ -169,6 +222,23 @@ def test_acc_at_5_matches_per_record_loop():
     top5 = np.argsort(-scores, axis=1, kind="stable")[:, :5]
     loop = float(np.mean([labels[i, top5[i]].any() for i in range(len(scores))]))
     assert metrics_from_scores(scores, labels, [HEAD] * 12).acc_at_5 == loop
+
+
+def test_acc_at_1_and_5_equal_the_stable_argsort_on_tie_heavy_scores():
+    rng = np.random.default_rng(11)
+    for C in (1, 2, 4, 5, 6, 9, 30):
+        for dtype in (np.float32, np.float64):
+            scores = (rng.integers(0, 3, size=(400, C)) / 2.0).astype(dtype)
+            scores[rng.random(scores.shape) < 0.2] = -0.0
+            labels = (rng.random((400, C)) < 0.15).astype(np.uint8)
+            labels[0, 0] = 1
+            # the stable argsort the top-k selection replaced
+            order = np.argsort(-scores, axis=1, kind="stable")
+            acc1 = float(np.mean(labels[np.arange(400), order[:, 0]] > 0))
+            acc5 = float(np.mean(np.take_along_axis(labels, order[:, :min(5, C)], axis=1)
+                                 .any(axis=1)))
+            report = metrics_from_scores(scores, labels, [HEAD] * C)
+            assert (repr(report.acc_at_1), repr(report.acc_at_5)) == (repr(acc1), repr(acc5))
 
 
 # -- end-to-end scoring and serialization ---------------------------------------

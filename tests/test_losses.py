@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from medc import autograd as ag
 from medc.autograd import Parameter, Tensor
-from medc.losses import (LossWeights, classification_loss, gamma_targets,
+from medc.losses import (LossWeights, _label_overlap, classification_loss, gamma_targets,
                          mean_contrastive_loss, total_loss,
                          variance_region_loss)
 from medc.sampling import INVERSE, LONG_TAILED, UNIFORM
@@ -118,6 +118,17 @@ def test_contrastive_matches_loop_reference(seed):
     mus /= np.linalg.norm(mus, axis=1, keepdims=True)
     got = mean_contrastive_loss(Tensor(mus), labels).item()
     assert got == pytest.approx(reference_contrastive(mus, labels))
+
+
+@pytest.mark.parametrize("shape", [(10, 4), (128, 50), (3, 16, 30), (4, 3, 32, 200)],
+                         ids=["batch", "train1_large", "experts", "probes-experts"])
+def test_label_overlap_equals_the_integer_matmul(shape):
+    rng = np.random.default_rng(sum(shape))
+    for density in (0.02, 0.2, 0.9):
+        labels = rng.random(shape) < density
+        counts = labels.astype(np.int64)
+        exact = counts @ np.swapaxes(counts, -1, -2) > 0
+        assert np.array_equal(_label_overlap(labels), exact)
 
 
 def test_contrastive_gradient_matches_finite_differences():
