@@ -325,13 +325,6 @@ def reshape(x, shape):
     return _track(out, (x,), lambda g: (g.reshape(x.data.shape),))
 
 
-def transpose(x, axes=None):
-    x = _as_tensor(x)
-    out = Tensor(x.data.transpose(axes))
-    inv = None if axes is None else np.argsort(axes)
-    return _track(out, (x,), lambda g: (g.transpose(inv),))
-
-
 # -- fused layers -----------------------------------------------------------
 # Each is one tape node. The forward works in place on the array its own
 # matmul allocated; the backward is written by hand and computes no gradient

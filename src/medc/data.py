@@ -71,6 +71,14 @@ def _finite_records(features):
     return finite
 
 
+def _binary_rows(labels):
+    """(N,) bool: are all of each row's labels 0 or 1, from one mask that the second test
+    is or-ed into in place."""
+    ok = labels == 0
+    ok |= labels == 1
+    return ok.all(axis=1)
+
+
 class Dataset:
     """N videos as columns: `ids`, N strings; `features`, (N, L, D) float32, the feature file's
     precision; `labels`, the (N, C) uint8 label matrix, 0 or 1 with a 1 in every row.
@@ -89,7 +97,7 @@ class Dataset:
                              f"{features.shape} and labels of shape {labels.shape}")
         for ok, why in (([isinstance(rid, str) for rid in ids], "id {!r} is not a string"),
                         (_finite_records(features), "a feature is not finite"),
-                        (((labels == 0) | (labels == 1)).all(axis=1), "a label is not 0 or 1"),
+                        (_binary_rows(labels), "a label is not 0 or 1"),
                         (labels.any(axis=1), "needs at least one positive label")):
             if not np.all(ok):
                 i = int(np.argmin(ok))

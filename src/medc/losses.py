@@ -8,9 +8,15 @@ front of it (a probe axis: K batches under K parameter sets) are carried
 through, each index with its own labels or all with the same, so a loss of
 (K, E, ...) activations and labels (1 or K, E, B, C) is (K, E). Each
 per-sample loss is a masked mean over the dense batch, so no leading index
-depends on another's labels. The labels, masks, shifts and weights a loss
-builds enter the graph as bare arrays, and the op they meet casts them to
-the activations' dtype, so a float32 model's loss is float32.
+depends on another's labels.
+
+Each loss, and their weighted total, is one tape node with a hand-written
+backward. Its forward runs the numpy operations of the generic ops it
+replaced (`ag.matmul`, `exp`, `log`, `sub`, `mul`, `sum_along`, ...) in
+their order, so its value is bit-identical to theirs. The labels, masks,
+shifts and weights a loss builds stay bare arrays, cast to the
+activations' dtype as those ops cast them, so a float32 model's loss is
+float32.
 
 The paper's loss hyperparameters are fixed: contrastive temperature 1,
 variance targets in [GAMMA_LOW, GAMMA_HIGH], and GAMMA_UNIFORM for the
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
+from .autograd import Tensor
 from .data import require_finite
 from .sampling import INVERSE, LONG_TAILED, UNIFORM, reversed_frequencies
 
@@ -90,7 +97,12 @@ def mean_contrastive_loss(mus, labels):
     -log softmax (temperature 1) over eligible anchors, 0 if none are
     eligible. With a leading expert axis (mus (E, B, d), labels (E, B, C))
     each expert's batch is its own, and the result is (E,).
+
+    With s = mus mus^T and anchor weights w, the gradient of s is
+    G = w (softmax over the mask - nearest), so that of mus is (G + G^T) mus.
     """
+    mus = ag._as_tensor(mus)
+    mu = mus.data
     labels = np.asarray(labels).astype(bool)
     B = labels.shape[-2]
     overlap = _label_overlap(labels)
@@ -98,30 +110,53 @@ def mean_contrastive_loss(mus, labels):
     disjoint = ~overlap
     eligible = share.any(axis=-1) & disjoint.any(axis=-1)
 
-    axes = tuple(range(mus.ndim - 2)) + (mus.ndim - 1, mus.ndim - 2)
-    sims = ag.matmul(mus, ag.transpose(mus, axes))
-    sv = sims.data
+    sims = np.matmul(mu, np.swapaxes(mu, -1, -2))
     # nearest positive by dot product; argmax breaks ties by lowest index. An
     # anchor without a positive keeps column 0, so every row's softmax has a
     # term and a finite log-sum-exp, and weighs 0 in the mean.
-    nearest = np.where(share, sv, -np.inf).argmax(axis=-1)[..., None] == np.arange(B)
+    nearest = np.where(share, sims, -np.inf).argmax(axis=-1)[..., None] == np.arange(B)
     mask = disjoint | nearest
     # constant per-anchor shift keeps exp bounded without touching gradients
-    shift = np.where(mask, sv, -np.inf).max(axis=-1, keepdims=True)
-    e = ag.mul(ag.exp(ag.sub(sims, shift)), mask)
-    lse = ag.add(ag.log(ag.sum_along(e, axis=-1)), shift[..., 0])
-    pos = ag.sum_along(ag.mul(sims, nearest), axis=-1)
-    loss = ag.mul(ag.sub(lse, pos), _mean_weights(eligible))
-    return ag.sum_along(loss, axis=-1)
+    shift = np.where(mask, sims, -np.inf).max(axis=-1, keepdims=True)
+    e = sims - shift
+    np.exp(e, out=e)
+    e *= mask
+    e_sum = e.sum(axis=-1)
+    lse = np.log(e_sum) + shift[..., 0]
+    w = _mean_weights(eligible).astype(mu.dtype)
+    out = ((lse - (sims * nearest).sum(axis=-1)) * w).sum(axis=-1)
+
+    def backward(g):
+        G = e / e_sum[..., None]
+        G -= nearest
+        G *= (g[..., None] * w)[..., None]
+        return (np.matmul(G + np.swapaxes(G, -1, -2), mu),)
+
+    return ag._track(Tensor(out), (mus,), backward)
 
 
 def classification_loss(logits, y):
     """Multi-label binary cross-entropy from logits, averaged over classes and samples.
 
-    Per entry it is softplus(x) - y x, the BCE of sigmoid(x) with no clamp, finite for every x.
-    With a leading expert axis the average is per expert, giving (E,).
+    Per entry it is softplus(x) - y x, the BCE of sigmoid(x) with no clamp, finite for every x,
+    and its gradient is (sigmoid(x) - y) / (B C). With a leading expert axis the average is per
+    expert, giving (E,).
     """
-    return ag.mean_along(ag.sub(ag.softplus(logits), ag.mul(y, logits)), axis=(-2, -1))
+    logits = ag._as_tensor(logits)
+    x = logits.data
+    y = np.asarray(y, dtype=x.dtype)
+    per_entry = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    per_entry -= y * x
+    scale = np.asarray(1.0 / (x.shape[-2] * x.shape[-1]), dtype=x.dtype)
+    out = per_entry.sum(axis=(-2, -1)) * scale
+
+    def backward(g):
+        gx = ag._stable_sigmoid(x)
+        gx -= y
+        gx *= (g * scale)[..., None, None]
+        return (gx,)
+
+    return ag._track(Tensor(out), (logits,), backward)
 
 
 def variance_region_loss(sigmas, labels, gamma):
@@ -134,17 +169,28 @@ def variance_region_loss(sigmas, labels, gamma):
 
     Over a sample's n positive classes, whose targets have mean m and
     variance v, the mean of (sigma_j^2 - gamma_c)^2 is (sigma_j^2 - m)^2 + v,
-    and the sample weighs n / (the labels in its batch). Every reduction runs
+    and the sample weighs w = n / (the labels in its batch), so the gradient
+    of sigma_j is (4 / d) w (sigma_j^2 - m) sigma_j. Every reduction runs
     along one row, so no leading index depends on another.
     """
+    sigmas = ag._as_tensor(sigmas)
+    s = sigmas.data
     held = np.asarray(labels) != 0
     n = held.sum(axis=-1)                                                       # (..., B)
     gamma = np.asarray(gamma)[..., None, :]
     m = (held * gamma).sum(axis=-1) / np.maximum(n, 1)
     v = (held * np.square(gamma - m[..., None])).sum(axis=-1) / np.maximum(n, 1)
-    dev = ag.mean_along(ag.square(ag.sub(ag.square(sigmas), m[..., None])), axis=-1)
-    per_sample = ag.mul(ag.add(dev, v), _mean_weights(n))
-    return ag.sum_along(per_sample, axis=-1)
+    t = s * s - m[..., None].astype(s.dtype)
+    scale = np.asarray(1.0 / s.shape[-1], dtype=s.dtype)
+    w = _mean_weights(n).astype(s.dtype)
+    out = (((t * t).sum(axis=-1) * scale + v.astype(s.dtype)) * w).sum(axis=-1)
+
+    def backward(g):
+        gs = t * (g[..., None] * w * (4 * scale))[..., None]
+        gs *= s
+        return (gs,)
+
+    return ag._track(Tensor(out), (sigmas,), backward)
 
 
 def total_loss(terms, weights):
@@ -152,9 +198,18 @@ def total_loss(terms, weights):
 
     Each term is a scalar for one expert, an (E,) vector with one value per
     expert, or (..., E) with further leading (probe) axes, which the sum
-    keeps.
+    keeps. Each term's gradient is its weight times the sum's.
     """
-    m, c, s = terms
-    t = ag.add(ag.add(ag.mul(m, weights.lambda1), ag.mul(c, weights.lambda2)),
-               ag.mul(s, weights.lambda3))
-    return ag.sum_along(t, axis=-1) if t.ndim else t
+    terms = tuple(map(ag._as_tensor, terms))
+    lambdas = [np.asarray(lam, dtype=x.data.dtype) for x, lam in
+               zip(terms, (weights.lambda1, weights.lambda2, weights.lambda3))]
+    (m, c, s), (l1, l2, l3) = [x.data for x in terms], lambdas
+    t = m * l1 + c * l2 + s * l3
+    out = t.sum(axis=-1) if t.ndim else t
+
+    def backward(g):
+        if t.ndim:
+            g = np.broadcast_to(g[..., None], t.shape)
+        return tuple(g * lam for lam in lambdas)
+
+    return ag._track(Tensor(out), terms, backward)

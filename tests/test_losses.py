@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from medc import autograd as ag
 from medc.autograd import Parameter, Tensor
-from medc.losses import (LossWeights, _label_overlap, classification_loss, gamma_targets,
-                         mean_contrastive_loss, total_loss,
-                         variance_region_loss)
+from medc.losses import (LossWeights, _label_overlap, _mean_weights, classification_loss,
+                         gamma_targets, mean_contrastive_loss, total_loss, variance_region_loss)
 from medc.sampling import INVERSE, LONG_TAILED, UNIFORM
 from medc.verify import gradient_check
 
+from test_autograd import _transpose
 from test_sampling import stats_for
 
 
@@ -344,6 +344,159 @@ def test_batched_losses_equal_per_index_calls_bit_for_bit(batch):
 @given(per_index_batches())
 def test_batched_float32_losses_equal_per_index_calls_bit_for_bit(batch):
     _batched_losses_equal_per_index_calls(batch, np.float32, rel=1e-5)
+
+
+# -- the fused losses against the compositions they replace ------------------------
+
+def composed_contrastive(mus, labels):
+    """The contrastive loss as generic ops composed it before it was one tape node."""
+    labels = np.asarray(labels).astype(bool)
+    B = labels.shape[-2]
+    overlap = _label_overlap(labels)
+    share = overlap & ~np.eye(B, dtype=bool)
+    disjoint = ~overlap
+    eligible = share.any(axis=-1) & disjoint.any(axis=-1)
+    sims = ag.matmul(mus, _transpose(mus))
+    sv = sims.data
+    nearest = np.where(share, sv, -np.inf).argmax(axis=-1)[..., None] == np.arange(B)
+    mask = disjoint | nearest
+    shift = np.where(mask, sv, -np.inf).max(axis=-1, keepdims=True)
+    e = ag.mul(ag.exp(ag.sub(sims, shift)), mask)
+    lse = ag.add(ag.log(ag.sum_along(e, axis=-1)), shift[..., 0])
+    pos = ag.sum_along(ag.mul(sims, nearest), axis=-1)
+    loss = ag.mul(ag.sub(lse, pos), _mean_weights(eligible))
+    return ag.sum_along(loss, axis=-1)
+
+
+def composed_bce(logits, y):
+    """The classification loss as generic ops composed it before it was one tape node."""
+    return ag.mean_along(ag.sub(ag.softplus(logits), ag.mul(y, logits)), axis=(-2, -1))
+
+
+def composed_variance(sigmas, labels, gamma):
+    """The variance region loss as generic ops composed it before it was one tape node."""
+    held = np.asarray(labels) != 0
+    n = held.sum(axis=-1)
+    gamma = np.asarray(gamma)[..., None, :]
+    m = (held * gamma).sum(axis=-1) / np.maximum(n, 1)
+    v = (held * np.square(gamma - m[..., None])).sum(axis=-1) / np.maximum(n, 1)
+    dev = ag.mean_along(ag.square(ag.sub(ag.square(sigmas), m[..., None])), axis=-1)
+    per_sample = ag.mul(ag.add(dev, v), _mean_weights(n))
+    return ag.sum_along(per_sample, axis=-1)
+
+
+def composed_total(terms, weights):
+    """The weighted total as generic ops composed it before it was one tape node."""
+    m, c, s = terms
+    t = ag.add(ag.add(ag.mul(m, weights.lambda1), ag.mul(c, weights.lambda2)),
+               ag.mul(s, weights.lambda3))
+    return ag.sum_along(t, axis=-1) if t.ndim else t
+
+
+FUSED_AND_COMPOSED = {"contrastive": (mean_contrastive_loss, composed_contrastive),
+                      "bce": (classification_loss, composed_bce),
+                      "variance": (variance_region_loss, composed_variance)}
+# (leading axes of the activations, leading axes of the labels)
+LAYOUTS = {"no-lead": ((), ()), "experts": ((3,), (3,)),
+           "probes-per-probe": ((4, 3), (4, 3)), "probes-shared": ((4, 3), (1, 3))}
+LABEL_KINDS = ("mixed", "no-eligible", "all-disjoint", "multi-label")
+BATCH, CLASSES, DIM = 6, 8, 4
+# the largest gradient difference from the composition, over the largest gradient entry
+GRAD_TOL = {np.float32: 2e-6, np.float64: 1e-14}
+
+
+def _labels(kind, lead, rng):
+    """(*lead, BATCH, CLASSES) uint8 labels. mixed: 1-3 labels a row, so anchors of every kind;
+    no-eligible: every row holds class 0, so no anchor has a negative; all-disjoint: row i
+    holds class i alone, so no anchor has a positive; multi-label: most classes a row."""
+    labels = np.zeros(lead + (BATCH, CLASSES), dtype=np.uint8)
+    if kind == "all-disjoint":
+        labels[..., np.arange(BATCH), np.arange(BATCH)] = 1
+        return labels
+    labels[...] = rng.random(labels.shape) < (0.7 if kind == "multi-label" else 0.2)
+    labels[..., np.arange(BATCH), rng.integers(0, CLASSES, BATCH)] = 1
+    if kind == "no-eligible":
+        labels[..., 0] = 1
+    return labels
+
+
+def _inputs(layout, kind, seed):
+    lead, label_lead = LAYOUTS[layout]
+    rng = np.random.default_rng(seed)
+    labels = _labels(kind, label_lead, rng)
+    mus = rng.standard_normal(lead + (BATCH, DIM))
+    mus /= np.linalg.norm(mus, axis=-1, keepdims=True)
+    logits = 4.0 * rng.standard_normal(lead + (BATCH, CLASSES))
+    sigmas = rng.uniform(0.1, 1.5, size=lead + (BATCH, DIM))
+    gamma = rng.uniform(0.01, 1.0, size=lead[-1:] + (CLASSES,))
+    out_w = rng.uniform(0.5, 1.5, size=lead)   # each output entry's own weight in the backward
+    return {"contrastive": (mus, (labels,)), "bce": (logits, (labels,)),
+            "variance": (sigmas, (labels, gamma))}, out_w
+
+
+def _value_and_grad(loss, x, args, out_w, dtype):
+    p = Parameter(x.astype(dtype), "x")
+    out = loss(p, *args)
+    ag.sum_along(ag.mul(out, out_w)).backward()
+    return out, p.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("kind", LABEL_KINDS)
+def test_each_fused_loss_equals_its_composition(kind, layout, dtype):
+    inputs, out_w = _inputs(layout, kind, LABEL_KINDS.index(kind))
+    for name, (fused, composed) in FUSED_AND_COMPOSED.items():
+        x, args = inputs[name]
+        (got, grad), (want, want_grad) = (_value_and_grad(loss, x, args, out_w, dtype)
+                                          for loss in (fused, composed))
+        assert got.data.dtype == want.data.dtype == grad.dtype == dtype
+        assert got.shape == want.shape == LAYOUTS[layout][0]
+        assert got.data.tobytes() == want.data.tobytes(), name
+        assert len(got._parents) == 1 and isinstance(got._parents[0], Parameter)  # one node
+        np.testing.assert_allclose(grad, want_grad, rtol=0.0,
+                                   atol=GRAD_TOL[dtype] * np.abs(want_grad).max(), err_msg=name)
+        if name == "contrastive" and kind in ("no-eligible", "all-disjoint"):
+            assert not got.data.any() and not grad.any()
+
+
+@pytest.mark.parametrize("weights", [LossWeights(), LossWeights(0.0, 1.0, 0.4),
+                                     LossWeights(0.8, 0.0, 0.0)],
+                         ids=["paper", "no-lambda1", "lambda1-alone"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_the_fused_total_equals_its_composition(layout, dtype, weights):
+    inputs, out_w = _inputs(layout, "mixed", 7)
+    results = []
+    for total, at in ((total_loss, 0), (composed_total, 1)):
+        params = [Parameter(inputs[name][0].astype(dtype), name) for name in FUSED_AND_COMPOSED]
+        terms = [FUSED_AND_COMPOSED[name][at](p, *inputs[name][1])
+                 for name, p in zip(FUSED_AND_COMPOSED, params)]
+        out = total(terms, weights)
+        ag.sum_along(ag.mul(out, out_w[..., 0] if out_w.ndim else out_w)).backward()
+        results.append((out, [p.grad for p in params]))
+    (got, grads), (want, want_grads) = results
+    assert got.data.dtype == dtype and got.shape == want.shape == LAYOUTS[layout][0][:-1]
+    assert got.data.tobytes() == want.data.tobytes()
+    assert len(got._parents) == 3
+    lambdas = (weights.lambda1, weights.lambda2, weights.lambda3)
+    for grad, want_grad, lam in zip(grads, want_grads, lambdas):
+        assert grad.dtype == dtype and (lam != 0.0 or not grad.any())
+        np.testing.assert_allclose(grad, want_grad, rtol=0.0,
+                                   atol=GRAD_TOL[dtype] * np.abs(want_grad).max())
+
+
+@pytest.mark.parametrize("name", [*FUSED_AND_COMPOSED, "total"])
+def test_each_fused_loss_passes_the_gradient_check(name):
+    inputs, out_w = _inputs("experts", "mixed", 11)
+    if name == "total":
+        terms = [Parameter(x, name) for x in np.random.default_rng(11).uniform(0.1, 2.0, (3, 3))]
+        params, f = terms, lambda: total_loss(terms, LossWeights())
+    else:
+        x, args = inputs[name]
+        params = [Parameter(x, "x")]
+        f = lambda: ag.sum_along(ag.mul(FUSED_AND_COMPOSED[name][0](params[0], *args), out_w))
+    assert gradient_check(f, params) < 1e-4
 
 
 def test_loss_weights_validate():
