@@ -9,10 +9,10 @@ Every tensor is stamped with its place in the order tensors were made, and
 an op makes its output after its inputs, so that order is already a
 topological order of the graph. Calling ``backward()`` on a scalar output
 runs the reachable nodes in reverse creation order and accumulates
-gradients into every one with ``requires_grad=True``, whose zero ``grad``
-is allocated when it is made; inside ``with no_tape():`` ops record no
-graph. Only the ops needed by the model live here; everything is
-deterministic and single threaded.
+gradients into every ``Parameter``, the one type that holds a ``grad``. An
+op is recorded only when a gradient can reach one of its inputs, so a graph
+of arrays and plain tensors records nothing. Only the ops needed by the
+model live here; everything is deterministic and single threaded.
 """
 
 import heapq
@@ -41,16 +41,15 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_stamp")
+    __slots__ = ("data", "_parents", "_backward", "_stamp")
+    requires_grad = False
 
-    def __init__(self, data, requires_grad=False):
+    def __init__(self, data):
         if type(data) is not np.ndarray or data.dtype.kind != "f":
             data = np.asarray(data)
             if data.dtype.kind != "f":
                 data = data.astype(np.float64)
         self.data = data
-        self.requires_grad = requires_grad
-        self.grad = np.zeros_like(data) if requires_grad else None
         self._parents = ()
         self._backward = None
         self._stamp = next(_stamps)
@@ -68,17 +67,13 @@ class Tensor:
         return self.data.size
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
     def item(self):
         return float(self.data)
 
-    def zero_grad(self):
-        """Zero the gradient in place."""
-        self.grad.fill(0.0)
-
     def backward(self):
-        """Accumulate d(self)/d(node) into the grad of every node with requires_grad.
+        """Accumulate d(self)/d(p) into the grad of every Parameter p it depends on.
 
         A node's stamp is its place in the creation order, and an op makes
         its output after its inputs, so every consumer of a node is newer
@@ -110,16 +105,22 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named trainable tensor."""
+    """A named trainable tensor, with a zero `grad` of its shape that backward() adds into."""
 
-    __slots__ = ("name",)
+    __slots__ = ("grad", "name")
+    requires_grad = True
 
     def __init__(self, data, name=""):
-        super().__init__(data, requires_grad=True)
+        super().__init__(data)
+        self.grad = np.zeros_like(self.data)
         self.name = name
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
+
+    def zero_grad(self):
+        """Zero the gradient in place."""
+        self.grad.fill(0.0)
 
 
 def _as_tensor(x):
@@ -140,35 +141,14 @@ def _operands(a, b):
     return a, b
 
 
-# False inside a `no_tape` block: ops then record nothing
-_taping = True
-
-
-class no_tape:
-    """Context in which every op returns its bare output, with no tape.
-
-    The idea of torch.no_grad: nothing computed inside can be backpropagated,
-    and each intermediate is freed as soon as it is consumed. The previous
-    mode is restored on exit, also when the block raises.
-    """
-
-    def __enter__(self):
-        global _taping
-        self._was, _taping = _taping, False
-
-    def __exit__(self, *exc_info):
-        global _taping
-        _taping = self._was
-
-
 def _needs_grad(t):
     """Whether a gradient can reach anything through t: a data input has none to give."""
     return t.requires_grad or bool(t._parents)
 
 
 def _records(parents):
-    """Whether an op on these inputs goes on the tape: taping, and a gradient can reach one."""
-    return _taping and any(map(_needs_grad, parents))
+    """Whether an op on these inputs goes on the tape: a gradient can reach one of them."""
+    return any(map(_needs_grad, parents))
 
 
 def _track(out, parents, backward):
@@ -268,13 +248,17 @@ def sigmoid(x):
     return _track(Tensor(y), (x,), lambda g: (g * y * (1.0 - y),))
 
 
+def _softplus(x):
+    """log(1 + exp(x)) of an array as max(x, 0) + log1p(exp(-|x|)): finite for every x, and
+    several times faster than np.logaddexp(0, x)."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def softplus(x):
-    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)): finite for every x, and several
-    times faster than np.logaddexp(0, x). The sigmoid, its derivative, is made only when
-    the backward runs, so an untaped call never builds it."""
+    """`_softplus` of a tensor. The sigmoid, its derivative, is made only when the backward
+    runs, so an untaped call never builds it."""
     x = _as_tensor(x)
-    out = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
-    return _track(Tensor(out), (x,), lambda g: (g * _stable_sigmoid(x.data),))
+    return _track(Tensor(_softplus(x.data)), (x,), lambda g: (g * _stable_sigmoid(x.data),))
 
 
 def log(x):

@@ -116,11 +116,12 @@ def mean_contrastive_loss(mus, labels):
     # term and a finite log-sum-exp, and weighs 0 in the mean.
     nearest = np.where(share, sims, -np.inf).argmax(axis=-1)[..., None] == np.arange(B)
     mask = disjoint | nearest
-    # constant per-anchor shift keeps exp bounded without touching gradients
-    shift = np.where(mask, sims, -np.inf).max(axis=-1, keepdims=True)
-    e = sims - shift
+    # constant per-anchor shift keeps exp bounded without touching gradients; a column
+    # outside the mask is -inf, so its exp is exactly 0 however large its similarity
+    e = np.where(mask, sims, -np.inf)
+    shift = e.max(axis=-1, keepdims=True)
+    e -= shift
     np.exp(e, out=e)
-    e *= mask
     e_sum = e.sum(axis=-1)
     lse = np.log(e_sum) + shift[..., 0]
     w = _mean_weights(eligible).astype(mu.dtype)
@@ -145,7 +146,7 @@ def classification_loss(logits, y):
     logits = ag._as_tensor(logits)
     x = logits.data
     y = np.asarray(y, dtype=x.dtype)
-    per_entry = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    per_entry = ag._softplus(x)
     per_entry -= y * x
     scale = np.asarray(1.0 / (x.shape[-2] * x.shape[-1]), dtype=x.dtype)
     out = per_entry.sum(axis=(-2, -1)) * scale

@@ -243,14 +243,14 @@ def forward_inference(X, model):
     """Eval-mode probabilities averaged over the model's experts, at the model's dtype.
 
     The trunk runs once on X (B, L, D), which its weights take to their
-    dtype, and the stacked heads once, on the stored parameters under
-    `ag.no_tape`, so no tape is built and each activation is freed as soon
-    as it is consumed. Eval mode sets z = mu, so the variance branch is not
-    run.
+    dtype, and the stacked heads once, on the parameters' arrays: no input
+    is a Parameter, so no op records a tape and each activation is freed as
+    soon as it is consumed. Eval mode sets z = mu, so the variance branch is
+    not run.
     """
-    with ag.no_tape():
-        mu = estimate_mean(trunk_forward(X[None], model.trunk), model.stacked_heads)
-        return ag.mean_along(classify(mu, model.stacked_heads), axis=0)
+    arrays = {role: p.data for role, p in {**model.trunk, **model.stacked_heads}.items()}
+    mu = estimate_mean(trunk_forward(X[None], arrays), arrays)
+    return ag.mean_along(classify(mu, arrays), axis=0)
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -7,7 +7,6 @@ objective meets is float64 too.
 
 import numpy as np
 
-from . import autograd as ag
 from .autograd import Tensor
 from .losses import LossWeights
 from .model import Model, ModelConfig
@@ -100,7 +99,7 @@ def composed_objective_gradcheck(seed):
     feature-norm guard, where curvature defeats finite differences even
     though the analytic gradient is fine. The finite differences run as
     chunks of PROBES parameter sets along a probe axis in front of the
-    expert axis, with the tape off: a trunk entry's on all three experts,
+    expert axis, with no tape: a trunk entry's on all three experts,
     a head entry's on its own expert alone (`composed_objective_problem`).
     """
     f, probe, params = composed_objective_problem(seed)
@@ -115,29 +114,28 @@ def _probe_values(f, params, probes, probe=None):
     of it on the stacked parameter values (a call may leave out terms that
     its probes do not move); without it, each probe is a
     chunk of one, written into the parameters in place for f() and undone
-    afterwards. The tape is off throughout.
+    afterwards. Only f() records a tape, dropped with its output.
     """
     out = np.empty(len(probes))
-    with ag.no_tape():
-        if probe:
-            groups = {}
-            for n, (j, i, _) in enumerate(probes):
-                groups.setdefault(probe(j, i), []).append(n)
-            for batched, members in groups.items():
-                for lo in range(0, len(members), PROBES):
-                    part = members[lo:lo + PROBES]
-                    values = [np.repeat(p.data[None], len(part), axis=0) for p in params]
-                    for k, n in enumerate(part):
-                        j, i, step = probes[n]
-                        values[j][k].reshape(-1)[i] += step
-                    out[part] = batched(values)
-        else:
-            for n, (j, i, step) in enumerate(probes):
-                flat = params[j].data.reshape(-1)
-                orig = flat[i]
-                flat[i] = orig + step
-                out[n] = f().item()
-                flat[i] = orig
+    if probe:
+        groups = {}
+        for n, (j, i, _) in enumerate(probes):
+            groups.setdefault(probe(j, i), []).append(n)
+        for batched, members in groups.items():
+            for lo in range(0, len(members), PROBES):
+                part = members[lo:lo + PROBES]
+                values = [np.repeat(p.data[None], len(part), axis=0) for p in params]
+                for k, n in enumerate(part):
+                    j, i, step = probes[n]
+                    values[j][k].reshape(-1)[i] += step
+                out[part] = batched(values)
+    else:
+        for n, (j, i, step) in enumerate(probes):
+            flat = params[j].data.reshape(-1)
+            orig = flat[i]
+            flat[i] = orig + step
+            out[n] = f().item()
+            flat[i] = orig
     if not np.isfinite(out).all():
         raise ValueError("gradient_check: non-finite objective under perturbation")
     return out
@@ -166,8 +164,7 @@ def gradient_check(f, params, h=1e-4, probe=None):
     objective, at the point or under a perturbation, raises ValueError.
 
     The analytic gradient comes from one taped pass of f(). The finite
-    differences run with the tape off (`ag.no_tape`), each probe perturbing
-    one entry by +-step. An objective that takes a probe axis passes
+    differences perturb one entry by +-step each. An objective that takes a probe axis passes
     probe(j, i), the batched objective for the probes of params[j]'s flat
     entry i: a function of values -> (K,) objective values, values[j] being
     the (K, ...) stack of params[j]'s values; it may leave out terms that

@@ -182,23 +182,35 @@ def test_gradient_check_probe_batches_match_serial_probes():
                           probe=lambda j, i: batched) == serial
 
 
-def test_no_tape_records_nothing_and_is_undone_on_exit():
+def test_an_op_records_only_when_a_gradient_can_reach_an_input():
     p = Parameter(np.array([1.0, 2.0]), "p")
-    with ag.no_tape():
-        y = ag.mul(p, p)
-        with ag.no_tape():
-            pass
-        inner = ag.add(y, p)
-    assert y._parents == () and y._backward is None
-    assert inner._parents == () and inner._backward is None
-    with pytest.raises(RuntimeError, match="inside"):
-        with ag.no_tape():
-            raise RuntimeError("inside")
-    assert ag._taping
-    z = ag.sum_along(ag.mul(p, p))
-    assert z._parents and z._backward is not None
-    z.backward()
-    np.testing.assert_array_equal(p.grad, [2.0, 4.0])
+    for a, b in [(np.array([1.0, 2.0]), np.array([3.0, 4.0])),
+                 (Tensor([1.0, 2.0]), Tensor([3.0, 4.0])), (Tensor([1.0, 2.0]), 3.0)]:
+        y = ag.mul(a, b)
+        assert y._parents == () and y._backward is None
+        assert not hasattr(y, "grad") and not hasattr(a, "grad")
+    for a, b in [(p, Tensor([3.0, 4.0])), (np.array([3.0, 4.0]), p), (ag.mul(p, 2.0), 3.0)]:
+        y = ag.mul(a, b)
+        assert y._parents and y._backward is not None
+        assert not hasattr(y, "grad")
+
+
+def test_the_objective_on_plain_tensors_records_nothing():
+    # as the gradient check's batched probes call it: the same value, with no tape
+    E, B, L, D, C, d = 3, 4, 4, 4, 4, 8
+    model = Model(ModelConfig(D=D, C=C, d_trunk=3, hidden=3, d=d, dtype="float64"), seed=1)
+    rng = derive_rng(1, "plain")
+    Y = np.zeros((E, B, C), dtype=np.uint8)
+    Y[:, np.arange(B), np.arange(B) % 2] = 1
+    inputs = (rng.uniform(-1.0, 1.0, size=(E, B, L, D)), Y, rng.standard_normal((E, B, d)),
+              np.full((E, C), 0.5), LossWeights(), True)
+    params = {**model.trunk, **model.stacked_heads}
+    taped, _ = composed_objective(params, *inputs)
+    plain, terms = composed_objective({k: Tensor(p.data) for k, p in params.items()}, *inputs)
+    assert _taped_nodes(taped)
+    for t in (plain, *terms):
+        assert t._parents == () and t._backward is None
+    assert plain.data.tobytes() == taped.data.tobytes()
 
 
 def _rand(rng, *shape):
@@ -370,8 +382,8 @@ def test_fused_op_equals_the_separate_ops(op, shapes):
     assert np.array_equal(out_f, out_u)
     for g_f, g_u in zip(grads_f, grads_u):
         np.testing.assert_allclose(g_f, g_u, rtol=0, atol=1e-12)
-    with ag.no_tape():   # off the tape the output may reuse a buffer, with the same values
-        assert np.array_equal(fused(*(Tensor(v) for v in values)).data, out_f)
+    # on plain tensors nothing is taped, and the output may reuse a buffer, with the same values
+    assert np.array_equal(fused(*(Tensor(v) for v in values)).data, out_f)
     if first_written is not None:
         out_r, grads_r = run(first_written)
         np.testing.assert_allclose(out_f, out_r, rtol=1e-12)
@@ -524,8 +536,7 @@ def test_softplus_agrees_with_logaddexp_within_4_ulp(dtype):
     # the two round differently in the last bits, more often at float32
     x = np.concatenate([[0.0, -0.0, 1e-30, -1e-30, 200.0, -200.0],
                         np.random.default_rng(10).uniform(-200.0, 200.0, 200_000)]).astype(dtype)
-    with ag.no_tape():
-        got = ag.softplus(x).data
+    got = ag.softplus(x).data
     assert got.dtype == dtype and np.isfinite(got).all()
     np.testing.assert_array_max_ulp(got, np.logaddexp(dtype(0.0), x), maxulp=4, dtype=dtype)
 

@@ -140,6 +140,22 @@ def test_contrastive_gradient_matches_finite_differences():
     assert err < 1e-4
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scale", [3.0, 30.0])
+def test_contrastive_of_unnormalized_mus_is_finite(scale, dtype):
+    # a column outside the softmax mask, such as a partial-overlap row's, may have the largest
+    # similarity by more than exp's range; it must add exactly 0, not exp(inf) * 0
+    rng = np.random.default_rng(int(scale))
+    for _ in range(200):
+        B, C, d = rng.integers(2, 9), rng.integers(2, 5), rng.integers(1, 6)
+        labels = (rng.random((B, C)) < 0.4).astype(np.uint8)
+        labels[np.arange(B), rng.integers(0, C, B)] = 1
+        mus = Parameter((rng.standard_normal((B, d)) * rng.uniform(0.0, scale)).astype(dtype))
+        loss = mean_contrastive_loss(mus, labels)
+        loss.backward()
+        assert np.isfinite(loss.data) and np.isfinite(mus.grad).all(), (B, C, d)
+
+
 # -- classification loss -------------------------------------------------------
 
 def reference_clamped_bce(logits, y):
