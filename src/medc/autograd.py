@@ -58,14 +58,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
@@ -220,14 +212,6 @@ def _matmul_backward(g, a, a2, b, need_a, need_b):
     return ga, gb
 
 
-def matmul(a, b):
-    """Matrix product over the last two axes, folding as `_matmul_forward` says."""
-    a, b = _operands(a, b)
-    y, a2 = _matmul_forward(a.data, b.data)
-    return _track(Tensor(y), (a, b), lambda g: _matmul_backward(
-        g, a.data, a2, b.data, _needs_grad(a), _needs_grad(b)))
-
-
 # -- elementwise unary ------------------------------------------------------
 
 def _stable_sigmoid(x):
@@ -259,24 +243,6 @@ def softplus(x):
     runs, so an untaped call never builds it."""
     x = _as_tensor(x)
     return _track(Tensor(_softplus(x.data)), (x,), lambda g: (g * _stable_sigmoid(x.data),))
-
-
-def log(x):
-    x = _as_tensor(x)
-    out = Tensor(np.log(x.data))
-    return _track(out, (x,), lambda g: (g / x.data,))
-
-
-def exp(x):
-    x = _as_tensor(x)
-    y = np.exp(x.data)
-    return _track(Tensor(y), (x,), lambda g: (g * y,))
-
-
-def square(x):
-    x = _as_tensor(x)
-    out = Tensor(x.data * x.data)
-    return _track(out, (x,), lambda g: (g * 2.0 * x.data,))
 
 
 # -- reductions and shape ---------------------------------------------------

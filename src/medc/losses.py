@@ -12,11 +12,11 @@ depends on another's labels.
 
 Each loss, and their weighted total, is one tape node with a hand-written
 backward. Its forward runs the numpy operations of the generic ops it
-replaced (`ag.matmul`, `exp`, `log`, `sub`, `mul`, `sum_along`, ...) in
-their order, so its value is bit-identical to theirs. The labels, masks,
-shifts and weights a loss builds stay bare arrays, cast to the
-activations' dtype as those ops cast them, so a float32 model's loss is
-float32.
+replaced (matmul, exp and log, now the tests' reference ops, and `ag.sub`,
+`mul`, `sum_along`, ...) in their order, so its value is bit-identical to
+theirs. The labels, masks, shifts and weights a loss builds stay bare
+arrays, cast to the activations' dtype as those ops cast them, so a
+float32 model's loss is float32.
 
 The paper's loss hyperparameters are fixed: contrastive temperature 1,
 variance targets in [GAMMA_LOW, GAMMA_HIGH], and GAMMA_UNIFORM for the

@@ -300,9 +300,11 @@ def load_checkpoint(path):
             cfg = ModelConfig.from_dict(manifest["config"])
         except TypeError as e:  # the message names the unknown or missing field
             raise ValueError(f"checkpoint config does not fit the model: {e}") from None
-        listed, extra = manifest["arrays"], manifest["extra"]
+        listed, extra, seed = manifest["arrays"], manifest["extra"], manifest["seed"]
         if not isinstance(extra, dict):
             raise ValueError(f"checkpoint 'extra' is not a JSON object: {extra!r:.40}")
+        if not (fits_type(seed, int) and seed >= 0):
+            raise ValueError(f"checkpoint 'seed' is not an int >= 0: {seed!r:.40}")
         held = _stored_arrays(cfg)
         for meta in listed[len(held):]:
             if not (isinstance(meta, dict) and isinstance(meta.get("name"), str)
@@ -315,7 +317,7 @@ def load_checkpoint(path):
     for (name, _, _), a in zip(expected, values):
         if not np.isfinite(a).all():
             raise ValueError(f"checkpoint array {name!r} holds a non-finite value")
-    model = Model(cfg, seed=manifest["seed"], stored=values[:len(held) - 1])
+    model = Model(cfg, seed=seed, stored=values[:len(held) - 1])
     for kind, g in zip(cfg.experts, values[len(held) - 1]):
         model.heads[kind].gamma = g
     extra.update((name, a) for (name, _, _), a in zip(expected[len(held):], values[len(held):]))

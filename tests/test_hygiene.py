@@ -9,7 +9,9 @@ finds it. An option whose last setter went tends to keep its default and
 its branch; the fourth check finds it, counting the calls in the package,
 the demos and the benchmark. The first two checks cover src/medc but its
 __init__.py, which imports to re-export, and the import check covers tests/
-too. The third counts a name that __init__.py re-exports as referenced.
+too. The third counts a name that __init__.py re-exports as referenced, and
+an attribute only on a name bound to a package module, so np.matmul is no
+call of a package function named matmul.
 """
 
 import ast
@@ -56,20 +58,30 @@ def unread_parameters(tree):
     return unread
 
 
-def _references(node, params=frozenset()):
+def _package_modules(tree):
+    """The names that a relative import binds to a module of the package, as
+    `from . import autograd as ag` binds ag."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+            for alias in node.names}
+
+
+def _references(node, modules, params=frozenset()):
     """Every name that node mentions: a bare name that is no parameter of an
-    enclosing function, an attribute, or an imported name."""
+    enclosing function, an attribute of a name in `modules`, or an imported
+    name. So np.square does not mention a package function named square."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         a = node.args
         params = params | {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
     if isinstance(node, ast.Name) and node.id not in params:
         yield node.id
-    elif isinstance(node, ast.Attribute):
+    elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+          and node.value.id in modules):
         yield node.attr
     elif isinstance(node, ast.ImportFrom):
         yield from (alias.name for alias in node.names)
     for child in ast.iter_child_nodes(node):
-        yield from _references(child, params)
+        yield from _references(child, modules, params)
 
 
 def uncalled_functions(trees):
@@ -77,8 +89,9 @@ def uncalled_functions(trees):
     references outside the function's own def."""
     referenced = set()
     for tree in trees.values():
+        modules = _package_modules(tree)
         for stmt in tree.body:
-            for name in _references(stmt):
+            for name in _references(stmt, modules):
                 if not (isinstance(stmt, ast.FunctionDef) and name == stmt.name):
                     referenced.add(name)
     return [f"{module}.{stmt.name}" for module, tree in trees.items() for stmt in tree.body
@@ -135,6 +148,10 @@ def test_the_checks_find_what_they_look_for():
                             "def _p():\n    return 2\n"),
              "n": ast.parse("from m import f\n")}
     assert uncalled_functions(trees) == ["m.g", "m.k"]  # g only calls itself; k is g's parameter
+    trees = {"m": ast.parse("def square(x):\n    return x\n\ndef cube(x):\n    return x\n"),
+             "n": ast.parse("import numpy as np\nfrom . import m as mm\n\n"
+                            "y = np.square(mm.cube(2))\n")}
+    assert uncalled_functions(trees) == ["m.square"]  # numpy's square is not m's
     trees = {"m": ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
                             "class K:\n    def go(self, x=0, y=1):\n        pass\n\n"
                             "def g(p=0, q=1):\n    pass\n")}

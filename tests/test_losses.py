@@ -10,6 +10,7 @@ from medc.losses import (LossWeights, _label_overlap, _mean_weights, classificat
 from medc.sampling import INVERSE, LONG_TAILED, UNIFORM
 from medc.verify import gradient_check
 
+import reference_ops as ref
 from test_autograd import _transpose
 from test_sampling import stats_for
 
@@ -372,13 +373,13 @@ def composed_contrastive(mus, labels):
     share = overlap & ~np.eye(B, dtype=bool)
     disjoint = ~overlap
     eligible = share.any(axis=-1) & disjoint.any(axis=-1)
-    sims = ag.matmul(mus, _transpose(mus))
+    sims = ref.matmul(mus, _transpose(mus))
     sv = sims.data
     nearest = np.where(share, sv, -np.inf).argmax(axis=-1)[..., None] == np.arange(B)
     mask = disjoint | nearest
     shift = np.where(mask, sv, -np.inf).max(axis=-1, keepdims=True)
-    e = ag.mul(ag.exp(ag.sub(sims, shift)), mask)
-    lse = ag.add(ag.log(ag.sum_along(e, axis=-1)), shift[..., 0])
+    e = ag.mul(ref.exp(ag.sub(sims, shift)), mask)
+    lse = ag.add(ref.log(ag.sum_along(e, axis=-1)), shift[..., 0])
     pos = ag.sum_along(ag.mul(sims, nearest), axis=-1)
     loss = ag.mul(ag.sub(lse, pos), _mean_weights(eligible))
     return ag.sum_along(loss, axis=-1)
@@ -396,7 +397,7 @@ def composed_variance(sigmas, labels, gamma):
     gamma = np.asarray(gamma)[..., None, :]
     m = (held * gamma).sum(axis=-1) / np.maximum(n, 1)
     v = (held * np.square(gamma - m[..., None])).sum(axis=-1) / np.maximum(n, 1)
-    dev = ag.mean_along(ag.square(ag.sub(ag.square(sigmas), m[..., None])), axis=-1)
+    dev = ag.mean_along(ref.square(ag.sub(ref.square(sigmas), m[..., None])), axis=-1)
     per_sample = ag.mul(ag.add(dev, v), _mean_weights(n))
     return ag.sum_along(per_sample, axis=-1)
 
@@ -406,7 +407,7 @@ def composed_total(terms, weights):
     m, c, s = terms
     t = ag.add(ag.add(ag.mul(m, weights.lambda1), ag.mul(c, weights.lambda2)),
                ag.mul(s, weights.lambda3))
-    return ag.sum_along(t, axis=-1) if t.ndim else t
+    return ag.sum_along(t, axis=-1) if t.data.ndim else t
 
 
 FUSED_AND_COMPOSED = {"contrastive": (mean_contrastive_loss, composed_contrastive),

@@ -37,7 +37,7 @@ def expert_slice(model, kind):
     gradient, so a loss of the slice backpropagates into the stack.
     """
     onehot = np.array(model.cfg.experts) == kind
-    return {role: ag.sum_along(ag.mul(p, onehot.reshape((-1,) + (1,) * (p.ndim - 1))), axis=0)
+    return {role: ag.sum_along(ag.mul(p, onehot.reshape((-1,) + (1,) * (p.data.ndim - 1))), axis=0)
             for role, p in model.stacked_heads.items()}
 
 
@@ -440,6 +440,16 @@ def test_checkpoint_manifest_is_validated_by_name(tmp_path, change, named):
     save_checkpoint(path, Model(tiny_cfg(), seed=13), extra={"epoch": 1})
     rewrite_manifest(path, change)
     with pytest.raises(ValueError, match=named):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("seed", ["x", -3, 1.5, True, None],
+                         ids=["string", "negative", "float", "bool", "null"])
+def test_checkpoint_seed_that_is_no_int_at_or_above_zero_is_refused(tmp_path, seed):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, Model(tiny_cfg(), seed=13), extra={"epoch": 1})
+    rewrite_manifest(path, lambda m: m.update(seed=seed))
+    with pytest.raises(ValueError, match=f"checkpoint 'seed' is not an int >= 0: {seed!r}"):
         load_checkpoint(path)
 
 

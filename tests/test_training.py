@@ -1,5 +1,7 @@
 import functools
+import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from medc.seeding import derive_rng
 from medc.training import (TERM_NAMES, Adam, TrainConfig, composed_objective,
                            train)
 
+import reference_ops as ref
 from test_model import expert_forward, rewrite_manifest
 
 
@@ -77,7 +80,7 @@ def test_adam_descends_a_quadratic():
     adam = Adam([p])
     for _ in range(200):
         p.zero_grad()
-        ag.sum_along(ag.square(p)).backward()
+        ag.sum_along(ref.square(p)).backward()
         adam.step(0.05)
     assert abs(p.data[0]) < 0.5
 
@@ -562,6 +565,55 @@ def test_training_step_tape_node_count_is_pinned():
                                  rng.standard_normal((E, B, d)), np.full((E, C), 0.5),
                                  LossWeights(), True)
     assert _tape_nodes(loss) == 20
+
+
+def _medc_calls(run):
+    """The calls into medc's named functions while run() runs.
+
+    Comprehensions, generator expressions and lambdas are left out: Python
+    3.12 inlines a list, dict or set comprehension into its function, so
+    counting them would tie the count to the interpreter.
+    """
+    package, calls = os.path.dirname(training.__file__) + os.sep, 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if (event == "call" and code.co_filename.startswith(package)
+                and not code.co_name.startswith("<")):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("experts", [("long_tailed",), EXPERT_KINDS],
+                         ids=["one-expert", "three-experts"])
+def test_training_step_call_count_is_pinned(experts):
+    # one step at the criterion-6 shapes (C=20, D=32, L=8, B=32), as train_epoch runs it:
+    # the objective, zero_grad, backward and Adam's update. The count depends only on this
+    # package's code and the shapes, and every step makes as many calls
+    E, B, L, D, C, d = len(experts), 32, 8, 32, 20, 16
+    model = Model(ModelConfig(D=D, C=C, d_trunk=32, hidden=32, d=d, experts=experts), seed=0)
+    params, adam = {**model.trunk, **model.stacked_heads}, Adam(model.parameters())
+    weights = LossWeights()
+    rng = derive_rng(0, "calls")
+    X = rng.uniform(-1.0, 1.0, size=(E, B, L, D)).astype(np.float32)
+    Y = np.zeros((E, B, C), dtype=np.uint8)
+    Y[np.arange(E)[:, None], np.arange(B), rng.integers(0, C, size=(E, B))] = 1
+    eps, gamma = rng.standard_normal((E, B, d)), np.full((E, C), 0.5)
+
+    def step():
+        loss, _ = composed_objective(params, X, Y, eps, gamma, weights, True)
+        model.zero_grad()
+        loss.backward()
+        adam.step(1e-3)
+
+    assert [_medc_calls(step) for _ in range(3)] == [352] * 3
 
 
 @pytest.mark.parametrize("seed", range(5))
