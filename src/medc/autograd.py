@@ -431,17 +431,17 @@ def attention_pool(delta, Wq, bq, Wk, bk):
 
 # -- composite layers -------------------------------------------------------
 
-def l2_normalize(x, axis=-1):
-    """Scale rows of x to unit L2 norm along `axis`. Fused forward/backward.
+def l2_normalize(x):
+    """Scale rows of x to unit L2 norm along the last axis. Fused forward/backward.
 
     A 1e-12 guard inside the square root keeps all-zero rows (and their
     gradients) finite; such rows map to zero instead of NaN.
     """
     x = _as_tensor(x)
-    norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True) + 1e-12)
+    norm = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + 1e-12)
     y = x.data / norm
 
     def backward(g):
-        return ((g - y * (g * y).sum(axis=axis, keepdims=True)) / norm,)
+        return ((g - y * (g * y).sum(axis=-1, keepdims=True)) / norm,)
 
     return _track(Tensor(y), (x,), backward)

@@ -96,7 +96,8 @@ def _read_records(path):
 def cmd_train(args):
     cfg = load_config(args.config)
     seed = _resolve_seed(args, cfg)
-    records, tcfg = _read_records(args.data), cfg.train_config(seed=seed)
+    tcfg = cfg.train_config(seed=seed)
+    records = _read_records(args.data)
     # read before train(), which may overwrite the checkpoint it resumes from
     resumed = read_checkpoint_manifest(args.resume)["extra"] if args.resume else {}
     _, history = train(tcfg, records, out_dir=args.out, resume_from=args.resume)

@@ -10,7 +10,7 @@ import json
 import typing
 from dataclasses import fields
 
-from .data import SyntheticConfig, fits_type, zipf_counts
+from .data import HEAD_THRESHOLD, MEDIUM_THRESHOLD, SyntheticConfig, fits_type, zipf_counts
 from .losses import LossWeights
 from .training import TrainConfig
 
@@ -74,9 +74,8 @@ class RunConfig:
         self._data = _section(raw, "data", _DATA_TYPES, extra=("zipf",))
         self._train = _section(raw, "train", _TRAIN_TYPES)
         ev = _section(raw, "eval", _EVAL_TYPES)
-        defaults = TrainConfig()
-        self.head_threshold = ev.get("head_threshold", defaults.head_threshold)
-        self.medium_threshold = ev.get("medium_threshold", defaults.medium_threshold)
+        self.head_threshold = ev.get("head_threshold", HEAD_THRESHOLD)
+        self.medium_threshold = ev.get("medium_threshold", MEDIUM_THRESHOLD)
         self.test_fraction = ev.get("test_fraction", 0.25)
 
     def synthetic_config(self, seed):

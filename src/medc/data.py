@@ -16,7 +16,7 @@ from .seeding import derive_rng
 HEAD = "head"
 MEDIUM = "medium"
 TAIL = "tail"
-# default group thresholds of compute_label_stats and TrainConfig
+# default group thresholds of compute_label_stats, TrainConfig and a config's eval section
 HEAD_THRESHOLD, MEDIUM_THRESHOLD = 500, 100
 
 
@@ -44,6 +44,14 @@ def require_finite(obj):
         value = getattr(obj, f.name)
         if f.type is float and not np.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+
+
+def require_at_least(obj, minimum, *names):
+    """Raise ValueError naming the first field of `names` of the dataclass `obj` below `minimum`."""
+    for name in names:
+        value = getattr(obj, name)
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 class FeatureFileError(ValueError):
@@ -146,17 +154,15 @@ class SyntheticConfig:
 
     def __post_init__(self):
         require_finite(self)
-        if self.C < 2:
-            raise ValueError(f"need at least 2 classes, got C={self.C}")
-        for name in ("D", "L"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        require_at_least(self, 2, "C")
+        require_at_least(self, 1, "D", "L")
         if len(self.counts) != self.C:
             raise ValueError(f"counts has {len(self.counts)} entries for C={self.C} classes")
         if any(n <= 0 for n in self.counts):
             raise ValueError("all class counts must be strictly positive")
-        if self.class_sep <= 0 or self.noise < 0 or self.temporal_jitter < 0:
-            raise ValueError("class_sep must be > 0 and noise levels >= 0")
+        require_at_least(self, 0, "noise", "temporal_jitter")
+        if self.class_sep <= 0:
+            raise ValueError(f"class_sep must be > 0, got {self.class_sep}")
 
 
 def zipf_counts(C, max_count, exponent=1.0, min_count=1):

@@ -215,7 +215,7 @@ def ablate(cfg, train_records, test_records, stats, variants=STANDARD_VARIANTS,
 
     Returns one row per variant with each metric averaged over seeds.
     """
-    points = [({"variant": name}, replace(cfg, active_experts=tuple(experts),
+    points = [({"variant": name}, replace(cfg, active_experts=experts,
                                           temporal_attention=attention))
               for name, experts, attention in variants]
     return _grid(points, train_records, test_records, stats, seeds)

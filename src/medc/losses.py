@@ -11,12 +11,10 @@ per-sample loss is a masked mean over the dense batch, so no leading index
 depends on another's labels.
 
 Each loss, and their weighted total, is one tape node with a hand-written
-backward. Its forward runs the numpy operations of the generic ops it
-replaced (matmul, exp and log, now the tests' reference ops, and `ag.sub`,
-`mul`, `sum_along`, ...) in their order, so its value is bit-identical to
-theirs. The labels, masks, shifts and weights a loss builds stay bare
-arrays, cast to the activations' dtype as those ops cast them, so a
-float32 model's loss is float32.
+backward, and its value equals its reference composition of generic ops in
+`tests/test_losses.py` bit for bit. The labels, masks, shifts and weights a
+loss builds stay bare arrays, cast to the activations' dtype, so a float32
+model's loss is float32.
 
 The paper's loss hyperparameters are fixed: contrastive temperature 1,
 variance targets in [GAMMA_LOW, GAMMA_HIGH], and GAMMA_UNIFORM for the
@@ -29,7 +27,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .data import require_finite
+from .data import require_at_least, require_finite
 from .sampling import INVERSE, LONG_TAILED, UNIFORM, reversed_frequencies
 
 GAMMA_LOW, GAMMA_HIGH, GAMMA_UNIFORM = 0.01, 1.0, 0.5
@@ -43,8 +41,7 @@ class LossWeights:
 
     def __post_init__(self):
         require_finite(self)
-        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
-            raise ValueError("loss weights must be non-negative")
+        require_at_least(self, 0, "lambda1", "lambda2", "lambda3")
         if self.lambda1 == self.lambda2 == self.lambda3 == 0:
             raise ValueError("at least one loss weight must be positive")
 

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter
-from .data import Container, fits_type
-from .sampling import EXPERT_KINDS
+from .data import Container, fits_type, require_at_least
+from .sampling import EXPERT_KINDS, checked_kinds
 from .seeding import derive_rng
 
 CHECKPOINT_MAGIC = b"MEDCCKP1"
@@ -54,17 +54,8 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        self.experts = tuple(self.experts)
-        if not self.experts:
-            raise ValueError("need at least one expert")
-        for i, k in enumerate(self.experts):
-            if k not in EXPERT_KINDS:
-                raise ValueError(f"unknown expert kind {k!r}")
-            if k in self.experts[:i]:
-                raise ValueError(f"experts names the kind {k!r} twice")
-        for name in ("D", "C", "d_trunk", "hidden", "d"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        self.experts = checked_kinds(self.experts, "experts")
+        require_at_least(self, 1, "D", "C", "d_trunk", "hidden", "d")
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
 
@@ -198,7 +189,7 @@ def estimate_mean(H0, head):
     result (..., d).
     """
     pooled = ag.mean_along(_hidden(head, "phi_mu", H0), axis=-2)
-    return ag.l2_normalize(_linear(head, "phi_mu.out", pooled), axis=-1)
+    return ag.l2_normalize(_linear(head, "phi_mu.out", pooled))
 
 
 def estimate_variance(H0, mu, head, temporal_attention=True):

@@ -15,6 +15,20 @@ INVERSE = "inverse"
 EXPERT_KINDS = (LONG_TAILED, UNIFORM, INVERSE)
 
 
+def checked_kinds(kinds, key):
+    """`kinds` as a tuple; ValueError names the config `key` unless it holds at least one
+    kind, each one of EXPERT_KINDS and none twice."""
+    kinds = tuple(kinds)
+    if not kinds:
+        raise ValueError(f"{key} must name at least one expert kind")
+    for i, kind in enumerate(kinds):
+        if kind not in EXPERT_KINDS:
+            raise ValueError(f"{key} names an unknown expert kind {kind!r}; known: {EXPERT_KINDS}")
+        if kind in kinds[:i]:
+            raise ValueError(f"{key} names the kind {kind!r} twice")
+    return kinds
+
+
 @dataclass
 class SamplerSpec:
     """Per-record sampling weights, and their normalized cumulative sum `cdf`."""
@@ -39,7 +53,11 @@ def original_weights(n_records):
     return SamplerSpec(np.full(n_records, 1.0 / n_records))
 
 
-def _per_record_from_class_weights(class_w, labels_per_record):
+def _per_record_from_class_weights(class_mass, counts, labels_per_record):
+    """Each record's mean of its classes' class_mass / counts; a class of no label is refused."""
+    if (counts == 0).any():
+        raise ValueError(f"empty classes: {np.flatnonzero(counts == 0).tolist()}")
+    class_w = class_mass / counts
     # cumsum adds a row's weights one at a time in class order, as np.mean sums fewer than 8
     # values, so a record with fewer than 8 labels gets their mean to the last bit
     labels = np.asarray(labels_per_record, dtype=bool)
@@ -53,11 +71,8 @@ def uniform_class_weights(stats, labels_per_record):
     A record of class c gets weight (1/C)/N^(c); multi-label records take
     the mean over their positive labels, then everything is renormalized.
     """
-    if (stats.counts == 0).any():
-        raise ValueError(f"empty classes: {np.flatnonzero(stats.counts == 0).tolist()}")
     C = len(stats.counts)
-    class_w = (1.0 / C) / stats.counts
-    return _per_record_from_class_weights(class_w, labels_per_record)
+    return _per_record_from_class_weights(1.0 / C, stats.counts, labels_per_record)
 
 
 def reversed_frequencies(frequencies):
@@ -76,11 +91,8 @@ def reversed_frequencies(frequencies):
 
 def inverse_class_weights(stats, labels_per_record):
     """Sampling proportional to the inversely long-tailed frequencies."""
-    if (stats.counts == 0).any():
-        raise ValueError(f"empty classes: {np.flatnonzero(stats.counts == 0).tolist()}")
     rev = reversed_frequencies(stats.frequencies)
-    class_w = rev / stats.counts
-    return _per_record_from_class_weights(class_w, labels_per_record)
+    return _per_record_from_class_weights(rev, stats.counts, labels_per_record)
 
 
 def sample_batch(spec, batch_size, rng):

@@ -18,12 +18,12 @@ import numpy as np
 
 from . import sampling
 from .data import (HEAD_THRESHOLD, MEDIUM_THRESHOLD, compute_label_stats, fits_type,
-                   require_finite)
+                   require_at_least, require_finite)
 from .losses import (LossWeights, classification_loss, gamma_targets,
                      mean_contrastive_loss, total_loss, variance_region_loss)
 from .model import (Model, ModelConfig, class_logits, estimate_mean, estimate_variance,
                     load_checkpoint, reparameterize, save_checkpoint, trunk_forward)
-from .sampling import EXPERT_KINDS, INVERSE, LONG_TAILED, UNIFORM
+from .sampling import EXPERT_KINDS, LONG_TAILED, UNIFORM, checked_kinds
 from .seeding import derive_rng
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -49,17 +49,9 @@ class TrainConfig:
         require_finite(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        self.active_experts = tuple(self.active_experts)
-        if not self.active_experts:
-            raise ValueError("active_experts must be non-empty")
-        if len(set(self.active_experts)) < len(self.active_experts):
-            raise ValueError(f"active_experts names a kind twice: {list(self.active_experts)}")
+        require_at_least(self, 0, "epochs", "checkpoint_every")
+        require_at_least(self, 1, "batch_size", "d_trunk", "hidden", "d")
+        self.active_experts = checked_kinds(self.active_experts, "active_experts")
 
 
 class Adam:
@@ -117,17 +109,16 @@ class Adam:
 
 
 def build_samplers(labels, stats, kinds):
-    """{kind: SamplerSpec} over the records whose labels are the rows of `labels` (N, C)."""
+    """{kind: SamplerSpec} for the checked `kinds` of a TrainConfig, over the records whose
+    labels are the rows of `labels` (N, C)."""
     built = {}
     for kind in kinds:
         if kind == LONG_TAILED:
             built[kind] = sampling.original_weights(len(labels))
         elif kind == UNIFORM:
             built[kind] = sampling.uniform_class_weights(stats, labels)
-        elif kind == INVERSE:
-            built[kind] = sampling.inverse_class_weights(stats, labels)
         else:
-            raise ValueError(f"unknown expert kind {kind!r}")
+            built[kind] = sampling.inverse_class_weights(stats, labels)
     return built
 
 

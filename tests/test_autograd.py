@@ -251,7 +251,7 @@ def _transpose(x):
                                                           ag.mean_along(q, axis=0),
                                                           ag.sum_along(p, axis=0),
                                                           ag.add(ag.mean_along(q, axis=1), 1.0))),
-    ("l2_normalize", lambda p, q: ag.mul(ag.l2_normalize(p, axis=1), q)),
+    ("l2_normalize", lambda p, q: ag.mul(ag.l2_normalize(p), q)),
 ])
 def test_op_gradients_match_finite_differences(name, builder):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -452,7 +452,7 @@ BROADCAST_OPS = {
     "linear": lambda args, relu: ag.linear(*args, relu=relu),
     "affine_norm_relu": lambda args, _: ag.affine_norm_relu(*args),
     "attention_pool": lambda args, _: ag.attention_pool(*args),
-    "l2_normalize": lambda args, _: ag.l2_normalize(args[0], axis=-1),
+    "l2_normalize": lambda args, _: ag.l2_normalize(args[0]),
 }
 
 
@@ -592,7 +592,7 @@ def test_finished_graph_is_freed_without_the_cycle_collector():
         p = Parameter(np.array([[0.3, -1.2], [2.0, 0.5]]), "p")
         mid = ref.exp(p)
         probe = weakref.ref(mid.data)
-        out = ag.sum_along(ag.l2_normalize(ref.log(ag.add(mid, 1.0)), axis=1))
+        out = ag.sum_along(ag.l2_normalize(ref.log(ag.add(mid, 1.0))))
         out.backward()
         del mid, out
         assert probe() is None

@@ -159,8 +159,22 @@ def test_a_repeated_expert_kind_is_refused_in_training(workspace, capsys):
     cfg = write_config(tmp_path / "twice.json", train={"active_experts": ["uniform", "uniform"]})
     assert main(["train", "--config", str(cfg), "--data", str(data),
                  "--out", str(tmp_path / "run")]) == 1
-    assert capsys.readouterr().err.startswith("error: active_experts names a kind twice")
+    assert capsys.readouterr().err.startswith(
+        "error: active_experts names the kind 'uniform' twice")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("key,value", [("active_experts", []), ("active_experts", ["bogus"]),
+                                       ("active_experts", ["uniform", "uniform"]), ("d", 0)],
+                         ids=["no-experts", "unknown-kind", "repeated-kind", "d-zero"])
+def test_a_bad_train_setting_is_named_before_the_data_is_read(tmp_path, capsys, command,
+                                                              key, value):
+    cfg = write_config(tmp_path / "bad.json", train={key: value})
+    assert main([command, "--config", str(cfg), "--data", str(tmp_path / "missing.medc"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_checkpoint_with_a_repeated_expert_kind_is_refused(workspace, capsys):

@@ -86,3 +86,12 @@ def test_out_dir_is_an_unknown_key():
 def test_a_library_caller_with_a_non_finite_float_is_refused_by_name(make, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
         make(value)
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: SyntheticConfig(C=3, D=4, L=2, counts=[3, 2, 1], noise=-0.5), "noise"),
+    (lambda: LossWeights(lambda3=-0.1), "lambda3"),
+], ids=["SyntheticConfig-noise", "LossWeights-lambda3"])
+def test_a_negative_noise_or_loss_weight_is_refused_by_name(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -"):
+        make()

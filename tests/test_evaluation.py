@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from medc import evaluation
 from medc.data import (HEAD, MEDIUM, TAIL, SyntheticConfig,
                        compute_label_stats, generate_synthetic, split_records)
 from medc.evaluation import (METRIC_COLUMNS, ablate, average_precision, evaluate,
@@ -344,6 +345,18 @@ def test_lambda_sweep_grid(tmp_path):
     assert lines[0] == "lambda1,lambda3,overall_mAP"
     assert lines[1] == f"0.5,0.4,{rows[0]['overall_mAP']!r}"
     assert lines[2].startswith("1.0,0.4,")  # an int grid value is stored as a float
+
+
+def test_ablation_refuses_an_unknown_kind_before_it_trains_any_variant(monkeypatch):
+    records, stats, _ = tiny_setup()
+
+    def train(*args, **kwargs):
+        raise AssertionError("a variant was trained")
+
+    monkeypatch.setattr(evaluation, "train", train)
+    variants = (("E1", ("long_tailed",), True), ("E9", ("long_tailed", "bogus"), True))
+    with pytest.raises(ValueError, match="active_experts names an unknown expert kind 'bogus'"):
+        ablate(small_train_cfg(), records, records, stats, variants=variants)
 
 
 def test_ablation_rejects_empty_grid():

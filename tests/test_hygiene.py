@@ -7,7 +7,8 @@ that the body has stopped reading; the second check finds it. An op or
 helper whose last caller was replaced tends to stay behind; the third check
 finds it. An option whose last setter went tends to keep its default and
 its branch; the fourth check finds it, counting the calls in the package,
-the demos and the benchmark. The first two checks cover src/medc but its
+the demos and the benchmark that pass it another value than its default's
+own expression. The first two checks cover src/medc but its
 __init__.py, which imports to re-export, and the import check covers tests/
 too. The third counts a name that __init__.py re-exports as referenced, and
 an attribute only on a name bound to a package module, so np.matmul is no
@@ -110,11 +111,23 @@ def _public_defs(tree):
             yield stmt, False
 
 
+def _overrides(call, param, index, default):
+    """Whether `call` passes `param` (positional `index`, None for keyword-only) an expression
+    other than its `default`; a call that unpacks *args or **kwargs passes every parameter."""
+    if (any(isinstance(x, ast.Starred) for x in call.args)
+            or any(k.arg is None for k in call.keywords)):
+        return True
+    passed = [k.value for k in call.keywords if k.arg == param.arg]
+    passed += call.args[index:index + 1] if index is not None else []
+    return any(ast.dump(value) != ast.dump(default) for value in passed)
+
+
 def unpassed_defaults(trees, callers):
     """'module.function(parameter)' for each defaulted parameter of a public function of
     the {module: tree} map that no call in the `callers` trees passes, by keyword or by
-    position. A call is matched by the called name alone; a method's first parameter is
-    its object, and a call that unpacks *args or **kwargs passes every parameter."""
+    position, a value other than the default's own expression, so f(axis=-1) does not
+    override axis=-1. A call is matched by the called name alone, and a method's first
+    parameter is its object."""
     calls = {}
     for tree in callers:
         for node in ast.walk(tree):
@@ -126,13 +139,12 @@ def unpassed_defaults(trees, callers):
         for fn, method in _public_defs(tree):
             a = fn.args
             positional = a.posonlyargs + a.args
-            defaulted = list(zip(positional[len(positional) - len(a.defaults):],
-                                 range(len(positional) - len(a.defaults), len(positional))))
-            defaulted += [(p, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
-            for param, index in defaulted:
-                if not any(any(isinstance(x, ast.Starred) for x in call.args)
-                           or any(k.arg in (None, param.arg) for k in call.keywords)
-                           or index is not None and len(call.args) > index - method
+            first = len(positional) - len(a.defaults)
+            defaulted = [(p, i - method, d) for i, (p, d) in
+                         enumerate(zip(positional[first:], a.defaults), first)]
+            defaulted += [(p, None, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            for param, index, default in defaulted:
+                if not any(_overrides(call, param, index, default)
                            for call in calls.get(fn.name, ())):
                     unpassed.append(f"{module}.{fn.name}({param.arg})")
     return unpassed
@@ -155,8 +167,12 @@ def test_the_checks_find_what_they_look_for():
     trees = {"m": ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
                             "class K:\n    def go(self, x=0, y=1):\n        pass\n\n"
                             "def g(p=0, q=1):\n    pass\n")}
-    callers = [ast.parse("f(0, 1, e=2)\nK().go(5)\nm.g(*args)\n")]
+    callers = [ast.parse("f(0, 5, e=2)\nK().go(5)\nm.g(*args)\n")]
     assert unpassed_defaults(trees, callers) == ["m.f(c)", "m.f(d)", "m.go(y)"]
+    callers = [ast.parse("f(0, 1, 2, d=3, e=-4)\nK().go(0, y=1)\ng(p=1, q=1)\n")]
+    # passing a default's own expression, as all but e=-4 and p=1 do here, overrides nothing
+    assert unpassed_defaults(trees, callers) == ["m.f(b)", "m.f(c)", "m.f(d)", "m.go(x)",
+                                                 "m.go(y)", "m.g(q)"]
 
 
 @pytest.mark.parametrize("path", PACKAGE + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")

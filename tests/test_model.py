@@ -114,7 +114,7 @@ def test_pooled_estimate_mean_matches_per_frame_output_layer(seed):
     for head, H in ((expert_slice(model, "inverse"), H0),
                     (model.stacked_heads, ag.reshape(H0, (1,) + H0.shape))):
         per_frame = _linear(head, "phi_mu.out", _hidden(head, "phi_mu", H))
-        reference = ag.l2_normalize(ag.mean_along(per_frame, axis=-2), axis=-1)
+        reference = ag.l2_normalize(ag.mean_along(per_frame, axis=-2))
         mu = estimate_mean(H, head)
         assert mu.shape == reference.shape
         np.testing.assert_allclose(mu.data, reference.data, rtol=0, atol=1e-12)
